@@ -9,6 +9,7 @@ bookkeeping. Agreement between the routes is what the acceptance suite pins.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -189,6 +190,7 @@ class SpectrumProfile:
 
     ``mean_power[b] * counts[b]`` summed over all bins equals the latent's
     total energy sum(z**2) (the FFT power is normalised by the cell count).
+    ``counts`` is read-only: profiles of one grid shape share it.
     """
 
     mean_power: np.ndarray
@@ -197,6 +199,23 @@ class SpectrumProfile:
 
     def total_power(self) -> float:
         return float(np.sum(self.mean_power * self.counts))
+
+
+@functools.lru_cache(maxsize=8)
+def _radial_bins(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat radius-bin index of every FFT cell and the cell count per bin.
+
+    Cached per grid shape and shared by every caller, so both arrays are
+    read-only.
+    """
+    freq_y = np.fft.fftfreq(height) * height
+    freq_x = np.fft.fftfreq(width) * width
+    radii = np.hypot(freq_y[:, None], freq_x[None, :])
+    bins = np.rint(radii).astype(int).ravel()
+    counts = np.bincount(bins)
+    bins.setflags(write=False)
+    counts.setflags(write=False)
+    return bins, counts
 
 
 def radial_spectrum(values, split_radius: float | None = None) -> SpectrumProfile:
@@ -215,11 +234,7 @@ def radial_spectrum(values, split_radius: float | None = None) -> SpectrumProfil
         raise ValueError("latent must be at least 4x4")
     height, width = arr.shape
     power = np.abs(np.fft.fft2(arr)) ** 2 / arr.size
-    freq_y = np.fft.fftfreq(height) * height
-    freq_x = np.fft.fftfreq(width) * width
-    radii = np.hypot(freq_y[:, None], freq_x[None, :])
-    bins = np.rint(radii).astype(int).ravel()
-    counts = np.bincount(bins)
+    bins, counts = _radial_bins(height, width)
     sums = np.bincount(bins, weights=power.ravel())
     mean_power = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     if split_radius is None:

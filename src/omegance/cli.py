@@ -145,11 +145,33 @@ def _init_latent(config: ExperimentConfig, schedule, seed: int) -> np.ndarray:
 
 
 def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> list:
+    """Results of every (seed, omega index) cell in order.
+
+    A numeric abort leaves with ``cell`` set to the aborting cell.
+    """
     cells = [(seed, idx) for seed in config.seeds for idx in range(len(config.omegas))]
+
+    def run(cell):
+        try:
+            return cell_fn(*cell)
+        except NumericAbortError as exc:
+            exc.cell = {"seed": cell[0], "omega_index": cell[1]}
+            raise
+
     if threads == 1:
-        return [cell_fn(seed, idx) for seed, idx in cells]
+        return [run(cell) for cell in cells]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda cell: cell_fn(*cell), cells))
+        return list(pool.map(run, cells))
+
+
+def _sweep(out: Path, command: str, config: ExperimentConfig, schedule, threads: int, cell_fn, started) -> list:
+    """Run every cell; a numeric abort writes an ``aborted`` manifest, then propagates."""
+    try:
+        return _run_cells(config, schedule, threads, cell_fn)
+    except NumericAbortError as exc:
+        extra = {"aborted_at_step": exc.step, "error": str(exc), "aborted_cell": exc.cell}
+        _write_manifest(out, command, config, [], {"total": time.perf_counter() - started}, "aborted", extra)
+        raise
 
 
 def _sha256(path: Path) -> str:
@@ -217,19 +239,8 @@ def cmd_sample(args) -> int:
         return names
 
     files: list[str] = []
-    try:
-        for cell_files in _run_cells(config, schedule, threads, run_cell):
-            files.extend(cell_files)
-    except NumericAbortError as exc:
-        _write_manifest(
-            out,
-            "sample",
-            config,
-            files,
-            {"total": time.perf_counter() - started},
-            {"aborted_at_step": exc.step, "error": str(exc)},
-        )
-        raise
+    for cell_files in _sweep(out, "sample", config, schedule, threads, run_cell, started):
+        files.extend(cell_files)
     _write_manifest(out, "sample", config, files, {"total": time.perf_counter() - started}, "ok")
     print(f"wrote {len(files)} trajectory files to {out}")
     return 0
@@ -314,7 +325,7 @@ def cmd_spectrum(args) -> int:
     # mean_power accumulators keyed by (omega index, snapshot step)
     sums: dict[tuple[int, int], np.ndarray] = {}
     bands: dict[tuple[int, int], list[float]] = {}
-    for idx, profiles in _run_cells(config, schedule, threads, run_cell):
+    for idx, profiles in _sweep(out, "spectrum", config, schedule, threads, run_cell, started):
         for step, (mean_power, low, high) in profiles.items():
             key = (idx, step)
             if key in sums:

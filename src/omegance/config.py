@@ -24,6 +24,7 @@ Schema sketch (see the README for the full field list):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,7 +77,13 @@ def _section(data, name: str, required: set[str], optional: set[str] = frozenset
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{name} must be a finite number") from exc
+    if not math.isfinite(number):  # json parses NaN and +-Infinity
+        raise ConfigError(f"{name} must be a finite number")
+    return number
 
 
 def _integer(value, name: str) -> int:

@@ -10,6 +10,17 @@ responsibilities.
 
 Responsibilities are always formed in log space with max subtraction, so the
 normalising total never underflows to zero.
+
+A scalar mixture forms only the moments its caller asks for: eps for
+epsilon_predict, z0 for posterior_z0, both for velocity_predict. With K > 1
+components it works in place on one (K, N) log-responsibility buffer and one
+(K, N) difference buffer, plus a third for the eps term when both moments
+are wanted. A single component has responsibility exactly 1.0,
+so K = 1 skips the softmax and takes the linear Tweedie form
+eps = b * (z - a*mu) / (a^2 v + b^2), z0 = mu + (a*v) * (z - a*mu) / (a^2 v + b^2).
+Both give every cell the operations of the general softmax route in the same
+order, so their outputs are bitwise identical to it, signed zeros included,
+for every latent whose squared distance to a component centre is finite.
 """
 
 from __future__ import annotations
@@ -47,7 +58,8 @@ class GaussianMixture:
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights must be a non-empty 1-D vector")
         if (
-            np.any(weights < 0.0)
+            not np.all(np.isfinite(weights))
+            or np.any(weights < 0.0)
             or not np.any(weights > 0.0)
             or abs(float(weights.sum()) - 1.0) > _WEIGHT_SUM_TOL
         ):
@@ -76,36 +88,22 @@ class GaussianMixture:
     def dimension(self) -> int:
         return 1 if self.is_scalar else int(self.means.shape[1])
 
-    def _posterior(self, z, signal_scale: float, noise_scale: float):
-        """Posterior means (E[eps | z], E[z0 | z]) under z = a*z0 + b*eps."""
+    def _posterior(self, z, signal_scale: float, noise_scale: float, *, want_eps=True, want_z0=True):
+        """Posterior means (E[eps | z], E[z0 | z]) under z = a*z0 + b*eps.
+
+        A scalar mixture forms only the wanted moments and returns None for
+        the other; a vector mixture always returns both.
+        """
         a, b = float(signal_scale), float(noise_scale)
         if not (math.isfinite(a) and math.isfinite(b)) or a < 0.0 or b < 0.0 or a + b == 0.0:
             raise ValueError("corruption scales must be non-negative with a positive sum")
         z = np.asarray(z, dtype=np.float64)
         if not np.all(np.isfinite(z)):
             raise ValueError("latent contains non-finite values")
+        if self.is_scalar:
+            return self._scalar_posterior(z, a, b, want_eps, want_z0)
         with np.errstate(divide="ignore"):  # zero weights contribute -inf, i.e. no mass
             log_weights = np.log(self.weights)
-        if self.is_scalar:
-            shape = z.shape
-            flat = z.reshape(1, -1)
-            centers = (a * self.means)[:, None]
-            total_var = (a * a * self.variances + b * b)[:, None]
-            diff = flat - centers
-            log_resp = log_weights[:, None] - 0.5 * (
-                diff * diff / total_var + np.log(2.0 * np.pi * total_var)
-            )
-            log_resp -= log_resp.max(axis=0, keepdims=True)
-            resp = np.exp(log_resp)
-            resp /= resp.sum(axis=0, keepdims=True)
-            pull = diff / total_var
-            eps_mean = (resp * (b * pull)).sum(axis=0).reshape(shape)
-            z0_mean = (
-                (resp * (self.means[:, None] + a * self.variances[:, None] * pull))
-                .sum(axis=0)
-                .reshape(shape)
-            )
-            return eps_mean, z0_mean
         if z.shape != (self.dimension,):
             raise ValueError(f"vector mixture expects a latent of shape ({self.dimension},)")
         centers = a * self.means
@@ -122,13 +120,60 @@ class GaussianMixture:
         z0_mean = (resp[:, None] * (self.means + a * self.variances * pull)).sum(axis=0)
         return eps_mean, z0_mean
 
+    def _scalar_posterior(self, z: np.ndarray, a: float, b: float, want_eps: bool, want_z0: bool):
+        """Cellwise posterior moments of a scalar mixture; unwanted ones are None.
+
+        Each cell gets the softmax route's operations in its order: diff =
+        z - a*mu, pull = diff / (a^2 v + b^2), eps = sum_k resp * (b * pull)
+        and z0 = sum_k resp * (mu + (a*v) * pull), with the sums over k
+        starting from +0.0. For K = 1 the responsibility is exactly 1.0, so
+        the sum reduces to adding its +0.0 start, which only turns -0.0 into
+        +0.0; the softmax is skipped.
+        """
+        shape = z.shape
+        eps_mean = z0_mean = None
+        if self.num_components == 1:
+            mean, var = float(self.means[0]), float(self.variances[0])
+            pull = z.reshape(-1) - a * mean
+            pull /= a * a * var + b * b
+            if want_z0:
+                z0_mean = ((mean + 0.0) + (a * var) * pull).reshape(shape)
+            if want_eps:
+                pull *= b
+                pull += 0.0
+                eps_mean = pull.reshape(shape)
+            return eps_mean, z0_mean
+        with np.errstate(divide="ignore"):  # zero weights contribute -inf, i.e. no mass
+            log_weights = np.log(self.weights)[:, None]
+        total_var = (a * a * self.variances + b * b)[:, None]
+        pull = z.reshape(1, -1) - (a * self.means)[:, None]
+        resp = np.multiply(pull, pull)  # log responsibilities until the exp
+        resp /= total_var
+        resp += np.log(2.0 * np.pi * total_var)
+        resp *= 0.5
+        np.subtract(log_weights, resp, out=resp)
+        resp -= resp.max(axis=0, keepdims=True)
+        np.exp(resp, out=resp)
+        resp /= resp.sum(axis=0, keepdims=True)
+        pull /= total_var
+        if want_eps:
+            term = np.multiply(pull, b, out=None if want_z0 else pull)
+            term *= resp
+            eps_mean = term.sum(axis=0).reshape(shape)
+        if want_z0:
+            pull *= (a * self.variances)[:, None]
+            pull += self.means[:, None]
+            pull *= resp
+            z0_mean = pull.sum(axis=0).reshape(shape)
+        return eps_mean, z0_mean
+
     def epsilon_given(self, z, signal_scale: float, noise_scale: float) -> np.ndarray:
         """Posterior-mean noise E[eps | a*z0 + b*eps = z]."""
-        return self._posterior(z, signal_scale, noise_scale)[0]
+        return self._posterior(z, signal_scale, noise_scale, want_z0=False)[0]
 
     def posterior_z0(self, z, signal_scale: float, noise_scale: float) -> np.ndarray:
         """Posterior-mean clean latent E[z0 | a*z0 + b*eps = z]."""
-        return self._posterior(z, signal_scale, noise_scale)[1]
+        return self._posterior(z, signal_scale, noise_scale, want_eps=False)[1]
 
     def epsilon_predict(self, z, *, alpha_bar: float | None = None, sigma: float | None = None):
         """Exact noise prediction for one of the two standard corruptions.

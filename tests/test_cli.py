@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from omegance import reference_trajectory, standard_normal
+from omegance import reference_trajectory, run_sampler, standard_normal
 from omegance.cli import main
 from omegance.formats import read_pgm, read_snapshot, write_pgm
 from omegance.samplers import NumericAbortError, SamplerConfig
@@ -36,6 +36,26 @@ def sample_config(tmp_path, **overrides):
 
 def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
+
+
+def check_numeric_abort(tmp_path, monkeypatch, command):
+    """Only the (seed 1, omega index 1) cell aborts: exit 3 and an aborted manifest naming it."""
+
+    def explode(denoiser, config, z_init):
+        if config.seed == 1 and config.control.base == 1.0:
+            raise NumericAbortError(4, "non-finite latent after step 4")
+        return run_sampler(denoiser, config, z_init)
+
+    monkeypatch.setattr("omegance.cli.run_sampler", explode)
+    config = write_config(tmp_path, sample_config(tmp_path))
+    for threads in ("1", "2"):
+        assert main([command, "--config", str(config), "--threads", threads]) == 3
+        manifest = read_manifest(tmp_path / "out")
+        assert manifest["command"] == command
+        assert manifest["status"] == "aborted"
+        assert manifest["aborted_at_step"] == 4
+        assert manifest["error"] == "non-finite latent after step 4"
+        assert manifest["aborted_cell"] == {"seed": 1, "omega_index": 1}
 
 
 class TestSampleCommand:
@@ -173,15 +193,16 @@ class TestSampleCommand:
         assert main(["sample", "--config", str(config)]) == 2
         assert main(["sample", "--config", str(tmp_path / "missing.json")]) == 2
 
-    def test_numeric_abort_exit_code_and_manifest(self, tmp_path, monkeypatch):
-        def explode(denoiser, config, z_init):
-            raise NumericAbortError(4, "non-finite latent after step 4")
+    def test_non_finite_config_number_exit_code(self, tmp_path):
+        text = json.dumps(sample_config(tmp_path)).replace("[0.95, 1.0]", "[NaN, 1.0]")
+        assert "NaN" in text
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert main(["sample", "--config", str(config)]) == 2
+        assert not (tmp_path / "out").exists()
 
-        monkeypatch.setattr("omegance.cli.run_sampler", explode)
-        config = write_config(tmp_path, sample_config(tmp_path))
-        assert main(["sample", "--config", str(config)]) == 3
-        manifest = read_manifest(tmp_path / "out")
-        assert manifest["status"]["aborted_at_step"] == 4
+    def test_numeric_abort_exit_code_and_manifest(self, tmp_path, monkeypatch):
+        check_numeric_abort(tmp_path, monkeypatch, "sample")
 
 
 class TestSnrCommand:
@@ -289,6 +310,9 @@ class TestSpectrumCommand:
             },
         )
         assert main(["spectrum", "--config", str(config)]) == 2
+
+    def test_numeric_abort_exit_code_and_manifest(self, tmp_path, monkeypatch):
+        check_numeric_abort(tmp_path, monkeypatch, "spectrum")
 
 
 class TestPreviewCommand:

@@ -140,6 +140,24 @@ class TestOmegaSection:
         with pytest.raises(ConfigError):
             parse_config(minimal(omega={"values": [1.0, 1.0]}))
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e999", "int-1e400"],
+    )
+    @pytest.mark.parametrize(
+        "omega",
+        ['{"values": [%s, 1.0]}', '{"varpi": [0.0], "rescale": {"upper": %s}}'],
+        ids=["values", "rescale"],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, omega, bad):
+        # written as JSON text, because json.loads accepts NaN and +-Infinity
+        text = json.dumps(minimal(omega="OMEGA")).replace('"OMEGA"', omega % bad)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(path)
+
     def test_schedule_kinds(self):
         config = parse_config(
             minimal(

@@ -40,6 +40,83 @@ def quadrature_posterior(weights, means, variances, z, signal_scale, noise_scale
     return float(np.trapezoid(target * weight, eps) / np.trapezoid(weight, eps))
 
 
+def softmax_posterior(mixture, z, a, b):
+    """Scalar-mixture posterior by the general route: both moments through the
+    log-space softmax over freshly allocated (K, N) temporaries, for every K.
+    The package's posterior must match it bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(mixture.weights)
+    flat = z.reshape(1, -1)
+    centers = (a * mixture.means)[:, None]
+    total_var = (a * a * mixture.variances + b * b)[:, None]
+    diff = flat - centers
+    log_resp = log_weights[:, None] - 0.5 * (diff * diff / total_var + np.log(2.0 * np.pi * total_var))
+    log_resp -= log_resp.max(axis=0, keepdims=True)
+    resp = np.exp(log_resp)
+    resp /= resp.sum(axis=0, keepdims=True)
+    pull = diff / total_var
+    eps_mean = (resp * (b * pull)).sum(axis=0).reshape(z.shape)
+    z0_mean = (resp * (mixture.means[:, None] + a * mixture.variances[:, None] * pull)).sum(axis=0).reshape(z.shape)
+    return eps_mean, z0_mean
+
+
+def assert_bitwise(actual, expected):
+    assert isinstance(actual, np.ndarray) and actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))  # array_equal has -0.0 == 0.0
+
+
+BITWISE_MIXTURES = {
+    "standard_normal": standard_normal(),
+    "k1_shifted": GaussianMixture(np.array([1.0]), np.array([-1.25]), np.array([0.3])),
+    "k1_negative_zero_mean": GaussianMixture(np.array([1.0]), np.array([-0.0]), np.array([2.0])),
+    "k3": GaussianMixture(np.array([0.2, 0.5, 0.3]), np.array([-3.0, 0.5, 4.0]), np.array([0.2, 1.5, 0.7])),
+    "k3_zero_weight": GaussianMixture(np.array([0.4, 0.0, 0.6]), np.array([-2.0, 1.0, 2.5]), np.array([1.0, 0.5, 0.25])),
+}
+
+
+def bitwise_latent(mixture, a):
+    """Cells spanning +-40 (so the max subtraction matters), signed zeros and exact centres."""
+    spread = np.linspace(-40.0, 40.0, 61)
+    special = np.concatenate(([0.0, -0.0], a * mixture.means, -(a * mixture.means)))
+    return np.concatenate((spread, special, np.random.default_rng(8).normal(0.0, 3.0, 29))).reshape(2, -1)
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_MIXTURES))
+class TestPosteriorBitwise:
+    def test_epsilon_predict_alpha_bar(self, name):
+        gm = BITWISE_MIXTURES[name]
+        for alpha_bar in (0.001, 0.3, 0.97):
+            a, b = math.sqrt(alpha_bar), math.sqrt(1.0 - alpha_bar)
+            z = bitwise_latent(gm, a)
+            assert_bitwise(gm.epsilon_predict(z, alpha_bar=alpha_bar), softmax_posterior(gm, z, a, b)[0])
+
+    def test_epsilon_predict_sigma(self, name):
+        gm = BITWISE_MIXTURES[name]
+        for sigma in (0.01, 1.0, 80.0):
+            z = bitwise_latent(gm, 1.0)
+            assert_bitwise(gm.epsilon_predict(z, sigma=sigma), softmax_posterior(gm, z, 1.0, sigma)[0])
+
+    def test_posterior_z0(self, name):
+        gm = BITWISE_MIXTURES[name]
+        for a, b in ((0.6, 0.8), (1.0, 0.0), (0.0, 1.0)):
+            z = bitwise_latent(gm, a)
+            assert_bitwise(gm.posterior_z0(z, a, b), softmax_posterior(gm, z, a, b)[1])
+
+    def test_velocity_predict(self, name):
+        gm = BITWISE_MIXTURES[name]
+        for t in (0.0, 0.3, 1.0):
+            z = bitwise_latent(gm, 1.0 - t)
+            eps_mean, z0_mean = softmax_posterior(gm, z, 1.0 - t, t)
+            assert_bitwise(gm.velocity_predict(z, t), eps_mean - z0_mean)
+
+    def test_zero_dimensional_latent(self, name):
+        gm = BITWISE_MIXTURES[name]
+        z = np.array(-37.5)
+        assert_bitwise(gm.epsilon_given(z, 0.6, 0.8), softmax_posterior(gm, z, 0.6, 0.8)[0])
+
+
 class TestEpsilonOracle:
     def test_standard_normal_closed_form(self):
         gm = standard_normal()
@@ -197,6 +274,10 @@ class TestMixtureValidation:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             GaussianMixture(np.array([1.5, -0.5]), np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
+    def test_non_finite_weight_rejected(self):
+        with pytest.raises(ValueError):
+            GaussianMixture(np.array([np.nan, 1.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
     def test_variances_positive(self):
         with pytest.raises(ValueError):
