@@ -40,17 +40,13 @@ from .omega import (
     mask_to_grayscale,
     preset_schedule,
     rescale,
-    resolve_omega,
-    schedule_eval,
 )
 from .oracles import (
     GaussianFieldSpec,
     GaussianMixture,
-    epsilon_oracle,
     gaussian_field_2d,
     sample_prior,
     standard_normal,
-    velocity_oracle,
 )
 from .samplers import (
     Denoiser,

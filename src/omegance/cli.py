@@ -8,7 +8,8 @@ the config echo, artifact checksums, versions and timings; identical
 (config, seeds) reproduce identical artifact checksums.
 
 Exit codes: 0 success, 2 config error, 3 numeric abort (the manifest then
-records the aborting cell and step index). Commands never modify their input
+records the aborting cell and step index and lists every file written before
+the abort). Commands never modify their input
 files. ``--threads``/``OMEGANCE_THREADS`` parallelise independent
 (seed, omega) cells; results do not depend on the thread count.
 """
@@ -164,13 +165,31 @@ def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> lis
         return list(pool.map(run, cells))
 
 
-def _sweep(out: Path, command: str, config: ExperimentConfig, schedule, threads: int, cell_fn, started) -> list:
-    """Run every cell; a numeric abort writes an ``aborted`` manifest, then propagates."""
+def _cell_trajectory(config: ExperimentConfig, schedule, seed: int, idx: int, snapshots):
+    """Trajectory of one (seed, omega index) cell, keeping the given snapshot steps."""
+    sampler_config = SamplerConfig(
+        kind=config.sampler_kind,
+        steps=config.steps,
+        schedule=schedule,
+        control=config.make_control(config.omegas[idx]),
+        seed=seed,
+        snapshots=snapshots,
+    )
+    return run_sampler(config.oracle, sampler_config, _init_latent(config, schedule, seed))
+
+
+def _sweep(out: Path, command: str, config: ExperimentConfig, schedule, threads: int, cell_fn, started, written=()) -> list:
+    """Run every cell; a numeric abort writes an ``aborted`` manifest, then propagates.
+
+    Cells append the name of each file they write to ``written``. An abort
+    reaches this point only after every cell already started has finished, so
+    the aborted manifest lists every file the run wrote and no other.
+    """
     try:
         return _run_cells(config, schedule, threads, cell_fn)
     except NumericAbortError as exc:
         extra = {"aborted_at_step": exc.step, "error": str(exc), "aborted_cell": exc.cell}
-        _write_manifest(out, command, config, [], {"total": time.perf_counter() - started}, "aborted", extra)
+        _write_manifest(out, command, config, written, {"total": time.perf_counter() - started}, "aborted", extra)
         raise
 
 
@@ -217,32 +236,21 @@ def cmd_sample(args) -> int:
     schedule = config.make_schedule()
     started = time.perf_counter()
 
-    def run_cell(seed: int, idx: int) -> list[str]:
-        omega = config.omegas[idx]
-        sampler_config = SamplerConfig(
-            kind=config.sampler_kind,
-            steps=config.steps,
-            schedule=schedule,
-            control=config.make_control(omega),
-            seed=seed,
-            snapshots=config.snapshots,
-        )
-        trajectory = run_sampler(config.oracle, sampler_config, _init_latent(config, schedule, seed))
-        names = []
+    written: list[str] = []
+
+    def run_cell(seed: int, idx: int) -> None:
+        trajectory = _cell_trajectory(config, schedule, seed, idx, config.snapshots)
         for state in trajectory.states:
             stem = f"seed{seed}_omega{idx}_step{state.step:04d}"
-            names.append(_write_latent(out, stem, state.values, state.step, config.snapshot_format))
+            written.append(_write_latent(out, stem, state.values, state.step, config.snapshot_format))
         final = trajectory.final
-        names.append(
+        written.append(
             _write_latent(out, f"seed{seed}_omega{idx}_final", final.values, final.step, config.snapshot_format)
         )
-        return names
 
-    files: list[str] = []
-    for cell_files in _sweep(out, "sample", config, schedule, threads, run_cell, started):
-        files.extend(cell_files)
-    _write_manifest(out, "sample", config, files, {"total": time.perf_counter() - started}, "ok")
-    print(f"wrote {len(files)} trajectory files to {out}")
+    _sweep(out, "sample", config, schedule, threads, run_cell, started, written)
+    _write_manifest(out, "sample", config, written, {"total": time.perf_counter() - started}, "ok")
+    print(f"wrote {len(written)} trajectory files to {out}")
     return 0
 
 
@@ -302,16 +310,7 @@ def cmd_spectrum(args) -> int:
     started = time.perf_counter()
 
     def run_cell(seed: int, idx: int):
-        omega = config.omegas[idx]
-        sampler_config = SamplerConfig(
-            kind=config.sampler_kind,
-            steps=config.steps,
-            schedule=schedule,
-            control=config.make_control(omega),
-            seed=seed,
-            snapshots=snapshots,
-        )
-        trajectory = run_sampler(config.oracle, sampler_config, _init_latent(config, schedule, seed))
+        trajectory = _cell_trajectory(config, schedule, seed, idx, snapshots)
         profiles = {}
         for state in trajectory.states:
             profile = radial_spectrum(state.values)

@@ -45,6 +45,7 @@ from .omega import (
     rescale,
 )
 from .oracles import GaussianMixture, standard_normal
+from .samplers import SAMPLER_KINDS
 from .schedules import (
     AlphaBarSchedule,
     FlowTimesteps,
@@ -200,8 +201,8 @@ def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
 def _parse_sampler(data) -> tuple[str, int, dict, tuple[int, ...]]:
     sampler = _section(data, "sampler", required={"kind", "steps"}, optional={"schedule", "snapshots"})
     kind = sampler["kind"]
-    if kind not in ("ddim", "euler", "flow"):
-        raise ConfigError("sampler.kind must be one of ddim, euler, flow")
+    if kind not in SAMPLER_KINDS:
+        raise ConfigError(f"sampler.kind must be one of {', '.join(SAMPLER_KINDS)}")
     steps = _integer(sampler["steps"], "sampler.steps")
     if steps < 1:
         raise ConfigError("sampler.steps must be >= 1")

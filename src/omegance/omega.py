@@ -30,10 +30,8 @@ __all__ = [
     "CosSchedule",
     "SCHEDULE_PRESETS",
     "preset_schedule",
-    "schedule_eval",
     "OmegaControl",
     "IDENTITY_CONTROL",
-    "resolve_omega",
 ]
 
 
@@ -265,11 +263,6 @@ def preset_schedule(name: str, total_steps: int) -> OmegaSchedule:
     return CosSchedule(total_steps=total_steps, **params)
 
 
-def schedule_eval(schedule: OmegaSchedule, step: int) -> float:
-    """Omega emitted by the schedule at the given sampling step."""
-    return schedule.value_at(step)
-
-
 @dataclass(frozen=True)
 class OmegaControl:
     """Composition of a base scalar, an optional mask, and an optional schedule.
@@ -286,19 +279,6 @@ class OmegaControl:
     def __post_init__(self):
         if not (isinstance(self.base, (int, float)) and math.isfinite(self.base) and self.base > 0):
             raise ValueError("base omega must be a positive finite number")
-
-    def resolve(self, cell: tuple[int, int], step: int) -> float:
-        """Omega at one (cell, step); cell is ignored when no mask is present."""
-        value = self.base
-        if self.schedule is not None:
-            value = value * self.schedule.value_at(step)
-        if self.mask is not None:
-            i, j = cell
-            rows, cols = self.mask.grid.shape
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"cell {cell} outside mask grid {self.mask.grid.shape}")
-            value = float(self.mask.grid[i, j] * value)
-        return value
 
     def resolve_field(self, shape: tuple[int, ...], step: int):
         """Omega for every cell of a latent with the given shape at one step.
@@ -318,8 +298,3 @@ class OmegaControl:
 
 
 IDENTITY_CONTROL = OmegaControl()
-
-
-def resolve_omega(control: OmegaControl, cell: tuple[int, int], step: int) -> float:
-    """Omega used at one (cell, step) under the given control."""
-    return control.resolve(cell, step)

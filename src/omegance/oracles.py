@@ -33,8 +33,6 @@ import numpy as np
 __all__ = [
     "GaussianMixture",
     "standard_normal",
-    "epsilon_oracle",
-    "velocity_oracle",
     "sample_prior",
     "GaussianFieldSpec",
     "gaussian_field_2d",
@@ -202,16 +200,6 @@ class GaussianMixture:
 def standard_normal() -> GaussianMixture:
     """Unit-normal prior; its predictions are scalar multiples of the latent."""
     return GaussianMixture(np.array([1.0]), np.array([0.0]), np.array([1.0]))
-
-
-def epsilon_oracle(mixture: GaussianMixture, z, alpha_bar: float) -> np.ndarray:
-    """Exact E[eps | z] for the corruption z = sqrt(abar) z0 + sqrt(1-abar) eps."""
-    return mixture.epsilon_predict(z, alpha_bar=alpha_bar)
-
-
-def velocity_oracle(mixture: GaussianMixture, z, t: float) -> np.ndarray:
-    """Exact E[eps - z0 | z] for the interpolation z = (1-t) z0 + t eps."""
-    return mixture.velocity_predict(z, t)
 
 
 def sample_prior(mixture: GaussianMixture, seed, n: int) -> np.ndarray:

@@ -279,11 +279,14 @@ def _churn_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
 
 
-def run_sampler(denoiser, config: SamplerConfig, z_init) -> Trajectory:
-    """Run the configured reverse process and collect the requested snapshots.
+def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool) -> Trajectory:
+    """The reverse-process loop shared by the scaled run and its reference twin.
 
-    The trajectory is strictly sequential and fully determined by
-    (config, z_init); non-finite values abort with the offending step index.
+    The two differ only in the step kernel: scaled runs call ``ddim_step``,
+    ``euler_step`` or ``flow_step`` with the control's omega, reference runs
+    call the ``*_step_reference`` twin and never read the control. Kernels are
+    looked up by module-global name at every step so that wrappers installed
+    on those names see every call.
     """
     _check_capability(denoiser, config.kind)
     z = _prepare_latent(z_init)
@@ -298,31 +301,38 @@ def run_sampler(denoiser, config: SamplerConfig, z_init) -> Trajectory:
         rng = _churn_rng(config.seed)
 
     for k in range(config.steps):
-        omega_field = config.control.resolve_field(z.shape, k)
+        omega = (config.control.resolve_field(z.shape, k),) if scaled else ()
         if config.kind == "ddim":
             t = config.steps - k
             eps = _prediction(denoiser.epsilon_predict(z, alpha_bar=ladder.alpha_bar(t)), z)
-            z = ddim_step(z, ladder, t, eps, omega_field)
+            z = (ddim_step if scaled else ddim_step_reference)(z, ladder, t, eps, *omega)
         elif config.kind == "euler":
             sched = config.schedule
+            sigma = float(sched.sigmas[k])
             if sched.churn > 0.0:
                 sigma_hat = sched.sigma_hat(k)
-                bump = math.sqrt(sigma_hat**2 - float(sched.sigmas[k]) ** 2)
-                z = z + bump * rng.standard_normal(z.shape)
-                eps = _prediction(denoiser.epsilon_predict(z, sigma=sigma_hat), z)
-            else:
-                eps = _prediction(denoiser.epsilon_predict(z, sigma=float(sched.sigmas[k])), z)
-            z = euler_step(z, sched, k, eps, omega_field)
+                z = z + math.sqrt(sigma_hat**2 - sigma**2) * rng.standard_normal(z.shape)
+                sigma = sigma_hat
+            eps = _prediction(denoiser.epsilon_predict(z, sigma=sigma), z)
+            z = (euler_step if scaled else euler_step_reference)(z, sched, k, eps, *omega)
         else:
-            t = float(config.schedule.times[k])
-            v = _prediction(denoiser.velocity_predict(z, t), z)
-            z = flow_step(z, config.schedule.dt(k), v, omega_field)
+            v = _prediction(denoiser.velocity_predict(z, float(config.schedule.times[k])), z)
+            z = (flow_step if scaled else flow_step_reference)(z, config.schedule.dt(k), v, *omega)
         if not np.all(np.isfinite(z)):
             raise NumericAbortError(k + 1, f"non-finite latent after step {k + 1}")
         if (k + 1) in wanted:
             states.append(LatentState(z.copy(), k + 1))
 
     return Trajectory(tuple(states), LatentState(z, config.steps))
+
+
+def run_sampler(denoiser, config: SamplerConfig, z_init) -> Trajectory:
+    """Run the configured reverse process and collect the requested snapshots.
+
+    The trajectory is strictly sequential and fully determined by
+    (config, z_init); non-finite values abort with the offending step index.
+    """
+    return _trajectory(denoiser, config, z_init, scaled=True)
 
 
 def reference_trajectory(denoiser, config: SamplerConfig, z_init) -> Trajectory:
@@ -331,40 +341,4 @@ def reference_trajectory(denoiser, config: SamplerConfig, z_init) -> Trajectory:
     The omega control on the config is ignored; this is the vanilla twin that
     omega = 1 runs must reproduce bit for bit.
     """
-    _check_capability(denoiser, config.kind)
-    z = _prepare_latent(z_init)
-    wanted = set(config.snapshots)
-    states: list[LatentState] = []
-    if 0 in wanted:
-        states.append(LatentState(z.copy(), 0))
-
-    if config.kind == "ddim":
-        ladder = config.schedule.subsample(config.steps)
-    elif config.kind == "euler" and config.schedule.churn > 0.0:
-        rng = _churn_rng(config.seed)
-
-    for k in range(config.steps):
-        if config.kind == "ddim":
-            t = config.steps - k
-            eps = _prediction(denoiser.epsilon_predict(z, alpha_bar=ladder.alpha_bar(t)), z)
-            z = ddim_step_reference(z, ladder, t, eps)
-        elif config.kind == "euler":
-            sched = config.schedule
-            if sched.churn > 0.0:
-                sigma_hat = sched.sigma_hat(k)
-                bump = math.sqrt(sigma_hat**2 - float(sched.sigmas[k]) ** 2)
-                z = z + bump * rng.standard_normal(z.shape)
-                eps = _prediction(denoiser.epsilon_predict(z, sigma=sigma_hat), z)
-            else:
-                eps = _prediction(denoiser.epsilon_predict(z, sigma=float(sched.sigmas[k])), z)
-            z = euler_step_reference(z, sched, k, eps)
-        else:
-            t = float(config.schedule.times[k])
-            v = _prediction(denoiser.velocity_predict(z, t), z)
-            z = flow_step_reference(z, config.schedule.dt(k), v)
-        if not np.all(np.isfinite(z)):
-            raise NumericAbortError(k + 1, f"non-finite latent after step {k + 1}")
-        if (k + 1) in wanted:
-            states.append(LatentState(z.copy(), k + 1))
-
-    return Trajectory(tuple(states), LatentState(z, config.steps))
+    return _trajectory(denoiser, config, z_init, scaled=False)

@@ -1,5 +1,9 @@
 import csv
+import hashlib
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -39,23 +43,52 @@ def read_manifest(out_dir):
 
 
 def check_numeric_abort(tmp_path, monkeypatch, command):
-    """Only the (seed 1, omega index 1) cell aborts: exit 3 and an aborted manifest naming it."""
+    """Only the (seed 1, omega index 1) cell aborts: exit 3 and an aborted manifest naming it.
+
+    The manifest lists, with checksums, exactly the files the run wrote: those
+    of the cells before the abort and, with two threads, of cell (seed 2,
+    omega index 0), held in flight until after the abort, but not a file an
+    earlier run left in the output directory.
+    """
+    in_flight = threading.Event()
 
     def explode(denoiser, config, z_init):
         if config.seed == 1 and config.control.base == 1.0:
+            if threads == "2":
+                assert in_flight.wait(timeout=10)
             raise NumericAbortError(4, "non-finite latent after step 4")
+        if config.seed == 2 and config.control.base == 0.95:
+            in_flight.set()
+            time.sleep(0.1)
         return run_sampler(denoiser, config, z_init)
 
     monkeypatch.setattr("omegance.cli.run_sampler", explode)
-    config = write_config(tmp_path, sample_config(tmp_path))
+    config = write_config(tmp_path, sample_config(tmp_path, seeds=[0, 1, 2]))
+    stale = "seed9_omega0_final.bin"
     for threads in ("1", "2"):
-        assert main([command, "--config", str(config), "--threads", threads]) == 3
-        manifest = read_manifest(tmp_path / "out")
+        in_flight.clear()
+        out = tmp_path / f"out{threads}"
+        out.mkdir()
+        (out / stale).write_bytes(b"left by an earlier run")
+        assert main([command, "--config", str(config), "--out", str(out), "--threads", threads]) == 3
+        manifest = read_manifest(out)
         assert manifest["command"] == command
         assert manifest["status"] == "aborted"
         assert manifest["aborted_at_step"] == 4
         assert manifest["error"] == "non-finite latent after step 4"
         assert manifest["aborted_cell"] == {"seed": 1, "omega_index": 1}
+        written = sorted(path.name for path in out.iterdir() if path.name not in (stale, "manifest.json"))
+        assert manifest["artifacts"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in written
+        }
+        if command == "spectrum":
+            assert written == []
+            continue
+        cells = [(0, 0), (0, 1), (1, 0)] + ([(2, 0)] if threads == "2" else [])
+        for seed, idx in cells:
+            assert {f"seed{seed}_omega{idx}_step0000.bin", f"seed{seed}_omega{idx}_final.bin"} <= set(written)
+        if threads == "1":
+            assert len(written) == 3 * 3
 
 
 class TestSampleCommand:
@@ -86,6 +119,22 @@ class TestSampleCommand:
         first = read_manifest(tmp_path / "a")["artifacts"]
         second = read_manifest(tmp_path / "b")["artifacts"]
         assert first == second
+
+    def test_threads_record_every_written_file(self, tmp_path):
+        # cells on many threads append to one list of written files; a short
+        # switch interval makes a lost append show as a missing manifest entry
+        data = sample_config(tmp_path, seeds=list(range(12)), latent={"shape": [4, 4]})
+        config = write_config(tmp_path, data)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert main(["sample", "--config", str(config), "--threads", "8"]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        out = tmp_path / "out"
+        on_disk = {path.name for path in out.iterdir()} - {"manifest.json"}
+        assert len(on_disk) == 12 * 2 * 3
+        assert set(read_manifest(out)["artifacts"]) == on_disk
 
     def test_thread_count_does_not_change_artifacts(self, tmp_path):
         config = write_config(tmp_path, sample_config(tmp_path))

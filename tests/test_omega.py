@@ -18,8 +18,6 @@ from omegance import (
     mask_to_grayscale,
     preset_schedule,
     rescale,
-    resolve_omega,
-    schedule_eval,
 )
 
 
@@ -134,7 +132,7 @@ class TestMask:
 class TestSchedules:
     def test_constant_identity(self):
         sched = ConstantSchedule(1.0, 10)
-        assert all(schedule_eval(sched, k) == 1.0 for k in range(10))
+        assert all(sched.value_at(k) == 1.0 for k in range(10))
 
     def test_two_stage_boundary(self):
         sched = TwoStageSchedule(10, 0.95, 1.0, 50)
@@ -195,34 +193,21 @@ class TestSchedules:
 
 class TestControl:
     def test_identity(self):
-        assert IDENTITY_CONTROL.resolve((0, 0), 0) == 1.0
         field = IDENTITY_CONTROL.resolve_field((4, 4), 0)
         assert isinstance(field, float) and field == 1.0
 
     def test_mask_only(self):
         mask = OmegaMask(np.array([[0.95, 1.05]]))
         control = OmegaControl(mask=mask)
-        assert resolve_omega(control, (0, 0), 0) == 0.95
+        field = control.resolve_field((1, 2), 0)
+        assert field[0, 0] == 0.95 and field[0, 1] == 1.05
 
     def test_product_composition(self):
         mask = OmegaMask(np.array([[0.98]]))
         control = OmegaControl(base=1.0, mask=mask, schedule=ConstantSchedule(1.02, 5))
-        value = control.resolve((0, 0), 3)
+        value = float(control.resolve_field((1, 1), 3)[0, 0])
         assert value == pytest.approx(0.98 * 1.02, rel=1e-12)
         assert value == pytest.approx(0.9996, rel=1e-12)
-
-    def test_resolve_matches_field(self):
-        mask = OmegaMask(np.array([[0.9, 1.0], [1.1, 0.97]]))
-        control = OmegaControl(base=1.01, mask=mask, schedule=ConstantSchedule(0.99, 4))
-        field = control.resolve_field((2, 2), 2)
-        for i in range(2):
-            for j in range(2):
-                assert control.resolve((i, j), 2) == field[i, j]
-
-    def test_out_of_bounds_cell(self):
-        control = OmegaControl(mask=OmegaMask(np.ones((2, 2))))
-        with pytest.raises(ValueError):
-            control.resolve((2, 0), 0)
 
     def test_field_shape_mismatch(self):
         control = OmegaControl(mask=OmegaMask(np.ones((2, 2))))

@@ -6,12 +6,10 @@ import pytest
 from omegance import (
     GaussianFieldSpec,
     GaussianMixture,
-    epsilon_oracle,
     gaussian_field_2d,
     radial_spectrum,
     sample_prior,
     standard_normal,
-    velocity_oracle,
 )
 
 ASYMMETRIC = GaussianMixture(np.array([0.3, 0.7]), np.array([-2.0, 3.0]), np.array([1.0, 1.0]))
@@ -123,14 +121,14 @@ class TestEpsilonOracle:
         z = np.array([[-1.3, 0.2], [2.4, 0.0]])
         for alpha_bar in (0.1, 0.5, 0.9):
             expected = math.sqrt(1.0 - alpha_bar) * z
-            assert np.allclose(epsilon_oracle(gm, z, alpha_bar), expected, rtol=1e-14, atol=1e-15)
+            assert np.allclose(gm.epsilon_predict(z, alpha_bar=alpha_bar), expected, rtol=1e-14, atol=1e-15)
 
     def test_symmetric_mixture_vanishes_at_origin(self):
         gm = GaussianMixture(np.array([0.5, 0.5]), np.array([-1.5, 1.5]), np.array([0.7, 0.7]))
-        assert float(epsilon_oracle(gm, np.array(0.0), 0.5)) == 0.0
+        assert float(gm.epsilon_predict(np.array(0.0), alpha_bar=0.5)) == 0.0
 
     def test_asymmetric_mixture_against_quadrature(self):
-        closed = float(epsilon_oracle(ASYMMETRIC, np.array(0.5), 0.5))
+        closed = float(ASYMMETRIC.epsilon_predict(np.array(0.5), alpha_bar=0.5))
         quad = quadrature_posterior([0.3, 0.7], [-2.0, 3.0], [1.0, 1.0], 0.5, math.sqrt(0.5), math.sqrt(0.5), "eps")
         assert closed == pytest.approx(quad, abs=1e-8)
         assert closed == pytest.approx(-0.6379006834208596, rel=1e-12)
@@ -140,7 +138,7 @@ class TestEpsilonOracle:
         for z in (-1.0, 0.5, 2.5):
             for alpha_bar in (0.2, 0.5, 0.8):
                 a, b = math.sqrt(alpha_bar), math.sqrt(1.0 - alpha_bar)
-                eps_star = float(epsilon_oracle(ASYMMETRIC, np.array(z), alpha_bar))
+                eps_star = float(ASYMMETRIC.epsilon_predict(np.array(z), alpha_bar=alpha_bar))
                 tweedie = (z - b * eps_star) / a
                 quad = quadrature_posterior([0.3, 0.7], [-2.0, 3.0], [1.0, 1.0], z, a, b, "z0")
                 assert tweedie == pytest.approx(quad, abs=1e-8)
@@ -165,10 +163,10 @@ class TestEpsilonOracle:
     def test_pixelwise_locality(self):
         gm = GaussianMixture(np.array([0.5, 0.5]), np.array([-1.5, 1.5]), np.array([0.5, 0.5]))
         z = np.random.default_rng(3).standard_normal((6, 6))
-        base = epsilon_oracle(gm, z, 0.4)
+        base = gm.epsilon_predict(z, alpha_bar=0.4)
         bumped_input = z.copy()
         bumped_input[2, 3] += 0.75
-        bumped = epsilon_oracle(gm, bumped_input, 0.4)
+        bumped = gm.epsilon_predict(bumped_input, alpha_bar=0.4)
         changed = bumped != base
         assert changed[2, 3]
         assert changed.sum() == 1
@@ -216,10 +214,10 @@ class TestVelocityOracle:
         z = np.array([0.9, -0.4])
         for t in (0.25, 0.5, 0.7):
             expected = (2.0 * t - 1.0) / ((1.0 - t) ** 2 + t**2) * z
-            assert np.allclose(velocity_oracle(gm, z, t), expected, rtol=1e-13)
+            assert np.allclose(gm.velocity_predict(z, t), expected, rtol=1e-13)
 
     def test_quadrature_cross_check(self):
-        closed = float(velocity_oracle(standard_normal(), np.array(0.9), 0.7))
+        closed = float(standard_normal().velocity_predict(np.array(0.9), 0.7))
         eps_q = quadrature_posterior([1.0], [0.0], [1.0], 0.9, 0.3, 0.7, "eps")
         z0_q = quadrature_posterior([1.0], [0.0], [1.0], 0.9, 0.3, 0.7, "z0")
         assert closed == pytest.approx(eps_q - z0_q, abs=1e-8)
@@ -228,13 +226,13 @@ class TestVelocityOracle:
         gm = GaussianMixture(np.array([0.5, 0.5]), np.array([-2.0, 2.0]), np.array([1.0, 1.0]))
         z = np.array([1.7, -0.3])
         # t=1: latent is pure noise, so v = z - E[z0] = z for this zero-mean prior
-        assert np.allclose(velocity_oracle(gm, z, 1.0), z, rtol=1e-13)
+        assert np.allclose(gm.velocity_predict(z, 1.0), z, rtol=1e-13)
         # t=0: latent is the clean sample, so v = E[eps] - z = -z
-        assert np.allclose(velocity_oracle(gm, z, 0.0), -z, rtol=1e-13)
+        assert np.allclose(gm.velocity_predict(z, 0.0), -z, rtol=1e-13)
 
     def test_rejects_time_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            velocity_oracle(standard_normal(), np.zeros(2), 1.5)
+            standard_normal().velocity_predict(np.zeros(2), 1.5)
 
 
 class TestSamplePrior:

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import bits_equal
 from omegance import (
+    IDENTITY_CONTROL,
     AlphaBarSchedule,
     ConstantSchedule,
+    GaussianMixture,
     LatentState,
     NumericAbortError,
     OmegaControl,
     OmegaMask,
     SamplerConfig,
     SigmaSchedule,
+    TwoStageSchedule,
     ddim_step,
     ddim_step_reference,
     euler_step,
@@ -30,6 +33,7 @@ from omegance import (
     run_sampler,
     standard_normal,
 )
+from omegance import samplers
 
 RNG = np.random.default_rng(20240521)
 
@@ -212,6 +216,69 @@ class TestSamplerConfig:
         control = OmegaControl(schedule=ConstantSchedule(1.0, 20))
         with pytest.raises(ValueError):
             SamplerConfig("ddim", 10, linear_bars, control=control)
+
+
+KERNELS = {
+    "ddim": ("ddim_step", "ddim_step_reference"),
+    "euler": ("euler_step", "euler_step_reference"),
+    "flow": ("flow_step", "flow_step_reference"),
+}
+
+
+def driver_config(kind, linear_bars, steps, **kwargs):
+    """A ``kind`` run of ``steps`` steps; the euler run uses churn."""
+    schedule = {
+        "ddim": linear_bars,
+        "euler": karras_sigmas(steps, 0.1, 8.0, churn=0.4),
+        "flow": flow_timesteps(steps),
+    }[kind]
+    return SamplerConfig(kind, steps, schedule, seed=3, **kwargs)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+class TestTrajectoryDriver:
+    def test_kernels_called_by_module_name(self, kind, linear_bars, monkeypatch):
+        # span tracing rebinds these names in omegance.samplers, so the driver
+        # must look every kernel up there at call time
+        calls = {name: 0 for pair in KERNELS.values() for name in pair}
+        for name in calls:
+
+            def counted(*args, _name=name, _kernel=getattr(samplers, name), **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(samplers, name, counted)
+        cfg = driver_config(kind, linear_bars, 7)
+        z0 = np.random.default_rng(4).standard_normal((8, 8))
+        scaled, reference = KERNELS[kind]
+        run_sampler(standard_normal(), cfg, z0)
+        assert calls == {**dict.fromkeys(calls, 0), scaled: 7}
+        calls.update(dict.fromkeys(calls, 0))
+        reference_trajectory(standard_normal(), cfg, z0)
+        assert calls == {**dict.fromkeys(calls, 0), reference: 7}
+
+    def test_reference_ignores_the_control(self, kind, linear_bars):
+        steps = 12
+        grid = np.linspace(0.9, 1.1, 64).reshape(8, 8)
+        schedule = TwoStageSchedule(4, 0.95, 1.02, steps)
+        control = OmegaControl(base=0.97, mask=OmegaMask(grid), schedule=schedule)
+        mixture = GaussianMixture(np.array([0.4, 0.6]), np.array([-1.0, 1.5]), np.array([0.5, 0.8]))
+        z0 = np.random.default_rng(5).standard_normal((8, 8))
+        snapshots = (0, 4, 12)
+        controlled = reference_trajectory(
+            mixture, driver_config(kind, linear_bars, steps, control=control, snapshots=snapshots), z0
+        )
+        identity = reference_trajectory(
+            mixture, driver_config(kind, linear_bars, steps, control=IDENTITY_CONTROL, snapshots=snapshots), z0
+        )
+        assert [state.step for state in controlled.states] == list(snapshots)
+        for a, b in zip(controlled.states + (controlled.final,), identity.states + (identity.final,)):
+            assert a.step == b.step
+            assert bits_equal(a.values, b.values)
+        scaled = run_sampler(
+            mixture, driver_config(kind, linear_bars, steps, control=control, snapshots=snapshots), z0
+        )
+        assert not bits_equal(scaled.final.values, controlled.final.values)
 
 
 class TestRunSampler:
