@@ -202,28 +202,38 @@ class SpectrumProfile:
 
 
 @functools.lru_cache(maxsize=8)
-def _radial_bins(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat radius-bin index of every FFT cell and the cell count per bin.
+def _radial_bins(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radius bins and weights of the rfft half plane, and full-plane bin counts.
 
-    Cached per grid shape and shared by every caller, so both arrays are
-    read-only.
+    The half plane holds the W // 2 + 1 columns with kx >= 0. Every other
+    cell of the full FFT plane mirrors one of them at (-ky, -kx), with the
+    same radius and, for a real latent, the same power, so a half-plane cell
+    stands for itself and its mirror: weight 2, except the DC column and (for
+    even W) the Nyquist column, which are their own mirror images and weigh
+    1. ``counts`` counts full-plane cells per bin. Cached per grid shape and
+    shared by every caller, so all three arrays are read-only.
     """
     freq_y = np.fft.fftfreq(height) * height
-    freq_x = np.fft.fftfreq(width) * width
+    freq_x = np.fft.rfftfreq(width) * width
     radii = np.hypot(freq_y[:, None], freq_x[None, :])
     bins = np.rint(radii).astype(int).ravel()
-    counts = np.bincount(bins)
-    bins.setflags(write=False)
-    counts.setflags(write=False)
-    return bins, counts
+    weights = np.full((height, freq_x.size), 2.0)
+    weights[:, 0] = 1.0
+    if width % 2 == 0:
+        weights[:, -1] = 1.0
+    counts = np.bincount(bins, weights=weights.ravel()).astype(int)
+    for arr in (bins, weights, counts):
+        arr.setflags(write=False)
+    return bins, weights, counts
 
 
 def radial_spectrum(values, split_radius: float | None = None) -> SpectrumProfile:
     """Radial profile of |FFT|^2 / N with the DC term alone in bin 0.
 
     Frequencies are binned by rounding the integer-frequency radius
-    sqrt(ky^2 + kx^2). The default band split is half the Nyquist radius,
-    min(H, W) / 4.
+    sqrt(ky^2 + kx^2). The power is read off the real FFT's half plane, each
+    cell weighted for its mirrored twin (see ``_radial_bins``). The default
+    band split is half the Nyquist radius, min(H, W) / 4.
     """
     if isinstance(values, LatentState):
         values = values.values
@@ -233,8 +243,11 @@ def radial_spectrum(values, split_radius: float | None = None) -> SpectrumProfil
     if min(arr.shape) < 4:
         raise ValueError("latent must be at least 4x4")
     height, width = arr.shape
-    power = np.abs(np.fft.fft2(arr)) ** 2 / arr.size
-    bins, counts = _radial_bins(height, width)
+    bins, weights, counts = _radial_bins(height, width)
+    power = np.abs(np.fft.rfft2(arr))
+    np.square(power, out=power)
+    power /= arr.size
+    power *= weights
     sums = np.bincount(bins, weights=power.ravel())
     mean_power = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     if split_radius is None:

@@ -221,7 +221,7 @@ def _write_latent(out: Path, stem: str, values: np.ndarray, step: int, fmt: str)
         write_snapshot(out / name, values, step)
     else:
         name = f"{stem}.csv"
-        write_csv(out / name, ["flat_index", "value"], list(enumerate(values.ravel())))
+        write_csv(out / name, ["flat_index", "value"], list(enumerate(values.ravel().tolist())))
     return name
 
 
@@ -340,7 +340,7 @@ def cmd_spectrum(args) -> int:
     band_rows = []
     for (idx, step), total in sorted(sums.items()):
         averaged = total / n_seeds
-        for bin_index, value in enumerate(averaged):
+        for bin_index, value in enumerate(averaged.tolist()):
             spectrum_rows.append([idx, config.omegas[idx], step, bin_index, value])
         low, high = bands[(idx, step)]
         band_rows.append([idx, config.omegas[idx], step, low / n_seeds, high / n_seeds])

@@ -121,10 +121,20 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# csv.writer writes exact floats with repr and exact ints and strs with str,
+# the text format_cell gives them, so rows holding only these types skip it.
+# Subclasses do not qualify: bool prints as True and np.float64 reprs as
+# np.float64(...).
+_NATIVE_CELL_TYPES = frozenset((int, float, str))
+
+
 def write_csv(path, header, rows) -> None:
     """Write a UTF-8 CSV with a header row and full-precision numeric cells."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(header))
         for row in rows:
-            writer.writerow([format_cell(cell) for cell in row])
+            if _NATIVE_CELL_TYPES.issuperset(map(type, row)):
+                writer.writerow(row)
+            else:
+                writer.writerow([format_cell(cell) for cell in row])

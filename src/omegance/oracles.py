@@ -20,7 +20,10 @@ so K = 1 skips the softmax and takes the linear Tweedie form
 eps = b * (z - a*mu) / (a^2 v + b^2), z0 = mu + (a*v) * (z - a*mu) / (a^2 v + b^2).
 Both give every cell the operations of the general softmax route in the same
 order, so their outputs are bitwise identical to it, signed zeros included,
-for every latent whose squared distance to a component centre is finite.
+for every cell whose squared distance to some component centre is finite.
+A cell farther than about 1.3e154 from every centre, where that route would
+give NaN, has its log responsibilities shifted by the nearest component's
+instead, which keeps them finite.
 """
 
 from __future__ import annotations
@@ -145,12 +148,18 @@ class GaussianMixture:
             log_weights = np.log(self.weights)[:, None]
         total_var = (a * a * self.variances + b * b)[:, None]
         pull = z.reshape(1, -1) - (a * self.means)[:, None]
-        resp = np.multiply(pull, pull)  # log responsibilities until the exp
+        with np.errstate(over="ignore"):  # a square beyond the float range gives no mass
+            resp = np.multiply(pull, pull)  # log responsibilities until the exp
         resp /= total_var
         resp += np.log(2.0 * np.pi * total_var)
         resp *= 0.5
         np.subtract(log_weights, resp, out=resp)
-        resp -= resp.max(axis=0, keepdims=True)
+        peak = resp.max(axis=0, keepdims=True)
+        if peak.min() == -np.inf:  # some cell is far from every centre with mass
+            far = np.flatnonzero(peak == -np.inf)
+            resp[:, far] = self._far_log_responsibilities(pull[:, far], total_var, log_weights)
+            peak[:, far] = resp[:, far].max(axis=0)
+        resp -= peak
         np.exp(resp, out=resp)
         resp /= resp.sum(axis=0, keepdims=True)
         pull /= total_var
@@ -164,6 +173,26 @@ class GaussianMixture:
             pull *= resp
             z0_mean = pull.sum(axis=0).reshape(shape)
         return eps_mean, z0_mean
+
+    def _far_log_responsibilities(self, diff: np.ndarray, total_var: np.ndarray, log_weights: np.ndarray):
+        """Log responsibilities, up to a per-cell shift, of cells far from every centre.
+
+        The squared distance of such a cell to every component with mass
+        overflows, so each component gets -inf. Shifting by half the squared
+        standardised distance q_ref of the nearest component with mass turns
+        (q_k^2 - q_ref^2) / 2 into (q_k - q_ref)(q_k / 2 + q_ref / 2), which
+        is 0 for that component and overflows only where the responsibility
+        would round to 0 anyway; the softmax is shift-invariant.
+        """
+        dist = np.abs(diff)
+        dist /= np.sqrt(total_var)
+        nearest = np.where(self.weights[:, None] > 0.0, dist, np.inf).min(axis=0)
+        spread = dist * 0.5
+        spread += 0.5 * nearest
+        with np.errstate(over="ignore"):
+            spread *= dist - nearest
+        spread += 0.5 * np.log(2.0 * np.pi * total_var)
+        return log_weights - spread
 
     def epsilon_given(self, z, signal_scale: float, noise_scale: float) -> np.ndarray:
         """Posterior-mean noise E[eps | a*z0 + b*eps = z]."""

@@ -20,6 +20,7 @@ from omegance import (
     snr_trajectory,
     standard_normal,
 )
+from omegance.analysis import _radial_bins
 
 
 class TestCoefficientPropagation:
@@ -146,6 +147,50 @@ class TestClosedFormTrajectory:
     def test_unknown_kind(self, linear_bars):
         with pytest.raises(ValueError):
             closed_form_scalar_trajectory("euler", linear_bars, 1.0)
+
+
+def full_plane_spectrum(image):
+    """Per-bin power sums and cell counts over the whole complex FFT plane.
+
+    The independent reference for the half-plane route: every cell of fft2
+    is binned by its own radius, nothing is mirrored or weighted.
+    """
+    height, width = image.shape
+    freq_y = np.fft.fftfreq(height) * height
+    freq_x = np.fft.fftfreq(width) * width
+    bins = np.rint(np.hypot(freq_y[:, None], freq_x[None, :])).astype(int).ravel()
+    power = np.abs(np.fft.fft2(image)) ** 2 / image.size
+    return np.bincount(bins, weights=power.ravel()), np.bincount(bins)
+
+
+HALF_PLANE_SHAPES = ((4, 4), (7, 9), (9, 6), (6, 9), (255, 256), (256, 255), (256, 256))
+
+
+class TestHalfPlaneSpectrum:
+    @pytest.mark.parametrize("shape", HALF_PLANE_SHAPES)
+    def test_bins_match_full_plane(self, shape):
+        # one cell per mirror pair at most 64 eps of the total energy away;
+        # the tolerance follows from the dtype, not from the observed error
+        tolerance = 64.0 * np.finfo(np.float64).eps
+        rng = np.random.default_rng(sum(shape))
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            for offset in (0.0, 2.5):
+                image = scale * (rng.standard_normal(shape) + offset)
+                sums, counts = full_plane_spectrum(image)
+                profile = radial_spectrum(image)
+                assert profile.counts.dtype == counts.dtype
+                assert np.array_equal(profile.counts, counts)
+                energy = float(np.sum(image**2))
+                deviation = np.abs(profile.mean_power * profile.counts - sums)
+                assert float(deviation.max()) <= tolerance * energy
+
+    @pytest.mark.parametrize("shape", HALF_PLANE_SHAPES)
+    def test_cached_arrays_are_read_only(self, shape):
+        for array in _radial_bins(*shape):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert radial_spectrum(np.ones(shape)).counts is _radial_bins(*shape)[2]
 
 
 class TestRadialSpectrum:

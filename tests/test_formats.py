@@ -1,4 +1,5 @@
 import csv
+import math
 import struct
 
 import numpy as np
@@ -123,3 +124,34 @@ class TestCsv:
         assert format_cell(np.float64(0.25)) == "0.25"
         assert format_cell(7) == "7"
         assert format_cell("name") == "name"
+
+    def test_native_rows_write_the_per_cell_bytes(self, tmp_path):
+        # rows of exact int/float/str go to csv.writer untouched; the file must
+        # be byte-equal to one written through format_cell for every cell
+        def per_cell_write_csv(path, header, rows):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(list(header))
+                for row in rows:
+                    writer.writerow([format_cell(cell) for cell in row])
+
+        floats = [0.1, -0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -2.5e-17, 1.0 / 3.0]
+        strings = ["plain", "a,b", 'say "hi"', "two\nlines", ""]
+        rows = [
+            [0, 0.1, "plain"],
+            [True, False, 1],
+            [np.bool_(True), np.bool_(False), 2.0],
+            [np.float64(0.25), np.float64(-0.0), np.float64(math.nan)],
+            [np.int64(7), np.int64(-3), 4],
+            [1 << 70, -5, 3.0],
+            floats,
+            strings,
+            [np.float64(1e300), 5e-324, "a,b"],
+            [np.int64(1), 2, True],
+            list(enumerate(floats))[3],
+            [],
+        ]
+        expected, actual = tmp_path / "per_cell.csv", tmp_path / "table.csv"
+        per_cell_write_csv(expected, ["x", "y", "z"], rows)
+        write_csv(actual, ["x", "y", "z"], rows)
+        assert actual.read_bytes() == expected.read_bytes()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,69 @@ class TestPosteriorBitwise:
         gm = BITWISE_MIXTURES[name]
         z = np.array(-37.5)
         assert_bitwise(gm.epsilon_given(z, 0.6, 0.8), softmax_posterior(gm, z, 0.6, 0.8)[0])
+
+
+FAR_MIXTURES = {
+    "k2_symmetric": GaussianMixture(np.array([0.5, 0.5]), np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
+    "k3": BITWISE_MIXTURES["k3"],
+    "k3_zero_weight": BITWISE_MIXTURES["k3_zero_weight"],
+}
+FAR_CELLS = np.array([1e155, -1e155, 3e200, -1.7e307])
+NEAR_CELLS = np.array([3.0, -0.5, 0.0, 12.0])
+
+
+def nearest_component(mixture, z, a, b):
+    """The K = 1 mixture of the component with mass whose standardised distance to z is least."""
+    distance = np.abs(z - a * mixture.means) / np.sqrt(a * a * mixture.variances + b * b)
+    distance[mixture.weights == 0.0] = np.inf
+    k = int(np.argmin(distance))
+    return GaussianMixture(np.array([1.0]), mixture.means[k : k + 1], mixture.variances[k : k + 1])
+
+
+@pytest.mark.parametrize("name", sorted(FAR_MIXTURES))
+@pytest.mark.parametrize("a, b", [(math.sqrt(0.5), math.sqrt(0.5)), (1.0, 2.0), (0.7, 0.3), (1.0, 0.0)])
+def test_cells_far_from_every_centre(name, a, b):
+    # every squared distance of a far cell overflows; the posterior must still
+    # be the (finite) posterior of its nearest component, without a warning,
+    # and the near cells beside it must keep their bitwise values
+    gm = FAR_MIXTURES[name]
+    z = np.concatenate((FAR_CELLS, NEAR_CELLS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps_mean = gm.epsilon_given(z, a, b)
+        z0_mean = gm.posterior_z0(z, a, b)
+        eps_both, z0_both = gm._posterior(z, a, b)
+    velocity = eps_both - z0_both
+    for moments in ((eps_mean, z0_mean), (eps_both, z0_both)):
+        for actual, reference in zip(moments, softmax_posterior(gm, NEAR_CELLS, a, b)):
+            assert_bitwise(actual[FAR_CELLS.size :], reference)
+    for i, cell in enumerate(FAR_CELLS):
+        nearest = nearest_component(gm, cell, a, b)
+        want_eps, want_z0 = nearest._posterior(np.array([cell]), a, b)
+        for actual, want in ((eps_mean, want_eps), (z0_mean, want_z0), (velocity, want_eps - want_z0)):
+            assert np.isfinite(actual[i])
+            assert actual[i] == pytest.approx(float(want[0]), rel=1e-12)
+
+
+def test_far_cells_near_the_float_limit_and_velocity():
+    # twice the standardised distance of a 1.2e308 cell overflows, while its
+    # posterior is still finite
+    gm = FAR_MIXTURES["k2_symmetric"]
+    a = b = math.sqrt(0.5)
+    z = np.array([1.2e308, -1.2e308, 1e155, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps_mean, z0_mean = gm._posterior(z, a, b)
+        velocity = gm.velocity_predict(z[2:], 0.3)
+    for i, cell in enumerate(z[:3]):
+        want_eps, want_z0 = nearest_component(gm, cell, a, b)._posterior(z[i : i + 1], a, b)
+        assert eps_mean[i] == pytest.approx(float(want_eps[0]), rel=1e-12)
+        assert z0_mean[i] == pytest.approx(float(want_z0[0]), rel=1e-12)
+    nearest = nearest_component(gm, z[2], 0.7, 0.3)
+    assert np.isfinite(velocity[0])
+    assert velocity[0] == pytest.approx(float(nearest.velocity_predict(z[2:3], 0.3)[0]), rel=1e-12)
+    eps_ref, z0_ref = softmax_posterior(gm, z[3:], 0.7, 0.3)
+    assert_bitwise(velocity[1:], eps_ref - z0_ref)
 
 
 class TestEpsilonOracle:
