@@ -7,9 +7,9 @@ spectra and band energies with a paired-seed ordering check), and ``preview``
 the config echo, artifact checksums, versions and timings; identical
 (config, seeds) reproduce identical artifact checksums.
 
-Exit codes: 0 success, 2 config error, 3 numeric abort (the manifest then
-records the aborting cell and step index and lists every file written before
-the abort). Commands never modify their input
+Exit codes: 0 success, 2 config error (no output is written), 3 numeric
+abort (the manifest then records the aborting cell and step index and lists
+every file written before the abort). Commands never modify their input
 files. ``--threads``/``OMEGANCE_THREADS`` parallelise independent
 (seed, omega) cells; results do not depend on the thread count.
 """
@@ -73,15 +73,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Load the config, run a ``cmd_*`` (it lists each file it writes) and write the manifest."""
     args = build_parser().parse_args(argv)
+    command = f"preview-{args.kind}" if args.command == "preview" else args.command
+    written: list[str] = []
     try:
-        return args.func(args)
+        config = _load(args)
+        started = time.perf_counter()
+        try:
+            extra = args.func(args, config, written)
+            status, code = "ok", 0
+        except NumericAbortError as exc:
+            print(f"numeric abort at step {exc.step}: {exc}", file=sys.stderr)
+            extra = {"aborted_at_step": exc.step, "error": str(exc), "aborted_cell": exc.cell}
+            status, code = "aborted", 3
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericAbortError as exc:
-        print(f"numeric abort at step {exc.step}: {exc}", file=sys.stderr)
-        return 3
+    _write_manifest(Path(config.output_dir), command, config, written, started, status, extra)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +108,10 @@ def _load(args) -> ExperimentConfig:
             seeds = tuple(int(s) for s in args.seeds.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --seeds value {args.seeds!r}") from exc
-        if not seeds or len(set(seeds)) != len(seeds):
-            raise ConfigError("--seeds must be a non-empty list of distinct integers")
+        if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
+            raise ConfigError("--seeds must be a non-empty list of distinct non-negative integers")
         updates["seeds"] = seeds
-    if updates:
-        config = replace(config, **updates)
-    return config
+    return replace(config, **updates)
 
 
 def _thread_count(args) -> int:
@@ -148,7 +156,8 @@ def _init_latent(config: ExperimentConfig, schedule, seed: int) -> np.ndarray:
 def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> list:
     """Results of every (seed, omega index) cell in order.
 
-    A numeric abort leaves with ``cell`` set to the aborting cell.
+    A numeric abort leaves with ``cell`` set to the aborting cell, once every
+    cell already started has finished, so the files written are all listed.
     """
     cells = [(seed, idx) for seed in config.seeds for idx in range(len(config.omegas))]
 
@@ -178,26 +187,12 @@ def _cell_trajectory(config: ExperimentConfig, schedule, seed: int, idx: int, sn
     return run_sampler(config.oracle, sampler_config, _init_latent(config, schedule, seed))
 
 
-def _sweep(out: Path, command: str, config: ExperimentConfig, schedule, threads: int, cell_fn, started, written=()) -> list:
-    """Run every cell; a numeric abort writes an ``aborted`` manifest, then propagates.
-
-    Cells append the name of each file they write to ``written``. An abort
-    reaches this point only after every cell already started has finished, so
-    the aborted manifest lists every file the run wrote and no other.
-    """
-    try:
-        return _run_cells(config, schedule, threads, cell_fn)
-    except NumericAbortError as exc:
-        extra = {"aborted_at_step": exc.step, "error": str(exc), "aborted_cell": exc.cell}
-        _write_manifest(out, command, config, written, {"total": time.perf_counter() - started}, "aborted", extra)
-        raise
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, config: ExperimentConfig, files, timings, status, extra=None) -> None:
+def _write_manifest(out: Path, command: str, config: ExperimentConfig, files, started, status, extra) -> None:
+    """Write ``manifest.json`` through a temp file, so a failed write leaves the old one whole."""
     manifest = {
         "command": command,
         "status": status,
@@ -208,11 +203,15 @@ def _write_manifest(out: Path, command: str, config: ExperimentConfig, files, ti
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "timings_s": timings,
+        "timings_s": {"total": time.perf_counter() - started},
     }
-    if extra:
-        manifest.update(extra)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    manifest.update(extra)
+    temp = out / "manifest.json.tmp"
+    try:
+        temp.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+        os.replace(temp, out / "manifest.json")
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def _write_latent(out: Path, stem: str, values: np.ndarray, step: int, fmt: str) -> str:
@@ -229,14 +228,10 @@ def _write_latent(out: Path, stem: str, values: np.ndarray, step: int, fmt: str)
 # sample
 
 
-def cmd_sample(args) -> int:
-    config = _load(args)
+def cmd_sample(args, config: ExperimentConfig, written: list[str]) -> dict:
     threads = _thread_count(args)
     out = _out_dir(config)
     schedule = config.make_schedule()
-    started = time.perf_counter()
-
-    written: list[str] = []
 
     def run_cell(seed: int, idx: int) -> None:
         trajectory = _cell_trajectory(config, schedule, seed, idx, config.snapshots)
@@ -248,23 +243,20 @@ def cmd_sample(args) -> int:
             _write_latent(out, f"seed{seed}_omega{idx}_final", final.values, final.step, config.snapshot_format)
         )
 
-    _sweep(out, "sample", config, schedule, threads, run_cell, started, written)
-    _write_manifest(out, "sample", config, written, {"total": time.perf_counter() - started}, "ok")
+    _run_cells(config, schedule, threads, run_cell)
     print(f"wrote {len(written)} trajectory files to {out}")
-    return 0
+    return {}
 
 
 # ---------------------------------------------------------------------------
 # snr
 
 
-def cmd_snr(args) -> int:
-    config = _load(args)
+def cmd_snr(args, config: ExperimentConfig, written: list[str]) -> dict:
     if config.sampler_kind != "ddim":
         raise ConfigError("snr analysis requires a ddim config")
     out = _out_dir(config)
     schedule = config.make_schedule()
-    started = time.perf_counter()
 
     rows = []
     max_deviation = 0.0
@@ -282,32 +274,22 @@ def cmd_snr(args) -> int:
         ["omega_index", "omega", "t", "snr_analytic", "snr_propagated", "rel_deviation"],
         rows,
     )
-    _write_manifest(
-        out,
-        "snr",
-        config,
-        ["snr.csv"],
-        {"total": time.perf_counter() - started},
-        "ok",
-        extra={"max_relative_deviation": max_deviation},
-    )
+    written.append("snr.csv")
     print(f"max relative deviation between routes: {max_deviation!r}")
-    return 0
+    return {"max_relative_deviation": max_deviation}
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 
 
-def cmd_spectrum(args) -> int:
-    config = _load(args)
-    if len(config.latent_shape) != 2:
-        raise ConfigError("spectrum analysis requires a 2-D latent")
+def cmd_spectrum(args, config: ExperimentConfig, written: list[str]) -> dict:
+    if len(config.latent_shape) != 2 or min(config.latent_shape) < 4:
+        raise ConfigError("spectrum analysis requires a 2-D latent of at least 4x4")
     threads = _thread_count(args)
     out = _out_dir(config)
     schedule = config.make_schedule()
     snapshots = config.snapshots or (config.steps,)
-    started = time.perf_counter()
 
     def run_cell(seed: int, idx: int):
         trajectory = _cell_trajectory(config, schedule, seed, idx, snapshots)
@@ -321,90 +303,73 @@ def cmd_spectrum(args) -> int:
             )
         return idx, profiles
 
-    # mean_power accumulators keyed by (omega index, snapshot step)
-    sums: dict[tuple[int, int], np.ndarray] = {}
-    bands: dict[tuple[int, int], list[float]] = {}
-    for idx, profiles in _sweep(out, "spectrum", config, schedule, threads, run_cell, started):
-        for step, (mean_power, low, high) in profiles.items():
-            key = (idx, step)
-            if key in sums:
-                sums[key] = sums[key] + mean_power
-                bands[key][0] += low
-                bands[key][1] += high
-            else:
-                sums[key] = mean_power.copy()
-                bands[key] = [low, high]
+    # (mean_power, low, high) summed over seeds, keyed by (omega index, snapshot
+    # step); powers are >= +0.0, so starting from 0.0 changes no bit
+    sums: dict[tuple[int, int], tuple] = {}
+    for idx, profiles in _run_cells(config, schedule, threads, run_cell):
+        for step, moments in profiles.items():
+            total = sums.get((idx, step), (0.0, 0.0, 0.0))
+            sums[(idx, step)] = tuple(a + b for a, b in zip(total, moments))
 
     n_seeds = len(config.seeds)
     spectrum_rows = []
     band_rows = []
-    for (idx, step), total in sorted(sums.items()):
-        averaged = total / n_seeds
+    for (idx, step), (mean_power, low, high) in sorted(sums.items()):
+        averaged = mean_power / n_seeds
         for bin_index, value in enumerate(averaged.tolist()):
             spectrum_rows.append([idx, config.omegas[idx], step, bin_index, value])
-        low, high = bands[(idx, step)]
         band_rows.append([idx, config.omegas[idx], step, low / n_seeds, high / n_seeds])
     write_csv(
         out / "spectrum.csv",
         ["omega_index", "omega", "step", "bin", "mean_power"],
         spectrum_rows,
     )
+    written.append("spectrum.csv")
     write_csv(
         out / "bands.csv",
         ["omega_index", "omega", "step", "low_energy", "high_energy"],
         band_rows,
     )
+    written.append("bands.csv")
 
-    files = ["spectrum.csv", "bands.csv"]
-    extra = {}
-    if len(config.omegas) >= 2:
-        order = sorted(range(len(config.omegas)), key=lambda i: config.omegas[i])
-        ordering_rows = []
-        for step in snapshots:
-            highs = [bands[(idx, step)][1] for idx in order]
-            ok = all(a > b for a, b in zip(highs, highs[1:]))
-            ordering_rows.append([step, ok])
-        write_csv(
-            out / "ordering.csv", ["step", "high_band_strictly_decreasing_in_omega"], ordering_rows
-        )
-        files.append("ordering.csv")
-        final_ok = ordering_rows[-1][1]
-        extra["high_band_ordering_final"] = "pass" if final_ok else "fail"
-        print(f"high-band ordering at final snapshot: {extra['high_band_ordering_final']}")
-
-    _write_manifest(
-        out, "spectrum", config, files, {"total": time.perf_counter() - started}, "ok", extra=extra
+    if len(config.omegas) < 2:
+        return {}
+    order = sorted(range(len(config.omegas)), key=lambda i: config.omegas[i])
+    ordering_rows = []
+    for step in snapshots:
+        highs = [sums[(idx, step)][2] for idx in order]
+        ok = all(a > b for a, b in zip(highs, highs[1:]))
+        ordering_rows.append([step, ok])
+    write_csv(
+        out / "ordering.csv", ["step", "high_band_strictly_decreasing_in_omega"], ordering_rows
     )
-    return 0
+    written.append("ordering.csv")
+    verdict = "pass" if ordering_rows[-1][1] else "fail"
+    print(f"high-band ordering at final snapshot: {verdict}")
+    return {"high_band_ordering_final": verdict}
 
 
 # ---------------------------------------------------------------------------
 # preview
 
 
-def cmd_preview(args) -> int:
-    config = _load(args)
+def cmd_preview(args, config: ExperimentConfig, written: list[str]) -> dict:
+    if (config.mask if args.kind == "mask" else config.omega_schedule) is None:
+        raise ConfigError(f"config has no omega {args.kind} to preview")
     out = _out_dir(config)
-    started = time.perf_counter()
     if args.kind == "mask":
-        if config.mask is None:
-            raise ConfigError("config has no omega mask to preview")
         grid = config.mask.grid
         rows = [[i, j, grid[i, j]] for i in range(grid.shape[0]) for j in range(grid.shape[1])]
         write_csv(out / "mask_omega.csv", ["row", "col", "omega"], rows)
+        written.append("mask_omega.csv")
         write_pgm(out / "mask_preview.pgm", mask_to_grayscale(config.mask))
-        files = ["mask_omega.csv", "mask_preview.pgm"]
+        written.append("mask_preview.pgm")
     else:
-        if config.omega_schedule is None:
-            raise ConfigError("config has no omega schedule to preview")
         values = config.omega_schedule.values()
         write_csv(out / "schedule.csv", ["step", "omega"], list(enumerate(values)))
-        files = ["schedule.csv"]
-    _write_manifest(
-        out, f"preview-{args.kind}", config, files, {"total": time.perf_counter() - started}, "ok"
-    )
-    print(f"wrote {', '.join(files)} to {out}")
-    return 0
+        written.append("schedule.csv")
+    print(f"wrote {', '.join(written)} to {out}")
+    return {}
 
 
 if __name__ == "__main__":

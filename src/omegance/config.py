@@ -142,6 +142,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
+    """Validate a config tree; the sampler schedule it describes is built once as a check."""
     top = _section(
         data,
         "config",
@@ -166,9 +167,9 @@ def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
 
     seeds = top["seeds"]
     if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in seeds
+        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds
     ):
-        raise ConfigError("seeds must be a non-empty list of integers")
+        raise ConfigError("seeds must be a non-empty list of non-negative integers")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
 
@@ -179,7 +180,7 @@ def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
     if snapshot_format not in ("binary", "csv"):
         raise ConfigError("snapshot_format must be 'binary' or 'csv'")
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         sampler_kind=sampler_kind,
         steps=steps,
         schedule_spec=schedule_spec,
@@ -196,6 +197,11 @@ def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
         snapshot_format=snapshot_format,
         raw=data,
     )
+    try:
+        config.make_schedule()
+    except (OverflowError, ValueError) as exc:  # OverflowError: sigma_max ** (1 / rho) for a tiny rho
+        raise ConfigError(f"bad sampler schedule: {exc}") from exc
+    return config
 
 
 def _parse_sampler(data) -> tuple[str, int, dict, tuple[int, ...]]:
@@ -299,6 +305,8 @@ def _parse_omega(data, steps: int, latent_shape, base_dir: Path):
         )
         if len(latent_shape) != 2:
             raise ConfigError("omega masks require a 2-D latent")
+        if not isinstance(sec["path"], str):
+            raise ConfigError("omega.mask.path must be a string")
         pgm_path = Path(sec["path"])
         if not pgm_path.is_absolute():
             pgm_path = base_dir / pgm_path
@@ -313,7 +321,7 @@ def _parse_omega(data, steps: int, latent_shape, base_dir: Path):
                 omega_high=_number(sec.get("high", 1.05), "mask.high"),
                 mode=sec.get("mode", "average"),
             )
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:  # a directory, say, or an unreadable file
             raise ConfigError(f"bad mask {pgm_path}: {exc}") from exc
         if mask.grid.shape != latent_shape:
             raise ConfigError(
@@ -359,6 +367,8 @@ def _parse_omega_schedule(data, steps: int) -> OmegaSchedule:
             )
         if kind == "preset":
             sec = _section(data, "omega.schedule", required={"kind", "name"})
+            if not isinstance(sec["name"], str):
+                raise ConfigError("omega.schedule.name must be a string")
             return preset_schedule(sec["name"], steps)
     except ValueError as exc:
         raise ConfigError(f"bad omega schedule: {exc}") from exc
@@ -374,18 +384,13 @@ def _parse_oracle(data) -> GaussianMixture:
         return standard_normal()
     if kind == "gaussian_mixture":
         sec = _section(data, "oracle", required={"kind", "weights", "means", "variances"})
+        arrays = []
         for name in ("weights", "means", "variances"):
-            value = sec[name]
-            if not isinstance(value, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-            ):
+            if not isinstance(sec[name], list):
                 raise ConfigError(f"oracle.{name} must be a list of numbers")
+            arrays.append(np.array([_number(v, f"oracle.{name}") for v in sec[name]], dtype=float))
         try:
-            return GaussianMixture(
-                np.array(sec["weights"], dtype=float),
-                np.array(sec["means"], dtype=float),
-                np.array(sec["variances"], dtype=float),
-            )
+            return GaussianMixture(*arrays)
         except ValueError as exc:
             raise ConfigError(f"bad mixture: {exc}") from exc
     raise ConfigError(f"unknown oracle kind {kind!r}")

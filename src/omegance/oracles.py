@@ -110,9 +110,13 @@ class GaussianMixture:
         centers = a * self.means
         total_var = a * a * self.variances + b * b
         diff = z[None, :] - centers
-        log_resp = log_weights - 0.5 * np.sum(
-            diff * diff / total_var + np.log(2.0 * np.pi * total_var), axis=1
-        )
+        with np.errstate(over="ignore"):  # a square beyond the float range gives no mass
+            log_resp = log_weights - 0.5 * np.sum(
+                diff * diff / total_var + np.log(2.0 * np.pi * total_var), axis=1
+            )
+        if log_resp.max() == -np.inf:  # far from every centre with mass
+            gaps = self._far_distance_gaps(diff, centers, total_var, log_weights)
+            log_resp = log_weights - 0.5 * (gaps + np.sum(np.log(2.0 * np.pi * total_var), axis=1))
         log_resp -= log_resp.max()
         resp = np.exp(log_resp)
         resp /= resp.sum()
@@ -193,6 +197,25 @@ class GaussianMixture:
             spread *= dist - nearest
         spread += 0.5 * np.log(2.0 * np.pi * total_var)
         return log_weights - spread
+
+    @staticmethod
+    def _far_distance_gaps(diff: np.ndarray, centers: np.ndarray, total_var: np.ndarray, log_weights: np.ndarray):
+        """Squared standardised distances of a far vector latent, less that of its nearest component.
+
+        Each q_k^2 overflows, so q_k^2 - q_r^2 is summed per coordinate as
+        (s_k - s_r)(s_k + s_r) over the standardised offsets s = diff / sd,
+        with r the nearest component with mass. s_k - s_r is formed from the
+        centres, diff_r (1/sd_k - 1/sd_r) + (c_r - c_k) / sd_k, since the
+        offsets themselves can be equal floats when the latent is far along a
+        coordinate; q_r factors out of the sum so that it does not overflow.
+        """
+        inv_sd = 1.0 / np.sqrt(total_var)
+        offsets = diff * inv_sd
+        dist = np.hypot.reduce(np.abs(offsets), axis=1)
+        r = int(np.argmin(np.where(log_weights > -np.inf, dist, np.inf)))
+        gap = diff[r] * (inv_sd - inv_sd[r]) + (centers[r] - centers) * inv_sd
+        with np.errstate(over="ignore"):  # a component beyond the float range gives no mass
+            return np.sum(gap * ((offsets + offsets[r]) / dist[r]), axis=1) * dist[r]
 
     def epsilon_given(self, z, signal_scale: float, noise_scale: float) -> np.ndarray:
         """Posterior-mean noise E[eps | a*z0 + b*eps = z]."""

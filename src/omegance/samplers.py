@@ -300,28 +300,31 @@ def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool) -> Trajec
     elif config.kind == "euler" and config.schedule.churn > 0.0:
         rng = _churn_rng(config.seed)
 
-    for k in range(config.steps):
-        omega = (config.control.resolve_field(z.shape, k),) if scaled else ()
-        if config.kind == "ddim":
-            t = config.steps - k
-            eps = _prediction(denoiser.epsilon_predict(z, alpha_bar=ladder.alpha_bar(t)), z)
-            z = (ddim_step if scaled else ddim_step_reference)(z, ladder, t, eps, *omega)
-        elif config.kind == "euler":
-            sched = config.schedule
-            sigma = float(sched.sigmas[k])
-            if sched.churn > 0.0:
-                sigma_hat = sched.sigma_hat(k)
-                z = z + math.sqrt(sigma_hat**2 - sigma**2) * rng.standard_normal(z.shape)
-                sigma = sigma_hat
-            eps = _prediction(denoiser.epsilon_predict(z, sigma=sigma), z)
-            z = (euler_step if scaled else euler_step_reference)(z, sched, k, eps, *omega)
-        else:
-            v = _prediction(denoiser.velocity_predict(z, float(config.schedule.times[k])), z)
-            z = (flow_step if scaled else flow_step_reference)(z, config.schedule.dt(k), v, *omega)
-        if not np.all(np.isfinite(z)):
-            raise NumericAbortError(k + 1, f"non-finite latent after step {k + 1}")
-        if (k + 1) in wanted:
-            states.append(LatentState(z.copy(), k + 1))
+    # an overflow or 0 * inf shows as a non-finite latent, which the check
+    # below turns into NumericAbortError; numpy need not warn about it too
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.steps):
+            omega = (config.control.resolve_field(z.shape, k),) if scaled else ()
+            if config.kind == "ddim":
+                t = config.steps - k
+                eps = _prediction(denoiser.epsilon_predict(z, alpha_bar=ladder.alpha_bar(t)), z)
+                z = (ddim_step if scaled else ddim_step_reference)(z, ladder, t, eps, *omega)
+            elif config.kind == "euler":
+                sched = config.schedule
+                sigma = float(sched.sigmas[k])
+                if sched.churn > 0.0:
+                    sigma_hat = sched.sigma_hat(k)
+                    z = z + math.sqrt(sigma_hat**2 - sigma**2) * rng.standard_normal(z.shape)
+                    sigma = sigma_hat
+                eps = _prediction(denoiser.epsilon_predict(z, sigma=sigma), z)
+                z = (euler_step if scaled else euler_step_reference)(z, sched, k, eps, *omega)
+            else:
+                v = _prediction(denoiser.velocity_predict(z, float(config.schedule.times[k])), z)
+                z = (flow_step if scaled else flow_step_reference)(z, config.schedule.dt(k), v, *omega)
+            if not np.all(np.isfinite(z)):
+                raise NumericAbortError(k + 1, f"non-finite latent after step {k + 1}")
+            if (k + 1) in wanted:
+                states.append(LatentState(z.copy(), k + 1))
 
     return Trajectory(tuple(states), LatentState(z, config.steps))
 

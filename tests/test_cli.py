@@ -4,6 +4,8 @@ import json
 import sys
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,30 @@ from omegance import reference_trajectory, run_sampler, standard_normal
 from omegance.cli import main
 from omegance.formats import read_pgm, read_snapshot, write_pgm
 from omegance.samplers import NumericAbortError, SamplerConfig
+
+
+def ddim_sampler(**schedule):
+    return {"kind": "ddim", "steps": 5, "schedule": {"num_steps": 50, **schedule}}
+
+
+def euler_sampler(**schedule):
+    return {"kind": "euler", "steps": 5, "schedule": schedule}
+
+
+# configs that pass the key and type checks but that a constructor rejects
+REJECTED_CONFIGS = {
+    "beta_start_above_beta_end": ("sample", {"sampler": ddim_sampler(beta_start=0.02, beta_end=0.01)}),
+    "one_step_beta_schedule": ("sample", {"sampler": dict(ddim_sampler(num_steps=1), steps=1)}),
+    "sigma_min_at_sigma_max": ("sample", {"sampler": euler_sampler(sigma_min=2.0, sigma_max=2.0)}),
+    "rho_zero": ("sample", {"sampler": euler_sampler(rho=0.0)}),
+    "rho_tiny": ("sample", {"sampler": euler_sampler(rho=1e-4)}),
+    "negative_churn": ("sample", {"sampler": euler_sampler(churn=-0.1)}),
+    "preset_name_as_list": ("sample", {"omega": {"values": [1.0], "schedule": {"kind": "preset", "name": ["COS2"]}}}),
+    "mask_path_as_number": ("sample", {"omega": {"values": [1.0], "mask": {"path": 3}}}),
+    "mask_path_is_a_directory": ("sample", {"omega": {"values": [1.0], "mask": {"path": "."}}}),
+    "negative_seed": ("sample", {"seeds": [-1]}),
+    "spectrum_below_4x4": ("spectrum", {"latent": {"shape": [3, 8]}}),
+}
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -40,6 +66,14 @@ def sample_config(tmp_path, **overrides):
 
 def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("command, overrides", REJECTED_CONFIGS.values(), ids=list(REJECTED_CONFIGS))
+def test_rejected_config_exits_2_and_writes_nothing(tmp_path, capsys, command, overrides):
+    config = write_config(tmp_path, sample_config(tmp_path, **overrides))
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def check_numeric_abort(tmp_path, monkeypatch, command):
@@ -160,6 +194,7 @@ class TestSampleCommand:
         manifest = read_manifest(tmp_path / "out")
         assert all(name.startswith("seed7_") for name in manifest["artifacts"])
         assert main(["sample", "--config", str(config), "--seeds", "7,7"]) == 2
+        assert main(["sample", "--config", str(config), "--seeds", "-1"]) == 2
 
     def test_identity_omega_matches_reference_run_bytes(self, tmp_path):
         data = sample_config(tmp_path, omega={"values": [1.0]}, seeds=[3])
@@ -252,6 +287,33 @@ class TestSampleCommand:
 
     def test_numeric_abort_exit_code_and_manifest(self, tmp_path, monkeypatch):
         check_numeric_abort(tmp_path, monkeypatch, "sample")
+
+    def test_overflow_abort_emits_no_numpy_warning(self, tmp_path):
+        config = write_config(tmp_path, sample_config(tmp_path, omega={"values": [1e300, 1.0]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["sample", "--config", str(config)]) == 3
+        manifest = read_manifest(tmp_path / "out")
+        assert manifest["status"] == "aborted"
+        assert manifest["aborted_cell"] == {"seed": 0, "omega_index": 0}
+
+    def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, sample_config(tmp_path))
+        assert main(["sample", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        before = (out / "manifest.json").read_bytes()
+        on_disk = sorted(path.name for path in out.iterdir())
+        write_text = Path.write_text
+
+        def fail_midway(path, data, *args, **kwargs):
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", fail_midway)
+        with pytest.raises(OSError, match="no space left"):
+            main(["sample", "--config", str(config), "--seeds", "1"])
+        assert (out / "manifest.json").read_bytes() == before
+        assert sorted(path.name for path in out.iterdir()) == on_disk
 
 
 class TestSnrCommand:
@@ -434,3 +496,4 @@ class TestPreviewCommand:
         config = write_config(tmp_path, sample_config(tmp_path))
         assert main(["preview", "mask", "--config", str(config)]) == 2
         assert main(["preview", "schedule", "--config", str(config)]) == 2
+        assert not (tmp_path / "out").exists()

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegance import ConfigError, load_config, parse_config, rescale
 from omegance.formats import write_pgm
@@ -256,3 +259,110 @@ class TestInitSection:
     def test_white_rejects_exponent(self):
         with pytest.raises(ConfigError):
             parse_config(minimal(init={"kind": "white", "exponent": -1.0}))
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the config boundary with trees built from the config vocabulary
+
+WORDS = st.sampled_from(["ddim", "karras", "two_stage", "COS2", "white", "csv", "mask.pgm", ""])
+# small integers only: a valid config with a huge step count would allocate its ladder
+INTEGERS = st.sampled_from([3, 5, 8, 1, 2, 10, 100, 0, -1, 10**400]) | st.integers(-2, 12)
+NUMBERS = st.sampled_from(
+    [1.0, 0.5, 0.97, 1.05, 2, 7.0, 8.0, 0.1, 0.02, 0.01, 1e-4, 0, -0.0, -1, 1e300, 10**400, math.nan, math.inf]
+) | st.floats()
+JUNK = (
+    st.none() | st.booleans() | NUMBERS | WORDS
+    | st.lists(NUMBERS | WORDS, max_size=3) | st.dictionaries(WORDS, NUMBERS, max_size=2)
+)
+
+
+def pick(good):
+    """Mostly a value of the expected JSON type, one time in twenty a value of any type."""
+    return st.sampled_from(range(20)).flatmap(lambda i: JUNK if i == 19 else good)
+
+
+def section(required, optional=None):
+    return st.fixed_dictionaries(
+        {key: pick(value) for key, value in required.items()},
+        optional={key: pick(value) for key, value in (optional or {}).items()},
+    )
+
+
+SAMPLER_SCHEDULES = {
+    "ddim": {
+        "kind": st.sampled_from(["linear_beta", "karras"]),
+        "num_steps": INTEGERS,
+        "beta_start": NUMBERS,
+        "beta_end": NUMBERS,
+    },
+    "euler": {
+        "kind": st.sampled_from(["karras", "uniform"]),
+        "sigma_min": NUMBERS,
+        "sigma_max": NUMBERS,
+        "rho": NUMBERS,
+        "churn": NUMBERS,
+    },
+    "flow": {"kind": st.sampled_from(["uniform", "linear_beta"])},
+}
+SAMPLERS = st.one_of(
+    section(
+        {"kind": st.just(kind), "steps": INTEGERS},
+        {"schedule": section({}, schedule), "snapshots": st.lists(INTEGERS, max_size=3)},
+    )
+    for kind, schedule in SAMPLER_SCHEDULES.items()
+)
+OMEGA_SCHEDULES = st.one_of(
+    section({"kind": st.just("constant"), "omega": NUMBERS}),
+    section({"kind": st.just("two_stage"), "switch_step": INTEGERS, "early": NUMBERS, "late": NUMBERS}),
+    section({"kind": st.just("exp"), "amplitude": NUMBERS, "decay": NUMBERS, "offset": NUMBERS}),
+    section({"kind": st.just("cos"), "amplitude": NUMBERS, "offset": NUMBERS}),
+    section({"kind": st.sampled_from(["preset", "spline"]), "name": st.sampled_from(["COS2", "EXP2", "LINEAR"])}),
+)
+NUMBER_LISTS = st.lists(NUMBERS, min_size=1, max_size=3)
+MASKS = section(
+    {"path": st.sampled_from(["mask.pgm", "missing.pgm", ""])},
+    {"factor": INTEGERS, "low": NUMBERS, "high": NUMBERS, "mode": st.sampled_from(["average", "nearest", "max"])},
+)
+OMEGAS = section(
+    {"values": NUMBER_LISTS | NUMBERS}, {"mask": MASKS, "schedule": OMEGA_SCHEDULES}
+) | section(
+    {"varpi": NUMBER_LISTS | NUMBERS},
+    {"rescale": section({}, {"steepness": NUMBERS, "lower": NUMBERS, "upper": NUMBERS}), "mask": MASKS},
+)
+ORACLES = section({"kind": st.just("standard_normal")}) | section(
+    {"kind": st.just("gaussian_mixture"), "weights": NUMBER_LISTS, "means": NUMBER_LISTS, "variances": NUMBER_LISTS}
+)
+# half the trees vary the sampler section alone, so that more of them reach the schedule
+CONFIGS = SAMPLERS.map(lambda sampler: minimal(sampler=sampler)) | pick(
+    section(
+        {
+            "sampler": SAMPLERS,
+            "omega": OMEGAS,
+            "oracle": ORACLES,
+            "latent": section({"shape": st.sampled_from([[8, 8], [8, 8], [4, 4], [16], [0, 8]])}),
+            "seeds": st.lists(INTEGERS, min_size=1, max_size=3),
+        },
+        {
+            "init": section({"kind": st.sampled_from(["white", "gaussian_field"])}, {"exponent": NUMBERS}),
+            "output_dir": WORDS,
+            "snapshot_format": st.sampled_from(["binary", "csv", "png"]),
+        },
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def mask_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    write_pgm(path / "mask.pgm", np.arange(64, dtype=np.uint8).reshape(8, 8) * 4)
+    return path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=CONFIGS)
+def test_any_vocabulary_tree_parses_or_raises_config_error(mask_dir, data):
+    try:
+        config = parse_config(data, base_dir=mask_dir)
+    except ConfigError:
+        return
+    config.make_schedule()

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegance.formats import (
     SNAPSHOT_MAGIC,
@@ -155,3 +157,61 @@ class TestCsv:
         per_cell_write_csv(expected, ["x", "y", "z"], rows)
         write_csv(actual, ["x", "y", "z"], rows)
         assert actual.read_bytes() == expected.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the readers: any byte string is read back exactly or rejected
+
+
+@st.composite
+def truncated(draw, blob):
+    """The blob, or one time in four one of its prefixes."""
+    return blob[: draw(st.integers(0, len(blob)))] if draw(st.sampled_from(range(4))) == 3 else blob
+
+
+@st.composite
+def snapshot_blobs(draw):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    magic = draw(st.sampled_from([SNAPSHOT_MAGIC, b"LSN0"]))
+    header = struct.pack("<4sIII", magic, rows, cols, draw(st.integers(0, 2**32 - 1)))
+    return draw(truncated(header + draw(st.binary(min_size=rows * cols * 8, max_size=rows * cols * 8 + 1))))
+
+
+@st.composite
+def pgm_blobs(draw):
+    width, height = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    gap = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\n# note\n", b" #\r", b" ", b"\n", b"#x"])
+    magic, maxval = draw(st.sampled_from([b"P5"] * 3 + [b"P2"])), draw(st.sampled_from([b"255"] * 3 + [b"256", b"x"]))
+    tokens = [magic, b"%d" % width, b"%d" % height, maxval]
+    header = b"".join(token + draw(gap) for token in tokens)
+    return draw(truncated(header + draw(st.binary(min_size=width * height, max_size=width * height + 1))))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(blob=st.binary(max_size=40) | snapshot_blobs())
+def test_any_bytes_read_as_a_snapshot_round_trip_or_raise(scratch, blob):
+    (scratch / "in.bin").write_bytes(blob)
+    try:
+        values, step = read_snapshot(scratch / "in.bin")
+    except ValueError:
+        return
+    write_snapshot(scratch / "out.bin", values, step)
+    assert (scratch / "out.bin").read_bytes() == blob
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(blob=st.binary(max_size=40) | pgm_blobs())
+def test_any_bytes_read_as_a_pgm_round_trip_or_raise(scratch, blob):
+    (scratch / "in.pgm").write_bytes(blob)
+    try:
+        gray = read_pgm(scratch / "in.pgm")
+    except ValueError:
+        return
+    write_pgm(scratch / "out.pgm", gray)
+    assert np.array_equal(read_pgm(scratch / "out.pgm"), gray)
+    assert gray.dtype == np.uint8 and blob.endswith(gray.tobytes())

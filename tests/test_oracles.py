@@ -179,6 +179,53 @@ def test_far_cells_near_the_float_limit_and_velocity():
     assert_bitwise(velocity[1:], eps_ref - z0_ref)
 
 
+def vector_softmax_posterior(mixture, z, a, b):
+    """Vector-mixture posterior by the plain log-space softmax over components."""
+    log_weights = np.log(mixture.weights)
+    total_var = a * a * mixture.variances + b * b
+    diff = z[None, :] - a * mixture.means
+    log_resp = log_weights - 0.5 * np.sum(diff * diff / total_var + np.log(2.0 * np.pi * total_var), axis=1)
+    log_resp -= log_resp.max()
+    resp = np.exp(log_resp)
+    resp /= resp.sum()
+    pull = diff / total_var
+    eps_mean = (resp[:, None] * (b * pull)).sum(axis=0)
+    z0_mean = (resp[:, None] * (mixture.means + a * mixture.variances * pull)).sum(axis=0)
+    return eps_mean, z0_mean
+
+
+def test_vector_latent_far_from_every_centre():
+    # every squared distance overflows; the posterior must stay finite and
+    # silent, and the latents near the centres keep their bitwise values
+    a = b = 0.7
+    means = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    even = GaussianMixture(np.array([0.5, 0.5]), means, np.full((2, 2), 0.5))
+    uneven = GaussianMixture(np.array([0.5, 0.5]), means, np.array([[0.5, 0.5], [0.5, 2.0]]))
+    cases = [(even, [1e155, 3.0]), (even, [1e300, 1e300]), (uneven, [-3.0, -2e200]), (uneven, [2e200, 1e200])]
+    for gm, z in cases:
+        z = np.array(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps_mean = gm.epsilon_given(z, a, b)
+        # the nearest component takes all the mass
+        total_var = a * a * gm.variances + b * b
+        k = int(np.argmin([math.hypot(*((z - a * gm.means[k]) / np.sqrt(total_var[k]))) for k in range(2)]))
+        np.testing.assert_allclose(eps_mean, b * (z - a * gm.means[k]) / total_var[k], rtol=1e-12, atol=0.0)
+    # far along y, where both centres agree: the x posterior is that of the
+    # scalar mixture of the x marginals, although both offsets in y are one float
+    z = np.array([-3.0, -2e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps_mean = even.epsilon_given(z, a, b)
+    marginal = GaussianMixture(np.array([0.5, 0.5]), means[:, 0], np.full(2, 0.5))
+    np.testing.assert_allclose(eps_mean[0], marginal.epsilon_given(z[:1], a, b)[0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(eps_mean[1], b * z[1] / (a * a * 0.5 + b * b), rtol=1e-12, atol=0.0)
+    for z in (np.array([0.3, -0.2]), np.array([-0.7, 0.0]), np.array([40.0, -25.0])):
+        for gm in (even, uneven):
+            for actual, reference in zip(gm._posterior(z, a, b), vector_softmax_posterior(gm, z, a, b)):
+                assert_bitwise(actual, reference)
+
+
 class TestEpsilonOracle:
     def test_standard_normal_closed_form(self):
         gm = standard_normal()
