@@ -58,6 +58,11 @@ from .schedules import (
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
+# Largest working set of one trajectory a config may ask for: 8 bytes per
+# latent cell for the latent, its prediction and each retained snapshot. A
+# larger latent is a config error, found before anything is allocated.
+MAX_LATENT_BYTES = 1 << 32
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; maps to exit code 2."""
@@ -161,6 +166,11 @@ def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
     latent_shape = tuple(shape)
 
     sampler_kind, steps, schedule_spec, snapshots = _parse_sampler(top["sampler"])
+    if math.prod(latent_shape) * 8 * (len(snapshots) + 2) > MAX_LATENT_BYTES:
+        raise ConfigError(
+            f"latent.shape {shape} needs more than {MAX_LATENT_BYTES} bytes per trajectory (8 per cell"
+            f" for the latent, its prediction and each of {len(snapshots)} snapshots)"
+        )
     omegas, mask, omega_schedule = _parse_omega(top["omega"], steps, latent_shape, Path(base_dir))
     oracle = _parse_oracle(top["oracle"])
     init_kind, field_exponent = _parse_init(top.get("init", {"kind": "white"}), latent_shape)

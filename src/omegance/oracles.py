@@ -13,22 +13,31 @@ normalising total never underflows to zero.
 
 A scalar mixture forms only the moments its caller asks for: eps for
 epsilon_predict, z0 for posterior_z0, both for velocity_predict. With K > 1
-components it works in place on one (K, N) log-responsibility buffer and one
-(K, N) difference buffer, plus a third for the eps term when both moments
-are wanted. A single component has responsibility exactly 1.0,
-so K = 1 skips the softmax and takes the linear Tweedie form
+components it walks the flattened latent in blocks of BLOCK_CELLS cells, so
+that its (K, block) temporaries stay in a core's cache instead of being
+allocated, faulted in and freed on every call. Each thread keeps one
+workspace (a ``threading.local``, keyed by (K, block width)) of three (K,
+width) buffers, for the differences, the log responsibilities and the eps
+term, and one (1, width) row for the per-cell maximum and total. Every
+block runs the same operations in the same order as one pass over the
+whole latent would, and sums its moments over k straight into freshly
+allocated outputs, so a returned array never aliases the workspace and the
+next call cannot change it. A single component has responsibility exactly
+1.0, so K = 1 skips the softmax and takes the linear Tweedie form
 eps = b * (z - a*mu) / (a^2 v + b^2), z0 = mu + (a*v) * (z - a*mu) / (a^2 v + b^2).
 Both give every cell the operations of the general softmax route in the same
 order, so their outputs are bitwise identical to it, signed zeros included,
 for every cell whose squared distance to some component centre is finite.
 A cell farther than about 1.3e154 from every centre, where that route would
 give NaN, has its log responsibilities shifted by the nearest component's
-instead, which keeps them finite.
+instead, which keeps them finite; components without mass get -inf there
+directly.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +51,19 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
+# cells per block of the K > 1 scalar posterior: three (3, BLOCK_CELLS)
+# float64 buffers take 1.2 MB, within a 2 MiB per-core L2 cache
+BLOCK_CELLS = 16384
+_workspace = threading.local()
+
+
+def _scalar_workspace(components: int, width: int) -> tuple[np.ndarray, ...]:
+    """This thread's (diff, log_resp, term, row) buffers; one (K, width) set is kept."""
+    key = (components, width)
+    if getattr(_workspace, "key", None) != key:
+        _workspace.buffers = tuple(np.empty((components, width)) for _ in range(3)) + (np.empty((1, width)),)
+        _workspace.key = key
+    return _workspace.buffers
 
 
 @dataclass(frozen=True)
@@ -142,7 +164,8 @@ class GaussianMixture:
             pull = z.reshape(-1) - a * mean
             pull /= a * a * var + b * b
             if want_z0:
-                z0_mean = ((mean + 0.0) + (a * var) * pull).reshape(shape)
+                z0_mean = np.multiply(pull, a * var).reshape(shape)
+                z0_mean += mean + 0.0
             if want_eps:
                 pull *= b
                 pull += 0.0
@@ -151,31 +174,48 @@ class GaussianMixture:
         with np.errstate(divide="ignore"):  # zero weights contribute -inf, i.e. no mass
             log_weights = np.log(self.weights)[:, None]
         total_var = (a * a * self.variances + b * b)[:, None]
-        pull = z.reshape(1, -1) - (a * self.means)[:, None]
-        with np.errstate(over="ignore"):  # a square beyond the float range gives no mass
-            resp = np.multiply(pull, pull)  # log responsibilities until the exp
-        resp /= total_var
-        resp += np.log(2.0 * np.pi * total_var)
-        resp *= 0.5
-        np.subtract(log_weights, resp, out=resp)
-        peak = resp.max(axis=0, keepdims=True)
-        if peak.min() == -np.inf:  # some cell is far from every centre with mass
-            far = np.flatnonzero(peak == -np.inf)
-            resp[:, far] = self._far_log_responsibilities(pull[:, far], total_var, log_weights)
-            peak[:, far] = resp[:, far].max(axis=0)
-        resp -= peak
-        np.exp(resp, out=resp)
-        resp /= resp.sum(axis=0, keepdims=True)
-        pull /= total_var
+        centers = (a * self.means)[:, None]
+        log_norm = np.log(2.0 * np.pi * total_var)
+        z0_scale = (a * self.variances)[:, None]
+        flat = z.reshape(1, -1)
+        size = flat.shape[1]
+        width = max(1, min(size, BLOCK_CELLS))
+        diff_buf, resp_buf, term_buf, row_buf = _scalar_workspace(self.num_components, width)
+        eps_flat = np.empty(size) if want_eps else None
+        z0_flat = np.empty(size) if want_z0 else None
+        for start in range(0, size, width):
+            stop = min(start + width, size)
+            n = stop - start
+            pull, resp, peak = diff_buf[:, :n], resp_buf[:, :n], row_buf[:, :n]
+            np.subtract(flat[:, start:stop], centers, out=pull)
+            with np.errstate(over="ignore"):  # a square beyond the float range gives no mass
+                np.multiply(pull, pull, out=resp)  # log responsibilities until the exp
+            resp /= total_var
+            resp += log_norm
+            resp *= 0.5
+            np.subtract(log_weights, resp, out=resp)
+            resp.max(axis=0, keepdims=True, out=peak)
+            if peak.min() == -np.inf:  # some cell is far from every centre with mass
+                far = np.flatnonzero(peak == -np.inf)
+                resp[:, far] = self._far_log_responsibilities(pull[:, far], total_var, log_weights)
+                peak[:, far] = resp[:, far].max(axis=0)
+            resp -= peak
+            np.exp(resp, out=resp)
+            resp /= resp.sum(axis=0, keepdims=True, out=peak)
+            pull /= total_var
+            if want_eps:
+                term = np.multiply(pull, b, out=term_buf[:, :n] if want_z0 else pull)
+                term *= resp
+                term.sum(axis=0, out=eps_flat[start:stop])
+            if want_z0:
+                pull *= z0_scale
+                pull += self.means[:, None]
+                pull *= resp
+                pull.sum(axis=0, out=z0_flat[start:stop])
         if want_eps:
-            term = np.multiply(pull, b, out=None if want_z0 else pull)
-            term *= resp
-            eps_mean = term.sum(axis=0).reshape(shape)
+            eps_mean = eps_flat.reshape(shape)
         if want_z0:
-            pull *= (a * self.variances)[:, None]
-            pull += self.means[:, None]
-            pull *= resp
-            z0_mean = pull.sum(axis=0).reshape(shape)
+            z0_mean = z0_flat.reshape(shape)
         return eps_mean, z0_mean
 
     def _far_log_responsibilities(self, diff: np.ndarray, total_var: np.ndarray, log_weights: np.ndarray):
@@ -186,16 +226,20 @@ class GaussianMixture:
         standardised distance q_ref of the nearest component with mass turns
         (q_k^2 - q_ref^2) / 2 into (q_k - q_ref)(q_k / 2 + q_ref / 2), which
         is 0 for that component and overflows only where the responsibility
-        would round to 0 anyway; the softmax is shift-invariant.
+        would round to 0 anyway; the softmax is shift-invariant. A component
+        without mass gets -inf directly: nearer than the reference, its
+        spread could overflow to -inf and meet its -inf log weight.
         """
+        mass = self.weights > 0.0
         dist = np.abs(diff)
         dist /= np.sqrt(total_var)
-        nearest = np.where(self.weights[:, None] > 0.0, dist, np.inf).min(axis=0)
+        nearest = np.where(mass[:, None], dist, np.inf).min(axis=0)
         spread = dist * 0.5
         spread += 0.5 * nearest
         with np.errstate(over="ignore"):
             spread *= dist - nearest
         spread += 0.5 * np.log(2.0 * np.pi * total_var)
+        spread[~mass] = np.inf
         return log_weights - spread
 
     @staticmethod
@@ -208,14 +252,18 @@ class GaussianMixture:
         centres, diff_r (1/sd_k - 1/sd_r) + (c_r - c_k) / sd_k, since the
         offsets themselves can be equal floats when the latent is far along a
         coordinate; q_r factors out of the sum so that it does not overflow.
+        A component without mass gets +inf, so its log responsibility is -inf.
         """
         inv_sd = 1.0 / np.sqrt(total_var)
         offsets = diff * inv_sd
         dist = np.hypot.reduce(np.abs(offsets), axis=1)
-        r = int(np.argmin(np.where(log_weights > -np.inf, dist, np.inf)))
+        mass = log_weights > -np.inf
+        r = int(np.argmin(np.where(mass, dist, np.inf)))
         gap = diff[r] * (inv_sd - inv_sd[r]) + (centers[r] - centers) * inv_sd
+        gaps = np.full(mass.shape, np.inf)  # a component without mass gets none
         with np.errstate(over="ignore"):  # a component beyond the float range gives no mass
-            return np.sum(gap * ((offsets + offsets[r]) / dist[r]), axis=1) * dist[r]
+            gaps[mass] = np.sum(gap[mass] * ((offsets[mass] + offsets[r]) / dist[r]), axis=1) * dist[r]
+        return gaps
 
     def epsilon_given(self, z, signal_scale: float, noise_scale: float) -> np.ndarray:
         """Posterior-mean noise E[eps | a*z0 + b*eps = z]."""
@@ -246,7 +294,8 @@ class GaussianMixture:
         if not 0.0 <= t <= 1.0:
             raise ValueError("flow time must lie in [0, 1]")
         eps_mean, z0_mean = self._posterior(z, 1.0 - float(t), float(t))
-        return eps_mean - z0_mean
+        eps_mean -= z0_mean  # a fresh array of this call's own
+        return eps_mean
 
 
 def standard_normal() -> GaussianMixture:

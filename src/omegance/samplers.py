@@ -16,6 +16,12 @@ deviation from the mean is scaled,
 
 so mean(z') matches the unscaled step for every scalar omega.
 
+The scaled kernels build their result in one or two fresh arrays with
+in-place operations, in the order of the formulas above; the only change of
+order is swapping the two operands of a single + or *, which is exact in
+IEEE arithmetic. They never write into z, the prediction or the omega field.
+The reference twins keep the plain expressions, an independent route.
+
 Randomness: a trajectory consumes random numbers only for the churn
 perturbation of the variance-exploding sampler, drawn from stream 1 of
 ``numpy.random.SeedSequence(config.seed).spawn(2)``. Stream 0 is reserved for
@@ -126,9 +132,14 @@ def ddim_step(z, schedule: AlphaBarSchedule, t: int, eps_pred, omega=1.0) -> np.
     _check_omega_field(omega, z.shape)
     ab_t = schedule.alpha_bar(t)
     ab_prev = schedule.alpha_bar(t - 1)
-    scaled = eps_pred * omega
-    predicted_z0 = (z - math.sqrt(1.0 - ab_t) * scaled) / math.sqrt(ab_t)
-    return math.sqrt(ab_prev) * predicted_z0 + math.sqrt(1.0 - ab_prev) * scaled
+    scaled = np.multiply(eps_pred, omega)
+    out = np.multiply(scaled, math.sqrt(1.0 - ab_t))
+    np.subtract(z, out, out=out)
+    out /= math.sqrt(ab_t)  # the predicted z0
+    out *= math.sqrt(ab_prev)
+    scaled *= math.sqrt(1.0 - ab_prev)
+    out += scaled
+    return out
 
 
 def ddim_step_reference(z, schedule: AlphaBarSchedule, t: int, eps_pred) -> np.ndarray:
@@ -152,7 +163,10 @@ def euler_step(z, schedule: SigmaSchedule, i: int, eps_pred, omega=1.0) -> np.nd
     _check_omega_field(omega, z.shape)
     sigma_hat = schedule.sigma_hat(i)
     sigma_next = float(schedule.sigmas[i + 1])
-    return z + (sigma_next - sigma_hat) * (eps_pred * omega)
+    out = np.multiply(eps_pred, omega)
+    out *= sigma_next - sigma_hat
+    out += z
+    return out
 
 
 def euler_step_reference(z, schedule: SigmaSchedule, i: int, eps_pred) -> np.ndarray:
@@ -184,11 +198,16 @@ def flow_step(z, dt: float, v_pred, omega=1.0) -> np.ndarray:
     if dt == 0.0 or not math.isfinite(dt):
         raise ValueError("dt must be finite and nonzero")
     _check_omega_field(omega, z.shape)
-    update = dt * v_pred
+    update = np.multiply(v_pred, dt)
     if np.all(omega == 1.0):
-        return z + update
+        update += z
+        return update
     m = float(np.mean(update))
-    return z + ((update - m) * omega + m)
+    update -= m
+    update *= omega
+    update += m
+    update += z
+    return update
 
 
 def flow_step_reference(z, dt: float, v_pred) -> np.ndarray:

@@ -37,6 +37,8 @@ REJECTED_CONFIGS = {
     "mask_path_is_a_directory": ("sample", {"omega": {"values": [1.0], "mask": {"path": "."}}}),
     "negative_seed": ("sample", {"seeds": [-1]}),
     "spectrum_below_4x4": ("spectrum", {"latent": {"shape": [3, 8]}}),
+    "oversize_latent": ("sample", {"latent": {"shape": [10**30, 10**30]}}),
+    "oversize_latent_spectrum": ("spectrum", {"latent": {"shape": [100000, 100000]}}),
 }
 
 

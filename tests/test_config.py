@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegance import ConfigError, load_config, parse_config, rescale
+from omegance.config import MAX_LATENT_BYTES
 from omegance.formats import write_pgm
 from omegance.omega import ExpSchedule, TwoStageSchedule
 from omegance.schedules import AlphaBarSchedule, FlowTimesteps, SigmaSchedule
@@ -109,6 +110,21 @@ class TestStrictness:
             parse_config(minimal(latent={"shape": [4, 4, 4]}))
         with pytest.raises(ConfigError):
             parse_config(minimal(latent={"shape": [0]}))
+
+    def test_oversize_latent_is_rejected_before_allocation(self):
+        # parsing only: nothing of the latent's size is allocated here
+        for shape in ([10**30, 10**30], [100000, 100000]):
+            with pytest.raises(ConfigError, match="latent.shape"):
+                parse_config(minimal(latent={"shape": shape}))
+        # 8 bytes per cell for the latent, its prediction and three snapshots
+        sampler = {"kind": "ddim", "steps": 10, "schedule": {"num_steps": 100}, "snapshots": [0, 5, 10]}
+        largest = MAX_LATENT_BYTES // (8 * 5)
+        config = parse_config(minimal(sampler=sampler, latent={"shape": [largest]}))
+        assert config.latent_shape == (largest,)
+        with pytest.raises(ConfigError, match="latent.shape"):
+            parse_config(minimal(sampler=sampler, latent={"shape": [largest + 1]}))
+        with pytest.raises(ConfigError, match="latent.shape"):
+            parse_config(minimal(sampler={**sampler, "snapshots": [0, 1, 5, 10]}, latent={"shape": [largest]}))
 
 
 class TestOmegaSection:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -12,6 +14,8 @@ from omegance import (
     sample_prior,
     standard_normal,
 )
+from omegance import oracles
+from omegance.oracles import BLOCK_CELLS
 
 ASYMMETRIC = GaussianMixture(np.array([0.3, 0.7]), np.array([-2.0, 3.0]), np.array([1.0, 1.0]))
 
@@ -72,6 +76,18 @@ BITWISE_MIXTURES = {
     "k1_negative_zero_mean": GaussianMixture(np.array([1.0]), np.array([-0.0]), np.array([2.0])),
     "k3": GaussianMixture(np.array([0.2, 0.5, 0.3]), np.array([-3.0, 0.5, 4.0]), np.array([0.2, 1.5, 0.7])),
     "k3_zero_weight": GaussianMixture(np.array([0.4, 0.0, 0.6]), np.array([-2.0, 1.0, 2.5]), np.array([1.0, 0.5, 0.25])),
+    "k2": GaussianMixture(np.array([0.35, 0.65]), np.array([-1.5, 2.0]), np.array([0.5, 0.3])),
+    "k4_zero_weights": GaussianMixture(
+        np.array([0.0, 0.45, 0.0, 0.55]), np.array([-4.0, -0.5, 1.0, 3.0]), np.array([2.0, 0.4, 0.1, 0.9])
+    ),
+}
+# latent sizes around the posterior's block width, each with a 2-D shape of
+# that many cells; 2 * BLOCK_CELLS + 3 = 32771 is prime
+BLOCK_SIZES = {
+    BLOCK_CELLS - 1: (127, 129),
+    BLOCK_CELLS: (128, 128),
+    BLOCK_CELLS + 1: (113, 145),
+    2 * BLOCK_CELLS + 3: (1, 2 * BLOCK_CELLS + 3),
 }
 
 
@@ -114,6 +130,22 @@ class TestPosteriorBitwise:
         gm = BITWISE_MIXTURES[name]
         z = np.array(-37.5)
         assert_bitwise(gm.epsilon_given(z, 0.6, 0.8), softmax_posterior(gm, z, 0.6, 0.8)[0])
+
+    @pytest.mark.parametrize("size", sorted(BLOCK_SIZES))
+    def test_latents_spanning_blocks(self, name, size):
+        # the special cells repeat across block boundaries; every moment the
+        # blocked posterior forms must equal the whole-latent softmax
+        gm = BITWISE_MIXTURES[name]
+        a, b = 0.6, 0.8
+        flat = np.resize(bitwise_latent(gm, a).reshape(-1), size)
+        for z in (flat, flat.reshape(BLOCK_SIZES[size])):
+            eps_ref, z0_ref = softmax_posterior(gm, z, a, b)
+            assert_bitwise(gm.epsilon_given(z, a, b), eps_ref)
+            assert_bitwise(gm.posterior_z0(z, a, b), z0_ref)
+            for actual, reference in zip(gm._posterior(z, a, b), (eps_ref, z0_ref)):
+                assert_bitwise(actual, reference)
+            eps_ref, z0_ref = softmax_posterior(gm, z, 1.0 - 0.3, 0.3)
+            assert_bitwise(gm.velocity_predict(z, 0.3), eps_ref - z0_ref)
 
 
 FAR_MIXTURES = {
@@ -177,6 +209,127 @@ def test_far_cells_near_the_float_limit_and_velocity():
     assert velocity[0] == pytest.approx(float(nearest.velocity_predict(z[2:3], 0.3)[0]), rel=1e-12)
     eps_ref, z0_ref = softmax_posterior(gm, z[3:], 0.7, 0.3)
     assert_bitwise(velocity[1:], eps_ref - z0_ref)
+
+
+@pytest.mark.parametrize("name", ["k3", "k3_zero_weight", "k4_zero_weights"])
+def test_far_cells_in_later_blocks(name):
+    # far cells inside the second and the last block take the far route of
+    # their own block; the near cells of every block keep their bitwise values
+    gm = BITWISE_MIXTURES[name]
+    a, b = 0.7, 0.3
+    z = np.random.default_rng(5).normal(0.0, 3.0, 2 * BLOCK_CELLS + 3)
+    far = {BLOCK_CELLS + 7: 1e155, 2 * BLOCK_CELLS + 1: -3e200}
+    near = np.ones(z.size, dtype=bool)
+    for index, cell in far.items():
+        z[index] = cell
+        near[index] = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps_mean = gm.epsilon_given(z, a, b)
+        z0_mean = gm.posterior_z0(z, a, b)
+        eps_both, z0_both = gm._posterior(z, a, b)
+    eps_ref, z0_ref = softmax_posterior(gm, z[near], a, b)
+    for actual, reference in ((eps_mean, eps_ref), (z0_mean, z0_ref), (eps_both, eps_ref), (z0_both, z0_ref)):
+        assert_bitwise(actual[near], reference)
+    for index, cell in far.items():
+        want_eps, want_z0 = nearest_component(gm, cell, a, b)._posterior(np.array([cell]), a, b)
+        for actual, want in ((eps_mean, want_eps), (z0_mean, want_z0), (eps_both, want_eps), (z0_both, want_z0)):
+            assert actual[index] == pytest.approx(float(want[0]), rel=1e-12)
+
+
+def drop_massless(mixture):
+    keep = mixture.weights > 0.0
+    return GaussianMixture(mixture.weights[keep], mixture.means[keep], mixture.variances[keep])
+
+
+def test_zero_weight_wider_component_leaves_far_cells_finite():
+    # a component without mass, wider than those with mass, is nearer to a far
+    # cell in standardised distance; it must not turn the cell into NaN
+    scalar = GaussianMixture(np.array([0.5, 0.0, 0.5]), np.array([-1.0, 0.0, 1.0]), np.array([0.25, 4.0, 0.25]))
+    vector = GaussianMixture(
+        np.array([0.5, 0.0, 0.5]),
+        np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
+        np.array([[0.5, 0.5], [4.0, 4.0], [0.5, 0.5]]),
+    )
+    z = np.array([1e155, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar_eps = scalar.epsilon_predict(z, alpha_bar=0.5)
+        scalar_both = scalar._posterior(z, math.sqrt(0.5), math.sqrt(0.5))
+        vector_eps = vector.epsilon_given(z, 0.7, 0.7)
+        vector_both = vector._posterior(z, 0.7, 0.7)
+        expected = (
+            drop_massless(scalar).epsilon_predict(z, alpha_bar=0.5),
+            drop_massless(scalar)._posterior(z, math.sqrt(0.5), math.sqrt(0.5)),
+            drop_massless(vector).epsilon_given(z, 0.7, 0.7),
+            drop_massless(vector)._posterior(z, 0.7, 0.7),
+        )
+    assert np.all(np.isfinite(scalar_eps)) and np.all(np.isfinite(vector_eps))
+    assert_bitwise(scalar_eps, expected[0])
+    assert_bitwise(vector_eps, expected[2])
+    for actual, reference in zip(scalar_both + vector_both, expected[1] + expected[3]):
+        assert_bitwise(actual, reference)
+
+
+def test_results_never_alias_the_workspace():
+    # a caller may overwrite what it got back; the next call is unaffected
+    gm = BITWISE_MIXTURES["k3"]
+    z = np.random.default_rng(6).normal(0.0, 3.0, (3, BLOCK_CELLS // 2 + 1))
+    calls = (
+        lambda: gm.epsilon_given(z, 0.6, 0.8),
+        lambda: gm.posterior_z0(z, 0.6, 0.8),
+        lambda: gm.velocity_predict(z, 0.4),
+        lambda: gm._posterior(z, 0.6, 0.8)[0],
+        lambda: gm._posterior(z, 0.6, 0.8)[1],
+    )
+    for call in calls:
+        first = call()
+        expected = first.copy()
+        first[...] = np.nan
+        second = call()
+        assert_bitwise(second, expected)
+        for buffer in oracles._workspace.buffers:
+            assert not np.shares_memory(second, buffer)
+        assert not np.shares_memory(first, second)
+
+
+def test_threads_with_different_mixtures_and_shapes_match_serial():
+    # each thread keeps its own workspace, so concurrent calls of different K
+    # and width cannot disturb each other; more threads than cores, switching often
+    rng = np.random.default_rng(7)
+    jobs = [
+        (BITWISE_MIXTURES["k2"], rng.normal(0.0, 3.0, 2 * BLOCK_CELLS + 3)),
+        (BITWISE_MIXTURES["k4_zero_weights"], rng.normal(0.0, 3.0, (130, 130))),
+        (BITWISE_MIXTURES["k3"], rng.normal(0.0, 3.0, 77)),
+        (BITWISE_MIXTURES["k3_zero_weight"], rng.normal(0.0, 3.0, (40, 500))),
+    ]
+    serial = [gm._posterior(z, 0.6, 0.8) for gm, z in jobs]
+    orders = ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1])
+    barrier = threading.Barrier(len(orders), timeout=30)
+    results = {slot: [] for slot in range(len(orders))}
+
+    def work(slot):
+        barrier.wait()
+        for _ in range(3):
+            for i in orders[slot]:
+                results[slot].append((i, jobs[i][0]._posterior(jobs[i][1], 0.6, 0.8)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for slot in results:
+        assert len(results[slot]) == 3 * len(jobs)
+        for i, moments in results[slot]:
+            for actual, reference in zip(moments, serial[i]):
+                assert_bitwise(actual, reference)
 
 
 def vector_softmax_posterior(mixture, z, a, b):

@@ -195,6 +195,64 @@ class TestFlowStep:
             flow_step(np.zeros((0,)), -0.1, np.zeros((0,)), 1.0)
 
 
+def expression_ddim(z, schedule, t, eps_pred, omega):
+    """The scaled kernels as plain expressions, one fresh array per operation."""
+    ab_t = schedule.alpha_bar(t)
+    ab_prev = schedule.alpha_bar(t - 1)
+    scaled = eps_pred * omega
+    predicted_z0 = (z - math.sqrt(1.0 - ab_t) * scaled) / math.sqrt(ab_t)
+    return math.sqrt(ab_prev) * predicted_z0 + math.sqrt(1.0 - ab_prev) * scaled
+
+
+def expression_euler(z, schedule, i, eps_pred, omega):
+    return z + (float(schedule.sigmas[i + 1]) - schedule.sigma_hat(i)) * (eps_pred * omega)
+
+
+def expression_flow(z, dt, v_pred, omega):
+    update = dt * v_pred
+    if np.all(omega == 1.0):
+        return z + update
+    m = float(np.mean(update))
+    return z + ((update - m) * omega + m)
+
+
+def kernel_inputs(shape):
+    """A latent and a prediction with signed zeros, tiny and large cells among normal ones.
+
+    The large cells stay small enough that the flow update's mean does not
+    swamp the latent, so an operation order that rounds differently shows.
+    """
+    z = RNG.standard_normal(shape)
+    pred = RNG.standard_normal(shape)
+    flat_z, flat_pred = z.reshape(-1), pred.reshape(-1)
+    flat_z[:6] = [0.0, -0.0, 0.0, -0.0, 1e-300, -250.0]
+    flat_pred[:6] = [0.0, 0.0, -0.0, -0.0, -1e-300, 40.0]
+    return z, pred
+
+
+@pytest.mark.parametrize("omega_kind", ["scalar", "field", "one"])
+@pytest.mark.parametrize("shape", [(7,), (9, 13)])
+def test_scaled_kernels_match_their_expressions_and_keep_inputs(linear_bars, omega_kind, shape):
+    # the kernels build their result in place; every bit must equal the plain
+    # expressions, and z, the prediction and the omega field stay as they were
+    z, pred = kernel_inputs(shape)
+    omega = {"scalar": 1.05, "field": RNG.uniform(0.9, 1.1, shape), "one": 1.0}[omega_kind]
+    sig = karras_sigmas(6, 0.1, 8.0, churn=0.3)
+    cases = [
+        (ddim_step, expression_ddim, (linear_bars, 700)),
+        (euler_step, expression_euler, (sig, 2)),
+        (flow_step, expression_flow, (-0.02,)),
+    ]
+    for kernel, expression, args in cases:
+        inputs = [z, pred] + ([omega] if omega_kind == "field" else [])
+        kept = [array.copy() for array in inputs]
+        actual, expected = kernel(z, *args, pred, omega), expression(z, *args, pred, omega)
+        assert bits_equal(actual, expected), kernel.__name__
+        for array, copy in zip(inputs, kept):
+            assert bits_equal(array, copy), kernel.__name__
+            assert not np.shares_memory(actual, array)
+
+
 class TestSamplerConfig:
     def test_kind_schedule_agreement(self, linear_bars):
         with pytest.raises(ValueError):
