@@ -45,7 +45,6 @@ from .oracles import (
     GaussianFieldSpec,
     GaussianMixture,
     gaussian_field_2d,
-    sample_prior,
     standard_normal,
 )
 from .samplers import (
@@ -60,30 +59,21 @@ from .samplers import (
     euler_step_reference,
     flow_step,
     flow_step_reference,
-    flow_update_mean,
-    forward_noise,
-    forward_noise_at,
     reference_trajectory,
     run_sampler,
 )
 from .schedules import (
     AlphaBarSchedule,
     BetaSchedule,
-    CoefficientFormError,
     FlowTimesteps,
     SigmaSchedule,
     SignalDivergenceError,
-    StepCoefficients,
     alpha_bar_from_betas,
-    ddim_coefficients,
-    euler_coefficients,
     flow_timesteps,
     karras_sigmas,
     make_linear_beta,
     modified_snr_ddim,
-    schedule_to_csv,
     snr,
-    step_coefficients,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

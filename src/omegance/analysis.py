@@ -16,8 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .samplers import LatentState
-from .schedules import AlphaBarSchedule, FlowTimesteps, modified_snr_ddim
+from .schedules import AlphaBarSchedule, FlowTimesteps, SignalDivergenceError, modified_snr_ddim
 
 __all__ = [
     "CoefficientState",
@@ -104,17 +103,26 @@ def snr_trajectory(schedule: AlphaBarSchedule, omega: float, mode: str = "analyt
 
     Steps run from t = 2 to T: the step from t = 1 references the exact
     pre-corruption anchor, where the unscaled ratio has no finite value.
+    A ratio the route cannot form -- a squared bracket or noise coefficient
+    that is zero, or one that over- or underflows so the ratio is zero or
+    infinite -- raises SignalDivergenceError naming the step.
     """
     if mode not in ("analytic", "propagated"):
         raise ValueError("mode must be 'analytic' or 'propagated'")
     ts = np.arange(2, schedule.num_steps + 1)
-    if mode == "analytic":
-        values = np.array([modified_snr_ddim(schedule, int(t), omega) for t in ts])
-    else:
-        values = np.empty(ts.size)
-        for idx, t in enumerate(ts):
-            z0_coeff, eps_coeff = propagate_coefficients_ddim(schedule, omega, int(t), steps=1)[-1]
-            values[idx] = (z0_coeff * z0_coeff) / (eps_coeff * eps_coeff)
+    values = np.empty(ts.size)
+    for idx, t in enumerate(ts.tolist()):
+        try:
+            if mode == "analytic":
+                value = modified_snr_ddim(schedule, t, omega)
+            else:
+                z0_coeff, eps_coeff = propagate_coefficients_ddim(schedule, omega, t, steps=1)[-1]
+                value = (z0_coeff * z0_coeff) / (eps_coeff * eps_coeff)
+        except ZeroDivisionError as exc:
+            raise SignalDivergenceError(f"{mode} SNR at t={t}: {exc}") from exc
+        if not (0.0 < value < math.inf):
+            raise SignalDivergenceError(f"{mode} SNR at t={t} is {value!r} for omega={omega!r}")
+        values[idx] = value
     return SnrTrajectory(ts, values, mode)
 
 
@@ -235,8 +243,6 @@ def radial_spectrum(values, split_radius: float | None = None) -> SpectrumProfil
     cell weighted for its mirrored twin (see ``_radial_bins``). The default
     band split is half the Nyquist radius, min(H, W) / 4.
     """
-    if isinstance(values, LatentState):
-        values = values.values
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("radial spectrum requires a 2-D latent")

@@ -9,8 +9,12 @@ the config echo, artifact checksums, versions and timings; identical
 
 Exit codes: 0 success, 2 config error (no output is written), 3 numeric
 abort (the manifest then records the aborting cell and step index and lists
-every file written before the abort). Commands never modify their input
-files. ``--threads``/``OMEGANCE_THREADS`` parallelise independent
+every file written before the abort; ``snr`` takes no sampler step, so it
+records step 0 and the omega index, and its error names the ladder step),
+4 I/O error (an artifact that could not be written leaves a manifest with
+status "error" listing every file written before it; a manifest that could
+not be written leaves the previous one whole). Commands never modify their
+input files. ``--threads``/``OMEGANCE_THREADS`` parallelise independent
 (seed, omega) cells; results do not depend on the thread count.
 """
 
@@ -87,10 +91,18 @@ def main(argv=None) -> int:
             print(f"numeric abort at step {exc.step}: {exc}", file=sys.stderr)
             extra = {"aborted_at_step": exc.step, "error": str(exc), "aborted_cell": exc.cell}
             status, code = "aborted", 3
+        except OSError as exc:
+            print(f"io error: {exc}", file=sys.stderr)
+            extra = {"error": str(exc)}
+            status, code = "error", 4
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    _write_manifest(Path(config.output_dir), command, config, written, started, status, extra)
+    try:
+        _write_manifest(Path(config.output_dir), command, config, written, started, status, extra)
+    except OSError as exc:
+        print(f"io error: manifest not written: {exc}", file=sys.stderr)
+        return 4
     return code
 
 
@@ -261,8 +273,13 @@ def cmd_snr(args, config: ExperimentConfig, written: list[str]) -> dict:
     rows = []
     max_deviation = 0.0
     for idx, omega in enumerate(config.omegas):
-        analytic = snr_trajectory(schedule, omega, "analytic")
-        propagated = snr_trajectory(schedule, omega, "propagated")
+        try:
+            analytic = snr_trajectory(schedule, omega, "analytic")
+            propagated = snr_trajectory(schedule, omega, "propagated")
+        except ZeroDivisionError as exc:
+            abort = NumericAbortError(0, str(exc))
+            abort.cell = {"omega_index": idx}
+            raise abort from exc
         deviations = np.abs(analytic.values - propagated.values) / analytic.values
         max_deviation = max(max_deviation, float(deviations.max()))
         for t, a_val, p_val, dev in zip(

@@ -45,7 +45,6 @@ import numpy as np
 __all__ = [
     "GaussianMixture",
     "standard_normal",
-    "sample_prior",
     "GaussianFieldSpec",
     "gaussian_field_2d",
 ]
@@ -301,18 +300,6 @@ class GaussianMixture:
 def standard_normal() -> GaussianMixture:
     """Unit-normal prior; its predictions are scalar multiples of the latent."""
     return GaussianMixture(np.array([1.0]), np.array([0.0]), np.array([1.0]))
-
-
-def sample_prior(mixture: GaussianMixture, seed, n: int) -> np.ndarray:
-    """n independent draws from the mixture; deterministic for a fixed seed."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be an integer >= 1")
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(mixture.num_components, size=n, p=mixture.weights)
-    if mixture.is_scalar:
-        return mixture.means[picks] + np.sqrt(mixture.variances[picks]) * rng.standard_normal(n)
-    noise = rng.standard_normal((n, mixture.dimension))
-    return mixture.means[picks] + np.sqrt(mixture.variances[picks]) * noise
 
 
 @dataclass(frozen=True)

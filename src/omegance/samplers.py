@@ -46,15 +46,12 @@ __all__ = [
     "LatentState",
     "SamplerConfig",
     "Trajectory",
-    "forward_noise_at",
-    "forward_noise",
     "ddim_step",
     "ddim_step_reference",
     "euler_step",
     "euler_step_reference",
     "flow_step",
     "flow_step_reference",
-    "flow_update_mean",
     "run_sampler",
     "reference_trajectory",
 ]
@@ -63,11 +60,15 @@ SAMPLER_KINDS = ("ddim", "euler", "flow")
 
 
 class NumericAbortError(ArithmeticError):
-    """Non-finite value during sampling; ``step`` counts completed steps."""
+    """Non-finite value during sampling; ``step`` counts completed steps.
+
+    ``cell`` starts as None; a runner that knows which cell aborted sets it.
+    """
 
     def __init__(self, step: int, message: str):
         super().__init__(message)
         self.step = step
+        self.cell = None
 
 
 class Denoiser(Protocol):
@@ -101,21 +102,6 @@ def _check_omega_field(omega, shape) -> None:
 def _check_pair(z: np.ndarray, other: np.ndarray, name: str) -> None:
     if other.shape != z.shape:
         raise ValueError(f"{name} shape {other.shape} does not match latent shape {z.shape}")
-
-
-def forward_noise_at(z0: np.ndarray, alpha_bar: float, eps: np.ndarray) -> np.ndarray:
-    """Corrupt a clean latent: sqrt(abar) * z0 + sqrt(1 - abar) * eps."""
-    z0 = np.asarray(z0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    _check_pair(z0, eps, "eps")
-    if not 0.0 <= alpha_bar <= 1.0:
-        raise ValueError("alpha_bar must lie in [0, 1]")
-    return math.sqrt(alpha_bar) * z0 + math.sqrt(1.0 - alpha_bar) * eps
-
-
-def forward_noise(z0: np.ndarray, schedule: AlphaBarSchedule, t: int, eps: np.ndarray) -> np.ndarray:
-    """Corrupt a clean latent to step t of the schedule."""
-    return forward_noise_at(z0, schedule.alpha_bar(t), eps)
 
 
 def ddim_step(z, schedule: AlphaBarSchedule, t: int, eps_pred, omega=1.0) -> np.ndarray:
@@ -177,11 +163,6 @@ def euler_step_reference(z, schedule: SigmaSchedule, i: int, eps_pred) -> np.nda
     sigma_hat = schedule.sigma_hat(i)
     sigma_next = float(schedule.sigmas[i + 1])
     return z + (sigma_next - sigma_hat) * eps_pred
-
-
-def flow_update_mean(dt: float, v_pred) -> float:
-    """Mean over all latent cells of the raw update dt * v."""
-    return float(np.mean(dt * np.asarray(v_pred, dtype=np.float64)))
 
 
 def flow_step(z, dt: float, v_pred, omega=1.0) -> np.ndarray:

@@ -18,40 +18,28 @@ the independent arithmetic route used to verify it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "SignalDivergenceError",
-    "CoefficientFormError",
     "BetaSchedule",
     "AlphaBarSchedule",
     "SigmaSchedule",
     "FlowTimesteps",
-    "StepCoefficients",
     "make_linear_beta",
     "alpha_bar_from_betas",
     "snr",
     "modified_snr_ddim",
     "karras_sigmas",
     "flow_timesteps",
-    "ddim_coefficients",
-    "euler_coefficients",
-    "step_coefficients",
-    "schedule_to_csv",
 ]
 
 
 class SignalDivergenceError(ZeroDivisionError):
-    """SNR query with no finite value: pure-signal entry or zero step bracket."""
-
-
-class CoefficientFormError(ValueError):
-    """No closed (delta, zeta) pair exists for the requested scheduler."""
+    """SNR query with no finite positive value: pure-signal entry, zero step bracket or over/underflow."""
 
 
 def _frozen_vector(values, name: str) -> np.ndarray:
@@ -281,64 +269,3 @@ def flow_timesteps(num_steps: int) -> FlowTimesteps:
     if not isinstance(num_steps, (int, np.integer)) or num_steps < 1:
         raise ValueError("num_steps must be an integer >= 1")
     return FlowTimesteps(np.linspace(1.0, 0.0, num_steps + 1))
-
-
-class StepCoefficients(NamedTuple):
-    """Coefficients of the generic denoise step z' = delta * z + zeta * eps."""
-
-    delta: float
-    zeta: float
-
-
-def ddim_coefficients(alpha_bar_t: float, alpha_bar_prev: float) -> StepCoefficients:
-    """delta = sqrt(abar_prev/abar_t); zeta = sqrt(1-abar_prev) - sqrt(abar_prev)*sqrt(1-abar_t)/sqrt(abar_t)."""
-    for name, value in (("alpha_bar_t", alpha_bar_t), ("alpha_bar_prev", alpha_bar_prev)):
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1]")
-    root_t = math.sqrt(alpha_bar_t)
-    delta = math.sqrt(alpha_bar_prev) / root_t
-    zeta = -math.sqrt(alpha_bar_prev) * math.sqrt(1.0 - alpha_bar_t) / root_t + math.sqrt(
-        1.0 - alpha_bar_prev
-    )
-    return StepCoefficients(delta, zeta)
-
-
-def euler_coefficients(sigma_cur: float, sigma_next: float, churn: float = 0.0) -> StepCoefficients:
-    """delta = 1; zeta = sigma_next - sigma_hat with sigma_hat = sigma_cur * (churn + 1)."""
-    if sigma_cur < 0.0 or sigma_next < 0.0 or churn < 0.0:
-        raise ValueError("sigma levels and churn must be non-negative")
-    return StepCoefficients(1.0, sigma_next - sigma_cur * (churn + 1.0))
-
-
-def step_coefficients(kind: str, schedule, t: int) -> StepCoefficients:
-    """Generic (delta, zeta) for one step of the named scheduler.
-
-    Flow matching admits no closed pair -- its update dt*v is not a scalar
-    multiple of a standard-normal prediction -- so requesting it raises
-    CoefficientFormError.
-    """
-    if kind == "ddim":
-        return ddim_coefficients(schedule.alpha_bar(t), schedule.alpha_bar(t - 1))
-    if kind == "euler":
-        if not 0 <= t < schedule.num_steps:
-            raise ValueError(f"level index {t} outside [0, {schedule.num_steps})")
-        return euler_coefficients(
-            float(schedule.sigmas[t]), float(schedule.sigmas[t + 1]), schedule.churn
-        )
-    if kind == "flow":
-        raise CoefficientFormError(
-            "flow matching has no closed (delta, zeta) pair; the update is dt * v"
-        )
-    raise ValueError(f"unknown scheduler kind {kind!r}")
-
-
-def schedule_to_csv(schedule: BetaSchedule, path) -> None:
-    """Write one row per step (t, beta, alpha_bar, snr) at full precision."""
-    bars = alpha_bar_from_betas(schedule)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "beta", "alpha_bar", "snr"])
-        for t in range(1, schedule.num_steps + 1):
-            writer.writerow(
-                [t, repr(float(schedule.betas[t - 1])), repr(bars.alpha_bar(t)), repr(snr(bars, t))]
-            )

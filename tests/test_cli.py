@@ -12,7 +12,7 @@ import pytest
 
 from omegance import reference_trajectory, run_sampler, standard_normal
 from omegance.cli import main
-from omegance.formats import read_pgm, read_snapshot, write_pgm
+from omegance.formats import read_pgm, read_snapshot, write_pgm, write_snapshot
 from omegance.samplers import NumericAbortError, SamplerConfig
 
 
@@ -299,7 +299,7 @@ class TestSampleCommand:
         assert manifest["status"] == "aborted"
         assert manifest["aborted_cell"] == {"seed": 0, "omega_index": 0}
 
-    def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path, monkeypatch):
+    def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path, sample_config(tmp_path))
         assert main(["sample", "--config", str(config)]) == 0
         out = tmp_path / "out"
@@ -312,10 +312,36 @@ class TestSampleCommand:
             raise OSError("no space left on device")
 
         monkeypatch.setattr(Path, "write_text", fail_midway)
-        with pytest.raises(OSError, match="no space left"):
-            main(["sample", "--config", str(config), "--seeds", "1"])
+        assert main(["sample", "--config", str(config), "--seeds", "1"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io error: ")
         assert (out / "manifest.json").read_bytes() == before
         assert sorted(path.name for path in out.iterdir()) == on_disk
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_artifact_write_exits_4_with_an_error_manifest(self, tmp_path, monkeypatch, capsys, threads):
+        config = write_config(tmp_path, sample_config(tmp_path))
+        calls = []
+
+        def fail_fourth(path, values, step):
+            calls.append(path)
+            if len(calls) == 4:
+                raise OSError(28, "No space left on device", str(path))
+            write_snapshot(path, values, step)
+
+        monkeypatch.setattr("omegance.cli.write_snapshot", fail_fourth)
+        assert main(["sample", "--config", str(config), "--threads", threads]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io error: ")
+        out = tmp_path / "out"
+        manifest = read_manifest(out)
+        assert manifest["status"] == "error"
+        assert "No space left on device" in manifest["error"]
+        on_disk = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
+        assert len(on_disk) == len(calls) - 1
+        assert manifest["artifacts"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in on_disk
+        }
 
 
 class TestSnrCommand:
@@ -352,6 +378,21 @@ class TestSnrCommand:
         assert all(low[t] < high[t] for t in low)
         manifest = read_manifest(tmp_path / "out")
         assert manifest["max_relative_deviation"] <= 1e-9
+
+    @pytest.mark.parametrize("omega", [1e200, 1e308])
+    def test_unformable_ratio_aborts_with_a_manifest(self, tmp_path, capsys, omega):
+        # the squared bracket overflows, so both routes would give a ratio of 0
+        config = self.config(tmp_path, [1.0, omega])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["snr", "--config", str(config)]) == 3
+        assert capsys.readouterr().err.startswith("numeric abort at step 0: ")
+        manifest = read_manifest(tmp_path / "out")
+        assert manifest["status"] == "aborted"
+        assert manifest["aborted_cell"] == {"omega_index": 1}
+        assert "t=2" in manifest["error"]
+        assert manifest["artifacts"] == {}
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["manifest.json"]
 
     def test_requires_ddim(self, tmp_path):
         config = write_config(

@@ -11,7 +11,6 @@ from omegance import (
     GaussianMixture,
     gaussian_field_2d,
     radial_spectrum,
-    sample_prior,
     standard_normal,
 )
 from omegance import oracles
@@ -497,35 +496,6 @@ class TestVelocityOracle:
     def test_rejects_time_outside_unit_interval(self):
         with pytest.raises(ValueError):
             standard_normal().velocity_predict(np.zeros(2), 1.5)
-
-
-class TestSamplePrior:
-    def test_law_of_large_numbers(self):
-        draws = sample_prior(standard_normal(), 11, 10**6)
-        assert abs(draws.mean()) < 4.0 / math.sqrt(10**6)
-
-    def test_degenerate_weights(self):
-        gm = GaussianMixture(np.array([1.0, 0.0]), np.array([5.0, -5.0]), np.array([1e-6, 1e-6]))
-        draws = sample_prior(gm, 0, 1000)
-        assert np.all(np.abs(draws - 5.0) < 1.0)
-
-    def test_component_frequencies_within_binomial_bound(self):
-        weights = np.array([0.3, 0.7])
-        gm = GaussianMixture(weights, np.array([-50.0, 50.0]), np.array([1.0, 1.0]))
-        n = 20000
-        draws = sample_prior(gm, 123, n)
-        count_high = int((draws > 0).sum())
-        stddev = math.sqrt(n * 0.7 * 0.3)
-        assert abs(count_high - n * 0.7) < 4.0 * stddev
-
-    def test_deterministic_given_seed(self):
-        gm = ASYMMETRIC
-        assert np.array_equal(sample_prior(gm, 7, 100), sample_prior(gm, 7, 100))
-
-    def test_vector_draws(self):
-        gm = GaussianMixture(np.array([1.0]), np.array([[1.0, -1.0]]), np.array([[0.5, 0.5]]))
-        draws = sample_prior(gm, 5, 50)
-        assert draws.shape == (50, 2)
 
 
 class TestMixtureValidation:

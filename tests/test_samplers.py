@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import bits_equal
 from omegance import (
     IDENTITY_CONTROL,
-    AlphaBarSchedule,
     ConstantSchedule,
     GaussianMixture,
     LatentState,
@@ -25,9 +24,6 @@ from omegance import (
     flow_step,
     flow_step_reference,
     flow_timesteps,
-    flow_update_mean,
-    forward_noise,
-    forward_noise_at,
     karras_sigmas,
     reference_trajectory,
     run_sampler,
@@ -36,34 +32,6 @@ from omegance import (
 from omegance import samplers
 
 RNG = np.random.default_rng(20240521)
-
-
-class TestForwardNoise:
-    def test_pure_signal_endpoint(self):
-        z0 = RNG.standard_normal((4, 4))
-        eps = RNG.standard_normal((4, 4))
-        assert np.array_equal(forward_noise_at(z0, 1.0, eps), z0)
-
-    def test_pure_noise_endpoint(self):
-        z0 = RNG.standard_normal(8)
-        eps = RNG.standard_normal(8)
-        assert np.array_equal(forward_noise_at(z0, 0.0, eps), eps)
-
-    def test_hand_arithmetic(self):
-        out = forward_noise_at(np.array([1.0]), 0.64, np.array([0.5]))
-        assert float(out[0]) == pytest.approx(1.1, rel=1e-12)
-
-    def test_schedule_indexed(self, linear_bars):
-        z0 = RNG.standard_normal(6)
-        eps = RNG.standard_normal(6)
-        assert np.array_equal(forward_noise(z0, linear_bars, 0, eps), z0)
-        t = 400
-        expected = forward_noise_at(z0, linear_bars.alpha_bar(t), eps)
-        assert np.array_equal(forward_noise(z0, linear_bars, t, eps), expected)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            forward_noise_at(np.zeros(3), 0.5, np.zeros(4))
 
 
 class TestDdimStep:
@@ -165,7 +133,6 @@ class TestFlowStep:
         z = np.zeros(2)
         out = flow_step(z, -0.02, np.array([1.0, -1.0]), 1.1)
         assert np.allclose(out, [-0.022, 0.022], rtol=1e-12)
-        assert flow_update_mean(-0.02, np.array([1.0, -1.0])) == 0.0
 
     @given(
         omega=st.floats(0.5, 1.5),

@@ -1,4 +1,3 @@
-import csv
 import math
 from fractions import Fraction
 
@@ -9,19 +8,14 @@ from hypothesis import strategies as st
 
 from omegance import (
     AlphaBarSchedule,
-    CoefficientFormError,
     SigmaSchedule,
     SignalDivergenceError,
     alpha_bar_from_betas,
-    ddim_coefficients,
-    euler_coefficients,
     flow_timesteps,
     karras_sigmas,
     make_linear_beta,
     modified_snr_ddim,
-    schedule_to_csv,
     snr,
-    step_coefficients,
 )
 
 
@@ -225,69 +219,3 @@ class TestFlowTimesteps:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             flow_timesteps(0)
-
-
-class TestStepCoefficients:
-    def test_no_op_step(self):
-        delta, zeta = ddim_coefficients(0.5, 0.5)
-        assert delta == 1.0
-        assert zeta == pytest.approx(0.0, abs=1e-15)
-
-    def test_euler_without_churn(self):
-        delta, zeta = euler_coefficients(2.0, 1.5)
-        assert (delta, zeta) == (1.0, -0.5)
-
-    def test_euler_with_churn(self):
-        delta, zeta = euler_coefficients(2.0, 1.0, churn=0.5)
-        assert delta == 1.0
-        assert zeta == pytest.approx(-2.0)
-
-    def test_frozen_ddim_pair(self):
-        delta, zeta = ddim_coefficients(0.5, 0.6)
-        assert delta == pytest.approx(1.0954451150103321, rel=1e-12)
-        assert zeta == pytest.approx(-0.14214113720780752, rel=1e-12)
-
-    @given(
-        ab_t=st.floats(0.01, 0.98),
-        gap=st.floats(1e-6, 0.02),
-        z0=st.floats(-5, 5),
-        eps=st.floats(-5, 5),
-    )
-    def test_generic_step_identity(self, ab_t, gap, z0, eps):
-        # delta * z_t + zeta * eps must re-land on the forward form at t-1
-        ab_prev = ab_t + gap
-        delta, zeta = ddim_coefficients(ab_t, ab_prev)
-        z_t = math.sqrt(ab_t) * z0 + math.sqrt(1 - ab_t) * eps
-        stepped = delta * z_t + zeta * eps
-        expected = math.sqrt(ab_prev) * z0 + math.sqrt(1 - ab_prev) * eps
-        assert stepped == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    def test_dispatch(self, linear_bars):
-        assert step_coefficients("ddim", linear_bars, 500) == ddim_coefficients(
-            linear_bars.alpha_bar(500), linear_bars.alpha_bar(499)
-        )
-        sig = karras_sigmas(5, 1.0, 8.0)
-        assert step_coefficients("euler", sig, 2) == euler_coefficients(
-            float(sig.sigmas[2]), float(sig.sigmas[3])
-        )
-        with pytest.raises(CoefficientFormError):
-            step_coefficients("flow", flow_timesteps(10), 0)
-        with pytest.raises(ValueError):
-            step_coefficients("heun", linear_bars, 1)
-
-
-class TestScheduleCsv:
-    def test_rows_and_roundtrip(self, tmp_path):
-        betas = make_linear_beta(20, 1e-3, 0.01)
-        path = tmp_path / "schedule.csv"
-        schedule_to_csv(betas, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "beta", "alpha_bar", "snr"]
-        assert len(rows) == 21
-        bars = alpha_bar_from_betas(betas)
-        t, beta, bar, ratio = rows[10]
-        assert int(t) == 10
-        assert float(beta) == float(betas.betas[9])
-        assert float(bar) == bars.alpha_bar(10)
-        assert float(ratio) == snr(bars, 10)
