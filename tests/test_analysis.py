@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from omegance import (
     AlphaBarSchedule,
@@ -26,25 +24,12 @@ from omegance.analysis import _radial_bins
 
 
 class TestCoefficientPropagation:
-    @given(
-        ab_t=st.floats(0.01, 0.98),
-        gap=st.floats(1e-6, 0.02),
-        z0=st.floats(-5, 5),
-        eps=st.floats(-5, 5),
-    )
-    def test_unit_omega_relands_on_forward_form(self, linear_bars, ab_t, gap, z0, eps):
+    def test_unit_omega_relands_on_forward_form(self, linear_bars):
         for t in (2, 500, 1000):
             state = propagate_coefficients_ddim(linear_bars, 1.0, t, steps=1)[-1]
             ab_prev = linear_bars.alpha_bar(t - 1)
             assert state.z0_coeff == pytest.approx(math.sqrt(ab_prev), rel=1e-12)
             assert state.eps_coeff == pytest.approx(math.sqrt(1.0 - ab_prev), rel=1e-12)
-        # one step of delta * z_t + zeta * eps from any forward-form latent
-        # re-lands on the forward form at t - 1
-        ab_prev = ab_t + gap
-        state = propagate_coefficients_ddim(AlphaBarSchedule([ab_prev, ab_t]), 1.0, 1)[-1]
-        stepped = state.z0_coeff * z0 + state.eps_coeff * eps
-        expected = math.sqrt(ab_prev) * z0 + math.sqrt(1.0 - ab_prev) * eps
-        assert stepped == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_default_start_is_forward_decomposition(self, linear_bars):
         states = propagate_coefficients_ddim(linear_bars, 0.9, 700, steps=3)

@@ -15,6 +15,7 @@ from omegance import (
     karras_sigmas,
     make_linear_beta,
     modified_snr_ddim,
+    propagate_coefficients_ddim,
     snr,
 )
 
@@ -219,3 +220,20 @@ class TestFlowTimesteps:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             flow_timesteps(0)
+
+
+class TestStepCoefficients:
+    @given(
+        ab_t=st.floats(0.01, 0.98),
+        gap=st.floats(1e-6, 0.02),
+        z0=st.floats(-5, 5),
+        eps=st.floats(-5, 5),
+    )
+    def test_generic_step_identity(self, ab_t, gap, z0, eps):
+        # one unit-omega step of delta * z_t + zeta * eps from a forward-form
+        # latent must re-land on the forward form at t-1
+        ab_prev = ab_t + gap
+        state = propagate_coefficients_ddim(AlphaBarSchedule([ab_prev, ab_t]), 1.0, 1)[-1]
+        stepped = state.z0_coeff * z0 + state.eps_coeff * eps
+        expected = math.sqrt(ab_prev) * z0 + math.sqrt(1 - ab_prev) * eps
+        assert stepped == pytest.approx(expected, rel=1e-12, abs=1e-12)
