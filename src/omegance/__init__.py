@@ -76,4 +76,60 @@ from .schedules import (
     snr,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CoefficientState",
+    "ScalarTrajectory",
+    "SnrTrajectory",
+    "SpectrumProfile",
+    "band_energy",
+    "closed_form_scalar_trajectory",
+    "propagate_coefficients_ddim",
+    "radial_spectrum",
+    "snr_trajectory",
+    "ConfigError",
+    "ExperimentConfig",
+    "load_config",
+    "parse_config",
+    "DEFAULT_RESCALE",
+    "IDENTITY_CONTROL",
+    "ConstantSchedule",
+    "CosSchedule",
+    "ExpSchedule",
+    "OmegaControl",
+    "OmegaMask",
+    "OmegaSchedule",
+    "RescaleParams",
+    "TwoStageSchedule",
+    "mask_from_grayscale",
+    "mask_to_grayscale",
+    "preset_schedule",
+    "rescale",
+    "GaussianFieldSpec",
+    "GaussianMixture",
+    "gaussian_field_2d",
+    "standard_normal",
+    "Denoiser",
+    "LatentState",
+    "NumericAbortError",
+    "SamplerConfig",
+    "Trajectory",
+    "ddim_step",
+    "ddim_step_reference",
+    "euler_step",
+    "euler_step_reference",
+    "flow_step",
+    "flow_step_reference",
+    "reference_trajectory",
+    "run_sampler",
+    "AlphaBarSchedule",
+    "BetaSchedule",
+    "FlowTimesteps",
+    "SigmaSchedule",
+    "SignalDivergenceError",
+    "alpha_bar_from_betas",
+    "flow_timesteps",
+    "karras_sigmas",
+    "make_linear_beta",
+    "modified_snr_ddim",
+    "snr",
+]

@@ -26,6 +26,7 @@ import json
 import os
 import platform
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -165,17 +166,47 @@ def _init_latent(config: ExperimentConfig, schedule, seed: int) -> np.ndarray:
     return z
 
 
-def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> list:
-    """Results of every (seed, omega index) cell in order.
+class _SeedDraws:
+    """Each seed's initial latent, drawn once and shared by that seed's omega cells.
 
-    A numeric abort leaves with ``cell`` set to the aborting cell, once every
-    cell already started has finished, so the files written are all listed.
+    The first cell of a seed to ask draws it, and the last one to ask drops
+    it, so a sweep holds at most one draw per seed in flight. Every seed has
+    its own lock: no draw waits on another seed's. The sampler copies its
+    initial latent, so the cells never see each other's writes.
+    """
+
+    def __init__(self, config: ExperimentConfig, schedule):
+        self._config = config
+        self._schedule = schedule
+        # seed -> [lock, draw or None, omega cells yet to take it]
+        self._slots = {seed: [threading.Lock(), None, len(config.omegas)] for seed in config.seeds}
+
+    def take(self, seed: int) -> np.ndarray:
+        slot = self._slots[seed]
+        with slot[0]:
+            z = slot[1]
+            if z is None:
+                z = slot[1] = _init_latent(self._config, self._schedule, seed)
+                z.flags.writeable = False
+            slot[2] -= 1
+            if slot[2] == 0:
+                slot[1] = None
+        return z
+
+
+def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> list:
+    """Results of ``cell_fn(seed, omega index, draws)`` for every cell, in order.
+
+    ``draws`` is the sweep's ``_SeedDraws``. A numeric abort leaves with
+    ``cell`` set to the aborting cell, once every cell already started has
+    finished, so the files written are all listed.
     """
     cells = [(seed, idx) for seed in config.seeds for idx in range(len(config.omegas))]
+    draws = _SeedDraws(config, schedule)
 
     def run(cell):
         try:
-            return cell_fn(*cell)
+            return cell_fn(*cell, draws)
         except NumericAbortError as exc:
             exc.cell = {"seed": cell[0], "omega_index": cell[1]}
             raise
@@ -186,8 +217,10 @@ def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> lis
         return list(pool.map(run, cells))
 
 
-def _cell_trajectory(config: ExperimentConfig, schedule, seed: int, idx: int, snapshots):
-    """Trajectory of one (seed, omega index) cell, keeping the given snapshot steps."""
+def _cell_trajectory(
+    config: ExperimentConfig, schedule, draws: _SeedDraws, seed: int, idx: int, snapshots, on_snapshot=None
+):
+    """Trajectory of one (seed, omega index) cell, keeping or streaming the given snapshot steps."""
     sampler_config = SamplerConfig(
         kind=config.sampler_kind,
         steps=config.steps,
@@ -196,7 +229,7 @@ def _cell_trajectory(config: ExperimentConfig, schedule, seed: int, idx: int, sn
         seed=seed,
         snapshots=snapshots,
     )
-    return run_sampler(config.oracle, sampler_config, _init_latent(config, schedule, seed))
+    return run_sampler(config.oracle, sampler_config, draws.take(seed), on_snapshot=on_snapshot)
 
 
 def _sha256(path: Path) -> str:
@@ -245,8 +278,11 @@ def cmd_sample(args, config: ExperimentConfig, written: list[str]) -> dict:
     out = _out_dir(config)
     schedule = config.make_schedule()
 
-    def run_cell(seed: int, idx: int) -> None:
-        trajectory = _cell_trajectory(config, schedule, seed, idx, config.snapshots)
+    # states are collected and written after the run, not from a snapshot
+    # sink: a cell holds at most len(config.snapshots) of them, and writing
+    # from inside the step loop measured no faster
+    def run_cell(seed: int, idx: int, draws: _SeedDraws) -> None:
+        trajectory = _cell_trajectory(config, schedule, draws, seed, idx, config.snapshots)
         for state in trajectory.states:
             stem = f"seed{seed}_omega{idx}_step{state.step:04d}"
             written.append(_write_latent(out, stem, state.values, state.step, config.snapshot_format))
@@ -308,16 +344,20 @@ def cmd_spectrum(args, config: ExperimentConfig, written: list[str]) -> dict:
     schedule = config.make_schedule()
     snapshots = config.snapshots or (config.steps,)
 
-    def run_cell(seed: int, idx: int):
-        trajectory = _cell_trajectory(config, schedule, seed, idx, snapshots)
+    def run_cell(seed: int, idx: int, draws: _SeedDraws):
         profiles = {}
-        for state in trajectory.states:
+
+        # reduces each snapshot as the sampler hands it over, so a cell holds
+        # one snapshot at a time, not its whole trajectory
+        def reduce(state) -> None:
             profile = radial_spectrum(state.values)
             profiles[state.step] = (
                 profile.mean_power,
                 band_energy(profile, "low"),
                 band_energy(profile, "high"),
             )
+
+        _cell_trajectory(config, schedule, draws, seed, idx, snapshots, on_snapshot=reduce)
         return idx, profiles
 
     # (mean_power, low, high) summed over seeds, keyed by (omega index, snapshot

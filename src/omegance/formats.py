@@ -8,11 +8,17 @@ little-endian payload. Vectors are stored with rows = 1 and read back as a
 Masks travel as binary PGM (magic P5, maxval exactly 255). CSV output is
 UTF-8 with a header row; floats are serialised with repr so they round-trip
 to the exact double.
+
+Every writer fills a temp file beside its target (``<name>.tmp``) and moves
+it into place with ``os.replace`` only once it is complete, so a failed write
+leaves no partial file: the target keeps whatever it held before.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import struct
 from pathlib import Path
 
@@ -32,9 +38,23 @@ SNAPSHOT_MAGIC = b"LSN1"
 _HEADER = struct.Struct("<4sIII")
 
 
+@contextlib.contextmanager
+def _replacing(path, mode: str = "wb", **kwargs):
+    """A file open on ``<path>.tmp`` that replaces ``path`` once closed; on failure it is removed."""
+    path = Path(path)
+    temp = path.with_name(f"{path.name}.tmp")
+    try:
+        with temp.open(mode, **kwargs) as fh:
+            yield fh
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def write_snapshot(path, values, step: int) -> None:
     """Write one latent to the binary snapshot format."""
-    arr = np.asarray(values, dtype=np.float64)
+    # a C-ordered little-endian float64 latent is written from its own buffer
+    arr = np.asarray(values, dtype="<f8", order="C")
     if arr.ndim == 1:
         rows, cols = 1, arr.shape[0]
     elif arr.ndim == 2:
@@ -43,8 +63,9 @@ def write_snapshot(path, values, step: int) -> None:
         raise ValueError("snapshots hold 1-D or 2-D latents only")
     if step < 0:
         raise ValueError("step must be non-negative")
-    header = _HEADER.pack(SNAPSHOT_MAGIC, rows, cols, step)
-    Path(path).write_bytes(header + arr.astype("<f8").tobytes(order="C"))
+    with _replacing(path) as fh:
+        fh.write(_HEADER.pack(SNAPSHOT_MAGIC, rows, cols, step))
+        fh.write(arr)
 
 
 def read_snapshot(path) -> tuple[np.ndarray, int]:
@@ -109,7 +130,8 @@ def write_pgm(path, gray) -> None:
         arr = arr.astype(np.uint8)
     height, width = arr.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + arr.tobytes(order="C"))
+    with _replacing(path) as fh:
+        fh.write(header + arr.tobytes(order="C"))
 
 
 def format_cell(value) -> str:
@@ -130,7 +152,7 @@ _NATIVE_CELL_TYPES = frozenset((int, float, str))
 
 def write_csv(path, header, rows) -> None:
     """Write a UTF-8 CSV with a header row and full-precision numeric cells."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(header))
         for row in rows:

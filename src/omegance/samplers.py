@@ -22,6 +22,21 @@ order is swapping the two operands of a single + or *, which is exact in
 IEEE arithmetic. They never write into z, the prediction or the omega field.
 The reference twins keep the plain expressions, an independent route.
 
+Snapshot sink: ``run_sampler(..., on_snapshot=sink)`` calls ``sink(state)``
+with each requested ``LatentState`` right after its step (step 0 before the
+first), in step order, on the caller's thread. The state holds a private copy
+of the latent, so the sink may keep or change it freely. The returned
+``Trajectory`` then has ``states == ()``; ``final`` is the same. An exception
+raised by the sink ends the run and propagates unchanged. A consumer that
+reduces each snapshot as it arrives holds one snapshot at a time instead of
+all of them.
+
+Warnings: the loop silences numpy's overflow and invalid-operation warnings
+for the denoiser call and the step, one step at a time, because a
+non-finite latent is caught by the finiteness check and raised as
+``NumericAbortError``. The sink runs outside that scope, so its own numpy
+warnings follow the caller's settings.
+
 Randomness: a trajectory consumes random numbers only for the churn
 perturbation of the variance-exploding sampler, drawn from stream 1 of
 ``numpy.random.SeedSequence(config.seed).spawn(2)``. Stream 0 is reserved for
@@ -279,31 +294,34 @@ def _churn_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
 
 
-def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool) -> Trajectory:
+def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool, on_snapshot=None) -> Trajectory:
     """The reverse-process loop shared by the scaled run and its reference twin.
 
     The two differ only in the step kernel: scaled runs call ``ddim_step``,
     ``euler_step`` or ``flow_step`` with the control's omega, reference runs
     call the ``*_step_reference`` twin and never read the control. Kernels are
     looked up by module-global name at every step so that wrappers installed
-    on those names see every call.
+    on those names see every call. Requested snapshots go to ``on_snapshot``
+    when one is given, else into the returned ``states``.
     """
     _check_capability(denoiser, config.kind)
     z = _prepare_latent(z_init)
     wanted = set(config.snapshots)
     states: list[LatentState] = []
+    keep = states.append if on_snapshot is None else on_snapshot
     if 0 in wanted:
-        states.append(LatentState(z.copy(), 0))
+        keep(LatentState(z.copy(), 0))
 
     if config.kind == "ddim":
         ladder = config.schedule.subsample(config.steps)
     elif config.kind == "euler" and config.schedule.churn > 0.0:
         rng = _churn_rng(config.seed)
 
-    # an overflow or 0 * inf shows as a non-finite latent, which the check
-    # below turns into NumericAbortError; numpy need not warn about it too
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(config.steps):
+    for k in range(config.steps):
+        # an overflow or 0 * inf shows as a non-finite latent, which the check
+        # below turns into NumericAbortError; numpy need not warn about it too.
+        # The scope is one step, so a snapshot sink's own warnings still fire.
+        with np.errstate(over="ignore", invalid="ignore"):
             omega = (config.control.resolve_field(z.shape, k),) if scaled else ()
             if config.kind == "ddim":
                 t = config.steps - k
@@ -321,21 +339,23 @@ def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool) -> Trajec
             else:
                 v = _prediction(denoiser.velocity_predict(z, float(config.schedule.times[k])), z)
                 z = (flow_step if scaled else flow_step_reference)(z, config.schedule.dt(k), v, *omega)
-            if not np.all(np.isfinite(z)):
-                raise NumericAbortError(k + 1, f"non-finite latent after step {k + 1}")
-            if (k + 1) in wanted:
-                states.append(LatentState(z.copy(), k + 1))
+        if not np.all(np.isfinite(z)):
+            raise NumericAbortError(k + 1, f"non-finite latent after step {k + 1}")
+        if (k + 1) in wanted:
+            keep(LatentState(z.copy(), k + 1))
 
     return Trajectory(tuple(states), LatentState(z, config.steps))
 
 
-def run_sampler(denoiser, config: SamplerConfig, z_init) -> Trajectory:
+def run_sampler(denoiser, config: SamplerConfig, z_init, on_snapshot=None) -> Trajectory:
     """Run the configured reverse process and collect the requested snapshots.
 
     The trajectory is strictly sequential and fully determined by
     (config, z_init); non-finite values abort with the offending step index.
+    With ``on_snapshot``, each requested state is handed to it as soon as its
+    step is done instead of being collected, and ``states`` comes back empty.
     """
-    return _trajectory(denoiser, config, z_init, scaled=True)
+    return _trajectory(denoiser, config, z_init, scaled=True, on_snapshot=on_snapshot)
 
 
 def reference_trajectory(denoiser, config: SamplerConfig, z_init) -> Trajectory:

@@ -5,12 +5,13 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from omegance import reference_trajectory, run_sampler, standard_normal
+from omegance import cli, reference_trajectory, run_sampler, standard_normal
 from omegance.cli import main
 from omegance.formats import read_pgm, read_snapshot, write_pgm, write_snapshot
 from omegance.samplers import NumericAbortError, SamplerConfig
@@ -88,7 +89,7 @@ def check_numeric_abort(tmp_path, monkeypatch, command):
     """
     in_flight = threading.Event()
 
-    def explode(denoiser, config, z_init):
+    def explode(denoiser, config, z_init, on_snapshot=None):
         if config.seed == 1 and config.control.base == 1.0:
             if threads == "2":
                 assert in_flight.wait(timeout=10)
@@ -96,7 +97,7 @@ def check_numeric_abort(tmp_path, monkeypatch, command):
         if config.seed == 2 and config.control.base == 0.95:
             in_flight.set()
             time.sleep(0.1)
-        return run_sampler(denoiser, config, z_init)
+        return run_sampler(denoiser, config, z_init, on_snapshot=on_snapshot)
 
     monkeypatch.setattr("omegance.cli.run_sampler", explode)
     config = write_config(tmp_path, sample_config(tmp_path, seeds=[0, 1, 2]))
@@ -343,6 +344,113 @@ class TestSampleCommand:
             name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in on_disk
         }
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_write_failing_midway_leaves_no_partial_file(self, tmp_path, monkeypatch, threads):
+        config = write_config(tmp_path, sample_config(tmp_path))
+        opened = []
+        lock = threading.Lock()
+        real_open = Path.open
+
+        class HalfWriter:
+            """Writes the header, then half of the payload, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 1:
+                    return self.fh.write(data)
+                payload = memoryview(data).cast("B")
+                self.fh.write(payload[: len(payload) // 2])
+                raise OSError(28, "No space left on device")
+
+        def flaky_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            if path.name.endswith(".bin.tmp"):
+                with lock:
+                    opened.append(path.name)
+                    if len(opened) == 3:
+                        return HalfWriter(fh)
+            return fh
+
+        monkeypatch.setattr(Path, "open", flaky_open)
+        assert main(["sample", "--config", str(config), "--threads", threads]) == 4
+        out = tmp_path / "out"
+        manifest = read_manifest(out)
+        assert manifest["status"] == "error"
+        on_disk = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
+        assert opened[2][: -len(".tmp")] not in on_disk
+        assert len(on_disk) == len(opened) - 1
+        assert manifest["artifacts"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in on_disk
+        }
+        for name in on_disk:
+            read_snapshot(out / name)  # whole files only
+
+
+class TestSeedDraws:
+    def test_one_draw_per_seed_shared_by_its_omega_cells(self, tmp_path, monkeypatch):
+        drawn = []
+        draws = []  # weak references to every draw made
+        alive_at_draw = []  # how many earlier draws were still alive at each draw
+        real = cli._init_latent
+
+        def counted(config, schedule, seed):
+            alive_at_draw.append(sum(ref() is not None for ref in draws))
+            z = real(config, schedule, seed)
+            drawn.append(seed)
+            draws.append(weakref.ref(z))
+            return z
+
+        monkeypatch.setattr(cli, "_init_latent", counted)
+        seeds = [0, 1, 2, 3, 4, 5]
+        config = write_config(tmp_path, sample_config(tmp_path, seeds=seeds, omega={"values": [0.95, 1.0, 1.05]}))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in ("1", "4"):
+                drawn.clear()
+                draws.clear()
+                alive_at_draw.clear()
+                out = tmp_path / f"out{threads}"
+                assert main(["sample", "--config", str(config), "--out", str(out), "--threads", threads]) == 0
+                assert sorted(drawn) == seeds
+                # a draw lives only while its seed has cells in flight: with one
+                # thread none is left when the next seed is drawn, with four at
+                # most one per other worker
+                assert max(alive_at_draw) <= int(threads) - 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert read_manifest(tmp_path / "out1")["artifacts"] == read_manifest(tmp_path / "out4")["artifacts"]
+
+    def test_a_draw_does_not_wait_on_another_seeds(self, tmp_path, monkeypatch):
+        # three workers: cell (0, 0) draws seed 0 and holds it until seed 1 is
+        # drawn, cell (0, 1) waits for seed 0's draw, and cell (1, 0) must
+        # still be free to draw seed 1
+        seed1_drawn = threading.Event()
+        real = cli._init_latent
+
+        def gated(config, schedule, seed):
+            if seed == 0:
+                assert seed1_drawn.wait(timeout=10)
+            z = real(config, schedule, seed)
+            if seed == 1:
+                seed1_drawn.set()
+            return z
+
+        monkeypatch.setattr(cli, "_init_latent", gated)
+        config = write_config(tmp_path, sample_config(tmp_path))
+        assert main(["sample", "--config", str(config), "--threads", "3"]) == 0
+        assert seed1_drawn.is_set()
+
 
 class TestSnrCommand:
     def config(self, tmp_path, omegas):
@@ -467,6 +575,21 @@ class TestSpectrumCommand:
 
     def test_numeric_abort_exit_code_and_manifest(self, tmp_path, monkeypatch):
         check_numeric_abort(tmp_path, monkeypatch, "spectrum")
+
+    def test_spectrum_streams_its_snapshots_and_sample_collects(self, tmp_path, monkeypatch):
+        sinks = []
+
+        def spy(denoiser, config, z_init, on_snapshot=None):
+            sinks.append(on_snapshot)
+            return run_sampler(denoiser, config, z_init, on_snapshot=on_snapshot)
+
+        monkeypatch.setattr("omegance.cli.run_sampler", spy)
+        config = write_config(tmp_path, sample_config(tmp_path))
+        assert main(["sample", "--config", str(config)]) == 0
+        assert sinks == [None] * 4
+        sinks.clear()
+        assert main(["spectrum", "--config", str(config)]) == 0
+        assert len(sinks) == 4 and all(callable(sink) for sink in sinks)
 
 
 class TestPreviewCommand:

@@ -121,6 +121,19 @@ class TestCsv:
         for (index, text), original in zip(rows[1:], values):
             assert float(text) == original
 
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("old\n")
+
+        def rows():
+            yield [1, 2.0]
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError):
+            write_csv(path, ["a", "b"], rows())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
     def test_format_cell(self):
         assert format_cell(True) == "true"
         assert format_cell(np.float64(0.25)) == "0.25"

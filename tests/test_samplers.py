@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,77 @@ class TestTrajectoryDriver:
             mixture, driver_config(kind, linear_bars, steps, control=control, snapshots=snapshots), z0
         )
         assert not bits_equal(scaled.final.values, controlled.final.values)
+
+    def test_sink_gets_the_collected_states_in_step_order(self, kind, linear_bars):
+        cfg = driver_config(kind, linear_bars, 9, snapshots=(0, 3, 4, 9))
+        mixture = GaussianMixture(np.array([0.4, 0.6]), np.array([-1.0, 1.5]), np.array([0.5, 0.8]))
+        z0 = np.random.default_rng(6).standard_normal((8, 8))
+        collected = run_sampler(mixture, cfg, z0)
+        seen = []
+        streamed = run_sampler(mixture, cfg, z0, on_snapshot=seen.append)
+        assert streamed.states == ()
+        assert [state.step for state in seen] == [0, 3, 4, 9]
+        for a, b in zip(seen, collected.states + (collected.final,)):
+            assert a.step == b.step
+            assert bits_equal(a.values, b.values)
+        assert streamed.final.step == collected.final.step
+        assert bits_equal(streamed.final.values, collected.final.values)
+
+    def test_sink_states_do_not_alias_the_live_latent(self, kind, linear_bars):
+        class Recording:
+            def __init__(self):
+                self.inputs = []
+
+            def epsilon_predict(self, z, **levels):
+                self.inputs.append(z)
+                return standard_normal().epsilon_predict(z, **levels)
+
+            def velocity_predict(self, z, t):
+                self.inputs.append(z)
+                return standard_normal().velocity_predict(z, t)
+
+        cfg = driver_config(kind, linear_bars, 6, snapshots=tuple(range(7)))
+        z0 = np.random.default_rng(7).standard_normal((8, 8))
+        denoiser = Recording()
+        kept = []
+
+        def scribble(state):
+            kept.append(state.values)
+            state.values.fill(np.nan)  # the run must not see this
+
+        streamed = run_sampler(denoiser, cfg, z0, on_snapshot=scribble)
+        assert len(kept) == 7
+        for values in kept:
+            assert not np.shares_memory(values, z0)
+            assert not np.shares_memory(values, streamed.final.values)
+            assert not any(np.shares_memory(values, z) for z in denoiser.inputs)
+        assert bits_equal(streamed.final.values, run_sampler(standard_normal(), cfg, z0).final.values)
+
+    def test_sink_exception_propagates_unchanged(self, kind, linear_bars):
+        class Stop(Exception):
+            pass
+
+        raised = Stop("enough")
+
+        def sink(state):
+            if state.step == 4:
+                raise raised
+
+        cfg = driver_config(kind, linear_bars, 9, snapshots=(0, 4, 9))
+        with pytest.raises(Stop) as info:
+            run_sampler(standard_normal(), cfg, np.ones((4, 4)), on_snapshot=sink)
+        assert info.value is raised
+
+    def test_sink_warnings_are_not_silenced(self, kind, linear_bars):
+        # the loop ignores overflow only around its own steps
+        def overflowing(state):
+            np.exp(np.abs(state.values) + 1000.0)
+
+        cfg = driver_config(kind, linear_bars, 5, snapshots=(5,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                run_sampler(standard_normal(), cfg, np.ones((4, 4)), on_snapshot=overflowing)
 
 
 class TestRunSampler:
