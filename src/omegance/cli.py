@@ -14,8 +14,11 @@ records step 0 and the omega index, and its error names the ladder step),
 4 I/O error (an artifact that could not be written leaves a manifest with
 status "error" listing every file written before it; a manifest that could
 not be written leaves the previous one whole). Commands never modify their
-input files. ``--threads``/``OMEGANCE_THREADS`` parallelise independent
-(seed, omega) cells; results do not depend on the thread count.
+input files. ``--threads N``/``OMEGANCE_THREADS`` run independent (seed,
+omega) cells on the calling thread plus N - 1 helper threads; results do not
+depend on the thread count. After an abort, N > 1 still runs every cell (N =
+1 stops at the aborting one), so an aborted manifest can list more files
+than at N = 1.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import platform
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,7 +40,7 @@ import numpy as np
 from . import __version__
 from .analysis import band_energy, radial_spectrum, snr_trajectory
 from .config import ConfigError, ExperimentConfig, load_config
-from .formats import write_csv, write_pgm, write_snapshot
+from .formats import _replacing, format_cell, write_csv, write_pgm, write_snapshot
 from .omega import mask_to_grayscale
 from .oracles import GaussianFieldSpec, gaussian_field_2d
 from .samplers import NumericAbortError, SamplerConfig, run_sampler
@@ -197,9 +200,13 @@ class _SeedDraws:
 def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> list:
     """Results of ``cell_fn(seed, omega index, draws)`` for every cell, in order.
 
-    ``draws`` is the sweep's ``_SeedDraws``. A numeric abort leaves with
-    ``cell`` set to the aborting cell, once every cell already started has
-    finished, so the files written are all listed.
+    ``draws`` is the sweep's ``_SeedDraws``. With ``threads`` > 1 the
+    calling thread runs cells beside ``threads`` - 1 helper threads (no more
+    threads than cells), all taking them in cell order from one queue: the
+    caller does not sit idle, and malloc keeps one per-thread arena fewer.
+    The error raised is that of the lowest failing cell, a numeric abort
+    with ``cell`` set to it. One thread stops at the first failure; more
+    run every cell first, so the files written are all listed.
     """
     cells = [(seed, idx) for seed in config.seeds for idx in range(len(config.omegas))]
     draws = _SeedDraws(config, schedule)
@@ -213,8 +220,35 @@ def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> lis
 
     if threads == 1:
         return [run(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, cells))
+    futures = [Future() for _ in cells]
+    tasks = iter(zip(cells, futures))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                task = next(tasks, None)
+            if task is None:
+                return
+            cell, future = task
+            try:
+                future.set_result(run(cell))
+            except BaseException as exc:
+                # every future is resolved, so reading them below cannot hang;
+                # an interrupt still stops the thread it reached
+                future.set_exception(exc)
+                if not isinstance(exc, Exception):
+                    raise
+
+    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(cells)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    return [future.result() for future in futures]
 
 
 def _cell_trajectory(
@@ -251,12 +285,8 @@ def _write_manifest(out: Path, command: str, config: ExperimentConfig, files, st
         "timings_s": {"total": time.perf_counter() - started},
     }
     manifest.update(extra)
-    temp = out / "manifest.json.tmp"
-    try:
-        temp.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-        os.replace(temp, out / "manifest.json")
-    finally:
-        temp.unlink(missing_ok=True)
+    with _replacing(out / "manifest.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _write_latent(out: Path, stem: str, values: np.ndarray, step: int, fmt: str) -> str:
@@ -369,13 +399,15 @@ def cmd_spectrum(args, config: ExperimentConfig, written: list[str]) -> dict:
             sums[(idx, step)] = tuple(a + b for a, b in zip(total, moments))
 
     n_seeds = len(config.seeds)
+    # each omega's cell text, formed once rather than once per spectrum row
+    omega_cells = [format_cell(omega) for omega in config.omegas]
     spectrum_rows = []
     band_rows = []
     for (idx, step), (mean_power, low, high) in sorted(sums.items()):
         averaged = mean_power / n_seeds
         for bin_index, value in enumerate(averaged.tolist()):
-            spectrum_rows.append([idx, config.omegas[idx], step, bin_index, value])
-        band_rows.append([idx, config.omegas[idx], step, low / n_seeds, high / n_seeds])
+            spectrum_rows.append([idx, omega_cells[idx], step, bin_index, value])
+        band_rows.append([idx, omega_cells[idx], step, low / n_seeds, high / n_seeds])
     write_csv(
         out / "spectrum.csv",
         ["omega_index", "omega", "step", "bin", "mean_power"],

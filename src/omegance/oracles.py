@@ -36,6 +36,7 @@ directly.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -319,6 +320,23 @@ class GaussianFieldSpec:
             raise ValueError("spectral_exponent must be finite")
 
 
+@functools.lru_cache(maxsize=8)
+def _field_amplitude(height: int, width: int, exponent: float) -> np.ndarray:
+    """Radial amplitude r**(exponent/2) of the full FFT plane, unit mean-square off DC, 0 at DC.
+
+    Cached per (height, width, exponent) and shared by every draw, so it is read-only.
+    """
+    freq_y = np.fft.fftfreq(height) * height
+    freq_x = np.fft.fftfreq(width) * width
+    radii = np.hypot(freq_y[:, None], freq_x[None, :])
+    amplitude = np.zeros_like(radii)
+    nonzero = radii > 0.0
+    amplitude[nonzero] = radii[nonzero] ** (exponent / 2.0)
+    amplitude[nonzero] /= math.sqrt(float(np.mean(amplitude[nonzero] ** 2)))
+    amplitude.setflags(write=False)
+    return amplitude
+
+
 def gaussian_field_2d(spec: GaussianFieldSpec, seed) -> np.ndarray:
     """Draw one field; exponent 0 is plain white noise (cells independent).
 
@@ -326,17 +344,16 @@ def gaussian_field_2d(spec: GaussianFieldSpec, seed) -> np.ndarray:
     radial amplitude r**(exponent/2), normalised to unit mean-square over the
     nonzero frequencies and pinned to zero at DC, so the sample mean is
     exactly zero and the expected radial power profile follows the power law.
-    A 1x1 grid degenerates to a single standard-normal draw.
+    A 1x1 grid degenerates to a single standard-normal draw. The spectrum is
+    shaped and inverted in one complex buffer, and the field returned is a
+    copy of its real part, so no complex buffer outlives the call.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     white = rng.standard_normal((spec.height, spec.width))
     if spec.spectral_exponent == 0.0 or (spec.height == 1 and spec.width == 1):
         return white
-    freq_y = np.fft.fftfreq(spec.height) * spec.height
-    freq_x = np.fft.fftfreq(spec.width) * spec.width
-    radii = np.hypot(freq_y[:, None], freq_x[None, :])
-    amplitude = np.zeros_like(radii)
-    nonzero = radii > 0.0
-    amplitude[nonzero] = radii[nonzero] ** (spec.spectral_exponent / 2.0)
-    amplitude[nonzero] /= math.sqrt(float(np.mean(amplitude[nonzero] ** 2)))
-    return np.fft.ifft2(np.fft.fft2(white) * amplitude).real
+    spectrum = np.fft.fft2(white)
+    spectrum *= _field_amplitude(spec.height, spec.width, spec.spectral_exponent)
+    # ifftn over both axes is ifft2; ifft2 itself ignores out= (numpy 2.4)
+    spectrum = np.fft.ifftn(spectrum, out=spectrum)
+    return spectrum.real.copy()

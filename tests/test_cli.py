@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omegance import cli, reference_trajectory, run_sampler, standard_normal
+from omegance import cli, load_config, reference_trajectory, run_sampler, standard_normal
 from omegance.cli import main
 from omegance.formats import read_pgm, read_snapshot, write_pgm, write_snapshot
 from omegance.samplers import NumericAbortError, SamplerConfig
@@ -306,13 +306,29 @@ class TestSampleCommand:
         out = tmp_path / "out"
         before = (out / "manifest.json").read_bytes()
         on_disk = sorted(path.name for path in out.iterdir())
-        write_text = Path.write_text
+        real_open = Path.open
 
-        def fail_midway(path, data, *args, **kwargs):
-            write_text(path, data[: len(data) // 2], *args, **kwargs)
-            raise OSError("no space left on device")
+        class HalfWriter:
+            """Writes half of the manifest text, then fails."""
 
-        monkeypatch.setattr(Path, "write_text", fail_midway)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        def flaky_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return HalfWriter(fh) if path.name == "manifest.json.tmp" else fh
+
+        monkeypatch.setattr(Path, "open", flaky_open)
         assert main(["sample", "--config", str(config), "--seeds", "1"]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("io error: ")
@@ -450,6 +466,66 @@ class TestSeedDraws:
         config = write_config(tmp_path, sample_config(tmp_path))
         assert main(["sample", "--config", str(config), "--threads", "3"]) == 0
         assert seed1_drawn.is_set()
+
+
+class TestRunCells:
+    @staticmethod
+    def sweep(tmp_path, seeds):
+        config = load_config(write_config(tmp_path, sample_config(tmp_path, seeds=seeds)))
+        cells = [(seed, idx) for seed in seeds for idx in range(len(config.omegas))]
+        return config, config.make_schedule(), cells
+
+    def test_calling_thread_runs_cells_beside_its_helpers(self, tmp_path):
+        config, schedule, cells = self.sweep(tmp_path, list(range(8)))
+        idents = []
+
+        def cell(seed, idx, draws):
+            idents.append(threading.get_ident())
+            time.sleep(0.002)
+            return seed, idx
+
+        assert cli._run_cells(config, schedule, 3, cell) == cells
+        caller = threading.get_ident()
+        assert caller in idents
+        assert len(set(idents) - {caller}) <= 2
+        idents.clear()
+        assert cli._run_cells(config, schedule, 1, cell) == cells
+        assert set(idents) == {caller}
+
+    def test_no_more_threads_than_cells(self, tmp_path, monkeypatch):
+        config, schedule, cells = self.sweep(tmp_path, [0])
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert cli._run_cells(config, schedule, 1000, lambda seed, idx, draws: (seed, idx)) == cells
+        assert len(started) == len(cells) - 1
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_lowest_failing_cell_raises_once_every_cell_has_run(self, tmp_path, threads):
+        # cell (0, 1) fails only after the later cell (1, 0) has failed
+        config, schedule, cells = self.sweep(tmp_path, [0, 1, 2])
+        later_failed = threading.Event()
+        ran = []
+
+        def cell(seed, idx, draws):
+            ran.append((seed, idx))
+            if (seed, idx) == (0, 1):
+                assert later_failed.wait(timeout=10)
+                raise NumericAbortError(2, "lower cell")
+            if (seed, idx) == (1, 0):
+                later_failed.set()
+                raise NumericAbortError(3, "higher cell")
+            return seed, idx
+
+        with pytest.raises(NumericAbortError, match="lower cell") as info:
+            cli._run_cells(config, schedule, threads, cell)
+        assert info.value.cell == {"seed": 0, "omega_index": 1}
+        assert sorted(ran) == cells
 
 
 class TestSnrCommand:
