@@ -250,7 +250,11 @@ def radial_spectrum(values, split_radius: float | None = None) -> SpectrumProfil
         raise ValueError("latent must be at least 4x4")
     height, width = arr.shape
     bins, weights, counts = _radial_bins(height, width)
-    power = np.abs(np.fft.rfft2(arr))
+    # rfft2's two passes in its order, the second in the first's buffer
+    spectrum = np.fft.rfft(arr, axis=-1)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    power = np.abs(spectrum)
+    del spectrum
     np.square(power, out=power)
     power /= arr.size
     power *= weights

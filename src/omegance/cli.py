@@ -9,7 +9,8 @@ the config echo, artifact checksums, versions and timings; identical
 
 Exit codes: 0 success, 2 config error (no output is written), 3 numeric
 abort (the manifest then records the aborting cell and step index and lists
-every file written before the abort; ``snr`` takes no sampler step, so it
+every file written before the abort, the aborting cell's own snapshots
+included; ``snr`` takes no sampler step, so it
 records step 0 and the omega index, and its error names the ladder step),
 4 I/O error (an artifact that could not be written leaves a manifest with
 status "error" listing every file written before it; a manifest that could
@@ -252,9 +253,9 @@ def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> lis
 
 
 def _cell_trajectory(
-    config: ExperimentConfig, schedule, draws: _SeedDraws, seed: int, idx: int, snapshots, on_snapshot=None
+    config: ExperimentConfig, schedule, draws: _SeedDraws, seed: int, idx: int, snapshots, on_snapshot
 ):
-    """Trajectory of one (seed, omega index) cell, keeping or streaming the given snapshot steps."""
+    """Trajectory of one (seed, omega index) cell, streaming the given snapshot steps to ``on_snapshot``."""
     sampler_config = SamplerConfig(
         kind=config.sampler_kind,
         steps=config.steps,
@@ -308,15 +309,12 @@ def cmd_sample(args, config: ExperimentConfig, written: list[str]) -> dict:
     out = _out_dir(config)
     schedule = config.make_schedule()
 
-    # states are collected and written after the run, not from a snapshot
-    # sink: a cell holds at most len(config.snapshots) of them, and writing
-    # from inside the step loop measured no faster
     def run_cell(seed: int, idx: int, draws: _SeedDraws) -> None:
-        trajectory = _cell_trajectory(config, schedule, draws, seed, idx, config.snapshots)
-        for state in trajectory.states:
+        def write(state) -> None:
             stem = f"seed{seed}_omega{idx}_step{state.step:04d}"
             written.append(_write_latent(out, stem, state.values, state.step, config.snapshot_format))
-        final = trajectory.final
+
+        final = _cell_trajectory(config, schedule, draws, seed, idx, config.snapshots, on_snapshot=write).final
         written.append(
             _write_latent(out, f"seed{seed}_omega{idx}_final", final.values, final.step, config.snapshot_format)
         )

@@ -60,7 +60,10 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
 # Largest working set of one trajectory a config may ask for: 8 bytes per
 # latent cell for the latent, its prediction and each retained snapshot. A
-# larger latent is a config error, found before anything is allocated.
+# larger latent is a config error, found before anything is allocated. The
+# CLI commands stream their snapshots and retain none, but a library caller
+# that collects a trajectory's states holds them all, so the bound keeps the
+# snapshot term.
 MAX_LATENT_BYTES = 1 << 32
 
 

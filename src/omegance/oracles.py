@@ -16,9 +16,10 @@ epsilon_predict, z0 for posterior_z0, both for velocity_predict. With K > 1
 components it walks the flattened latent in blocks of BLOCK_CELLS cells, so
 that its (K, block) temporaries stay in a core's cache instead of being
 allocated, faulted in and freed on every call. Each thread keeps one
-workspace (a ``threading.local``, keyed by (K, block width)) of three (K,
-width) buffers, for the differences, the log responsibilities and the eps
-term, and one (1, width) row for the per-cell maximum and total. Every
+workspace (a ``threading.local``, keyed by (K, block width)) of two (K,
+width) buffers, for the differences and the log responsibilities, and one
+(1, width) row for the per-cell maximum and total; a third (K, width) buffer
+for the eps term joins them only once a call asks for both moments. Every
 block runs the same operations in the same order as one pass over the
 whole latent would, and sums its moments over k straight into freshly
 allocated outputs, so a returned array never aliases the workspace and the
@@ -51,19 +52,22 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
-# cells per block of the K > 1 scalar posterior: three (3, BLOCK_CELLS)
+# cells per block of the K > 1 scalar posterior: at most three (3, BLOCK_CELLS)
 # float64 buffers take 1.2 MB, within a 2 MiB per-core L2 cache
 BLOCK_CELLS = 16384
 _workspace = threading.local()
 
 
-def _scalar_workspace(components: int, width: int) -> tuple[np.ndarray, ...]:
-    """This thread's (diff, log_resp, term, row) buffers; one (K, width) set is kept."""
+def _scalar_workspace(components: int, width: int, term: bool) -> list:
+    """This thread's [diff, log_resp, row, term] buffers for one (K, width); term is None until asked for."""
     key = (components, width)
     if getattr(_workspace, "key", None) != key:
-        _workspace.buffers = tuple(np.empty((components, width)) for _ in range(3)) + (np.empty((1, width)),)
+        _workspace.buffers = [np.empty((components, width)), np.empty((components, width)), np.empty((1, width)), None]
         _workspace.key = key
-    return _workspace.buffers
+    buffers = _workspace.buffers
+    if term and buffers[3] is None:
+        buffers[3] = np.empty((components, width))
+    return buffers
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ class GaussianMixture:
         flat = z.reshape(1, -1)
         size = flat.shape[1]
         width = max(1, min(size, BLOCK_CELLS))
-        diff_buf, resp_buf, term_buf, row_buf = _scalar_workspace(self.num_components, width)
+        diff_buf, resp_buf, row_buf, term_buf = _scalar_workspace(self.num_components, width, want_eps and want_z0)
         eps_flat = np.empty(size) if want_eps else None
         z0_flat = np.empty(size) if want_z0 else None
         for start in range(0, size, width):
@@ -344,16 +348,20 @@ def gaussian_field_2d(spec: GaussianFieldSpec, seed) -> np.ndarray:
     radial amplitude r**(exponent/2), normalised to unit mean-square over the
     nonzero frequencies and pinned to zero at DC, so the sample mean is
     exactly zero and the expected radial power profile follows the power law.
-    A 1x1 grid degenerates to a single standard-normal draw. The spectrum is
-    shaped and inverted in one complex buffer, and the field returned is a
-    copy of its real part, so no complex buffer outlives the call.
+    A 1x1 grid degenerates to a single standard-normal draw. The white draw
+    is converted to one complex buffer and dropped; the forward transform,
+    the shaping and the inverse all run in place in that buffer, and the
+    field returned is a copy of its real part, so no complex buffer outlives
+    the call.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     white = rng.standard_normal((spec.height, spec.width))
     if spec.spectral_exponent == 0.0 or (spec.height == 1 and spec.width == 1):
         return white
-    spectrum = np.fft.fft2(white)
+    spectrum = white.astype(np.complex128)
+    del white
+    # fftn / ifftn over both axes are fft2 / ifft2; ifft2 itself ignores out= (numpy 2.4)
+    np.fft.fftn(spectrum, out=spectrum)
     spectrum *= _field_amplitude(spec.height, spec.width, spec.spectral_exponent)
-    # ifftn over both axes is ifft2; ifft2 itself ignores out= (numpy 2.4)
-    spectrum = np.fft.ifftn(spectrum, out=spectrum)
+    np.fft.ifftn(spectrum, out=spectrum)
     return spectrum.real.copy()

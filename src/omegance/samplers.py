@@ -20,7 +20,10 @@ The scaled kernels build their result in one or two fresh arrays with
 in-place operations, in the order of the formulas above; the only change of
 order is swapping the two operands of a single + or *, which is exact in
 IEEE arithmetic. They never write into z, the prediction or the omega field.
-The reference twins keep the plain expressions, an independent route.
+The reference twins keep the plain expressions, an independent route. The
+loop drops each prediction and omega field as soon as its step has used
+them, so the next denoiser call and the snapshot sink run beside the latent
+alone; this changes what the loop holds, not the kernels or their contract.
 
 Snapshot sink: ``run_sampler(..., on_snapshot=sink)`` calls ``sink(state)``
 with each requested ``LatentState`` right after its step (step 0 before the
@@ -325,8 +328,8 @@ def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool, on_snapsh
             omega = (config.control.resolve_field(z.shape, k),) if scaled else ()
             if config.kind == "ddim":
                 t = config.steps - k
-                eps = _prediction(denoiser.epsilon_predict(z, alpha_bar=ladder.alpha_bar(t)), z)
-                z = (ddim_step if scaled else ddim_step_reference)(z, ladder, t, eps, *omega)
+                pred = _prediction(denoiser.epsilon_predict(z, alpha_bar=ladder.alpha_bar(t)), z)
+                z = (ddim_step if scaled else ddim_step_reference)(z, ladder, t, pred, *omega)
             elif config.kind == "euler":
                 sched = config.schedule
                 sigma = float(sched.sigmas[k])
@@ -334,11 +337,13 @@ def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool, on_snapsh
                     sigma_hat = sched.sigma_hat(k)
                     z = z + math.sqrt(sigma_hat**2 - sigma**2) * rng.standard_normal(z.shape)
                     sigma = sigma_hat
-                eps = _prediction(denoiser.epsilon_predict(z, sigma=sigma), z)
-                z = (euler_step if scaled else euler_step_reference)(z, sched, k, eps, *omega)
+                pred = _prediction(denoiser.epsilon_predict(z, sigma=sigma), z)
+                z = (euler_step if scaled else euler_step_reference)(z, sched, k, pred, *omega)
             else:
-                v = _prediction(denoiser.velocity_predict(z, float(config.schedule.times[k])), z)
-                z = (flow_step if scaled else flow_step_reference)(z, config.schedule.dt(k), v, *omega)
+                pred = _prediction(denoiser.velocity_predict(z, float(config.schedule.times[k])), z)
+                z = (flow_step if scaled else flow_step_reference)(z, config.schedule.dt(k), pred, *omega)
+            # the next denoiser call and the snapshot sink need neither
+            del pred, omega
         if not np.all(np.isfinite(z)):
             raise NumericAbortError(k + 1, f"non-finite latent after step {k + 1}")
         if (k + 1) in wanted:

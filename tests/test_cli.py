@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -299,6 +300,57 @@ class TestSampleCommand:
         manifest = read_manifest(tmp_path / "out")
         assert manifest["status"] == "aborted"
         assert manifest["aborted_cell"] == {"seed": 0, "omega_index": 0}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_abort_after_a_snapshot_lists_the_streamed_files(self, tmp_path, threads):
+        # omega 1e300 keeps step 1 finite and overflows step 2, so the aborting
+        # cells have streamed their step-0 and step-1 snapshots already
+        data = sample_config(tmp_path, omega={"values": [1.0, 1e300]})
+        data["sampler"]["snapshots"] = [0, 1, 5]
+        config = write_config(tmp_path, data)
+        assert main(["sample", "--config", str(config), "--threads", threads]) == 3
+        out = tmp_path / "out"
+        manifest = read_manifest(out)
+        assert manifest["status"] == "aborted"
+        assert manifest["aborted_at_step"] == 2
+        assert manifest["aborted_cell"] == {"seed": 0, "omega_index": 1}
+        on_disk = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
+        assert manifest["artifacts"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in on_disk
+        }
+        expected = []
+        for seed in [0] if threads == "1" else [0, 1]:
+            expected += [f"seed{seed}_omega0_{end}.bin" for end in ("final", "step0000", "step0001", "step0005")]
+            expected += [f"seed{seed}_omega1_step0000.bin", f"seed{seed}_omega1_step0001.bin"]
+        assert on_disk == sorted(expected)
+        values, step = read_snapshot(out / "seed0_omega1_step0001.bin")
+        assert step == 1 and np.all(np.isfinite(values)) and np.abs(values).max() > 1e200
+
+    def test_traced_peak_does_not_grow_with_the_snapshot_count(self, tmp_path):
+        # snapshots are written as their steps finish, so a cell holds none of them
+        data = sample_config(
+            tmp_path,
+            oracle={"kind": "gaussian_mixture", "weights": [0.3, 0.4, 0.3], "means": [-1.5, 0.0, 1.5],
+                    "variances": [0.25, 0.5, 0.25]},
+            latent={"shape": [128, 128]},
+            seeds=[0],
+            omega={"values": [0.95]},
+        )
+        data["sampler"] = {"kind": "ddim", "steps": 10, "schedule": {"num_steps": 100}}
+        peaks = []
+        for snapshots in ([0, 10], list(range(11))):
+            data["sampler"]["snapshots"] = snapshots
+            config = write_config(tmp_path, data)
+            argv = ["sample", "--config", str(config), "--threads", "1"]
+            assert main(argv) == 0  # the first run fills this thread's posterior workspace
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 128 * 128 * 8
 
     def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path, sample_config(tmp_path))
@@ -652,7 +704,7 @@ class TestSpectrumCommand:
     def test_numeric_abort_exit_code_and_manifest(self, tmp_path, monkeypatch):
         check_numeric_abort(tmp_path, monkeypatch, "spectrum")
 
-    def test_spectrum_streams_its_snapshots_and_sample_collects(self, tmp_path, monkeypatch):
+    def test_sample_and_spectrum_stream_their_snapshots(self, tmp_path, monkeypatch):
         sinks = []
 
         def spy(denoiser, config, z_init, on_snapshot=None):
@@ -661,11 +713,10 @@ class TestSpectrumCommand:
 
         monkeypatch.setattr("omegance.cli.run_sampler", spy)
         config = write_config(tmp_path, sample_config(tmp_path))
-        assert main(["sample", "--config", str(config)]) == 0
-        assert sinks == [None] * 4
-        sinks.clear()
-        assert main(["spectrum", "--config", str(config)]) == 0
-        assert len(sinks) == 4 and all(callable(sink) for sink in sinks)
+        for command in ("sample", "spectrum"):
+            sinks.clear()
+            assert main([command, "--config", str(config)]) == 0
+            assert len(sinks) == 4 and all(callable(sink) for sink in sinks)
 
 
 class TestPreviewCommand:

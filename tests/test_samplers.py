@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import bits_equal
 from omegance import (
     IDENTITY_CONTROL,
     ConstantSchedule,
+    GaussianFieldSpec,
     GaussianMixture,
     LatentState,
     NumericAbortError,
@@ -18,6 +20,7 @@ from omegance import (
     SamplerConfig,
     SigmaSchedule,
     TwoStageSchedule,
+    band_energy,
     ddim_step,
     ddim_step_reference,
     euler_step,
@@ -25,7 +28,9 @@ from omegance import (
     flow_step,
     flow_step_reference,
     flow_timesteps,
+    gaussian_field_2d,
     karras_sigmas,
+    radial_spectrum,
     reference_trajectory,
     run_sampler,
     standard_normal,
@@ -379,6 +384,28 @@ class TestTrajectoryDriver:
 
 
 class TestRunSampler:
+    def test_spectrum_sink_run_peak_memory(self):
+        # numpy reports its buffers to tracemalloc. Beside its own latent and a
+        # snapshot copy the loop holds no prediction past its step, so a run
+        # that reduces every snapshot to a spectrum peaks below four latents.
+        z0 = gaussian_field_2d(GaussianFieldSpec(256, 256, -1.0), 0)
+        cfg = SamplerConfig("flow", 50, flow_timesteps(50), snapshots=tuple(range(2, 51, 2)))
+
+        def reduce(state):
+            profile = radial_spectrum(state.values)
+            band_energy(profile, "low")
+            band_energy(profile, "high")
+
+        run_sampler(standard_normal(), cfg, z0, on_snapshot=reduce)  # fill the bin cache first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_sampler(standard_normal(), cfg, z0, on_snapshot=reduce)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3.75 * z0.nbytes
+
     def test_identity_control_matches_reference_loop(self, linear_bars):
         gm = standard_normal()
         cfg = SamplerConfig("ddim", 25, linear_bars, snapshots=tuple(range(26)))
