@@ -290,13 +290,34 @@ def _write_manifest(out: Path, command: str, config: ExperimentConfig, files, st
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+# latent cells converted to Python floats at a time for a csv snapshot
+CSV_CHUNK_CELLS = 4096
+
+
+class _LatentRows:
+    """The (flat_index, value) rows of a latent, formed CSV_CHUNK_CELLS cells at a time.
+
+    Sized like the list it stands in for, so the rows can be counted without being formed.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self._flat = values.reshape(-1)
+
+    def __len__(self) -> int:
+        return self._flat.size
+
+    def __iter__(self):
+        for start in range(0, self._flat.size, CSV_CHUNK_CELLS):
+            yield from enumerate(self._flat[start : start + CSV_CHUNK_CELLS].tolist(), start)
+
+
 def _write_latent(out: Path, stem: str, values: np.ndarray, step: int, fmt: str) -> str:
     if fmt == "binary":
         name = f"{stem}.bin"
         write_snapshot(out / name, values, step)
     else:
         name = f"{stem}.csv"
-        write_csv(out / name, ["flat_index", "value"], list(enumerate(values.ravel().tolist())))
+        write_csv(out / name, ["flat_index", "value"], _LatentRows(values))
     return name
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from omegance import cli, load_config, reference_trajectory, run_sampler, standard_normal
 from omegance.cli import main
-from omegance.formats import read_pgm, read_snapshot, write_pgm, write_snapshot
+from omegance.formats import read_pgm, read_snapshot, write_csv, write_pgm, write_snapshot
 from omegance.samplers import NumericAbortError, SamplerConfig
 
 
@@ -223,6 +223,34 @@ class TestSampleCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["flat_index", "value"]
         assert len(rows) == 1 + 64
+
+    def test_csv_snapshot_rows_are_formed_in_chunks(self, tmp_path):
+        # the same bytes as one whole-latent row list, for latents across the
+        # chunk width and a transposed view, at a traced peak under 1 MiB
+        rng = np.random.default_rng(4)
+        latents = {
+            "full": rng.normal(size=(256, 256)),
+            "ragged": rng.normal(size=(7, cli.CSV_CHUNK_CELLS // 7 + 3)),
+            "transposed": rng.normal(size=(9, 5000)).T,
+            "single": np.array([[-0.0]]),
+        }
+        latents["full"][0, :4] = (-0.0, 5e-324, 2.0**60, -1e300)
+        for stem, values in latents.items():
+            rows = cli._LatentRows(values)
+            assert len(rows) == values.size
+            write_csv(tmp_path / f"{stem}.expected.csv", ["flat_index", "value"], list(enumerate(values.ravel().tolist())))
+            if stem == "full":
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    name = cli._write_latent(tmp_path, stem, values, 1, "csv")
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak - base < 2**20
+            else:
+                name = cli._write_latent(tmp_path, stem, values, 1, "csv")
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"{stem}.expected.csv").read_bytes()
 
     def test_euler_sampler_with_churn(self, tmp_path):
         data = sample_config(

@@ -45,21 +45,23 @@ def quadrature_posterior(weights, means, variances, z, signal_scale, noise_scale
 
 def softmax_posterior(mixture, z, a, b):
     """Scalar-mixture posterior by the general route: both moments through the
-    log-space softmax over freshly allocated (K, N) temporaries, for every K.
+    log-space softmax over freshly allocated (K, N) temporaries, for every K,
+    with each component's constants folded once: log responsibilities
+    log w - log(2 pi tv) / 2 - diff^2 * (0.5 / tv), and eps = (sum_k resp * pull) * b.
     The package's posterior must match it bit for bit."""
     z = np.asarray(z, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_weights = np.log(mixture.weights)
     flat = z.reshape(1, -1)
     centers = (a * mixture.means)[:, None]
     total_var = (a * a * mixture.variances + b * b)[:, None]
+    with np.errstate(divide="ignore"):
+        log_const = np.log(mixture.weights)[:, None] - 0.5 * np.log(2.0 * np.pi * total_var)
     diff = flat - centers
-    log_resp = log_weights[:, None] - 0.5 * (diff * diff / total_var + np.log(2.0 * np.pi * total_var))
+    log_resp = log_const - diff * diff * (0.5 / total_var)
     log_resp -= log_resp.max(axis=0, keepdims=True)
     resp = np.exp(log_resp)
     resp /= resp.sum(axis=0, keepdims=True)
     pull = diff / total_var
-    eps_mean = (resp * (b * pull)).sum(axis=0).reshape(z.shape)
+    eps_mean = ((resp * pull).sum(axis=0) * b).reshape(z.shape)
     z0_mean = (resp * (mixture.means[:, None] + a * mixture.variances[:, None] * pull)).sum(axis=0).reshape(z.shape)
     return eps_mean, z0_mean
 
@@ -146,6 +148,77 @@ class TestPosteriorBitwise:
                 assert_bitwise(actual, reference)
             eps_ref, z0_ref = softmax_posterior(gm, z, 1.0 - 0.3, 0.3)
             assert_bitwise(gm.velocity_predict(z, 0.3), eps_ref - z0_ref)
+
+
+def unfolded_posterior(mixture, z, a, b):
+    """The posterior by the formula the constants were folded from, as a second route.
+
+    Log responsibilities log w - (diff^2 / tv + log(2 pi tv)) / 2 and
+    eps = sum_k resp * (b * pull). Alongside each moment it returns its
+    per-cell scale, sum_k resp * |term_k|, against which rounding is measured.
+    """
+    z = np.asarray(z, dtype=np.float64).reshape(1, -1)
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(mixture.weights)[:, None]
+    total_var = (a * a * mixture.variances + b * b)[:, None]
+    diff = z - (a * mixture.means)[:, None]
+    log_resp = log_weights - 0.5 * (diff * diff / total_var + np.log(2.0 * np.pi * total_var))
+    resp = np.exp(log_resp - log_resp.max(axis=0, keepdims=True))
+    resp /= resp.sum(axis=0, keepdims=True)
+    pull = diff / total_var
+    eps_terms = b * pull
+    z0_terms = mixture.means[:, None] + a * mixture.variances[:, None] * pull
+    return (
+        (resp * eps_terms).sum(axis=0),
+        (resp * z0_terms).sum(axis=0),
+        (resp * np.abs(eps_terms)).sum(axis=0),
+        (resp * np.abs(z0_terms)).sum(axis=0),
+    )
+
+
+# the bench workloads' K = 3 mixture beside every bitwise one
+ROUTE_MIXTURES = {
+    **BITWISE_MIXTURES,
+    "bench_k3": GaussianMixture(np.array([0.3, 0.4, 0.3]), np.array([-1.5, 0.0, 1.5]), np.array([0.25, 0.5, 0.25])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_MIXTURES))
+def test_folded_constants_within_rounding_of_the_unfolded_formula(name):
+    # the folded route differs from the unfolded one only by rounding: within
+    # 1e-13 of each cell's moment scale, on the bitwise latents and on draws
+    # from the corrupted prior, across an alpha-bar grid, a sigma grid and flow times
+    gm = ROUTE_MIXTURES[name]
+    rng = np.random.default_rng(12)
+    component = rng.choice(gm.num_components, 2000, p=gm.weights)
+    clean = gm.means[component] + np.sqrt(gm.variances[component]) * rng.standard_normal(2000)
+    noise = rng.standard_normal(2000)
+    cases = [("eps", math.sqrt(ab), math.sqrt(1.0 - ab)) for ab in (1e-4, 0.05, 0.3, 0.5, 0.8, 0.97, 0.9999)]
+    cases += [("eps", 1.0, sigma) for sigma in (0.002, 0.3, 1.0, 5.0, 80.0)]
+    cases += [("z0", a, b) for a, b in ((0.6, 0.8), (1.0, 0.0), (0.0, 1.0))]
+    cases += [("velocity", 1.0 - t, t) for t in (0.0, 0.02, 0.3, 0.5, 0.9, 1.0)]
+    for moment, a, b in cases:
+        for z in (bitwise_latent(gm, a).reshape(-1), a * clean + b * noise):
+            eps_mean, z0_mean, eps_scale, z0_scale = unfolded_posterior(gm, z, a, b)
+            if moment == "eps":
+                actual, expected, scale = gm.epsilon_given(z, a, b), eps_mean, eps_scale
+            elif moment == "z0":
+                actual, expected, scale = gm.posterior_z0(z, a, b), z0_mean, z0_scale
+            else:
+                actual, expected, scale = gm.velocity_predict(z, b), eps_mean - z0_mean, eps_scale + z0_scale
+            assert np.all(np.abs(actual - expected) <= 1e-13 * scale), (moment, a, b)
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_MIXTURES))
+def test_eps_at_zero_noise_scale_keeps_the_general_routes_signed_zeros(name):
+    # with b = 0 every eps term is a zero whose sign follows its pull; K = 1
+    # must add the sum's +0.0 before the b multiply, as the general route does
+    gm = BITWISE_MIXTURES[name]
+    z = bitwise_latent(gm, 1.0)
+    eps_ref, z0_ref = softmax_posterior(gm, z, 1.0, 0.0)
+    assert_bitwise(gm.epsilon_given(z, 1.0, 0.0), eps_ref)
+    for actual, reference in zip(gm._posterior(z, 1.0, 0.0), (eps_ref, z0_ref)):
+        assert_bitwise(actual, reference)
 
 
 FAR_MIXTURES = {
@@ -311,6 +384,17 @@ def test_eps_term_buffer_only_for_two_moment_calls():
     thread.join(timeout=30)
     assert not thread.is_alive()
     assert seen[0] is None and seen[1].shape == (3, BLOCK_CELLS)
+
+
+@pytest.mark.parametrize("width", [1, 77, BLOCK_CELLS])
+def test_workspace_buffers_start_on_cache_lines(width):
+    # the posterior's vector loops ran 10-15% slower over a workspace at a
+    # 16- or 48-byte offset, which a plain np.empty leaves to chance
+    gm = BITWISE_MIXTURES["k3"]
+    gm.velocity_predict(np.linspace(-4.0, 4.0, width), 0.4)
+    buffers = oracles._workspace.buffers
+    assert [buffer.shape for buffer in buffers] == [(3, width), (3, width), (1, width), (3, width)]
+    assert all(buffer.ctypes.data % 64 == 0 and buffer.flags.c_contiguous for buffer in buffers)
 
 
 def test_threads_with_different_mixtures_and_shapes_match_serial():
