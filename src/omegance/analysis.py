@@ -43,7 +43,6 @@ def propagate_coefficients_ddim(
     omega: float,
     from_t: int,
     steps: int = 1,
-    start: CoefficientState | None = None,
 ) -> list[CoefficientState]:
     """Track (z0_coeff, eps_coeff) across omega-scaled steps.
 
@@ -53,12 +52,11 @@ def propagate_coefficients_ddim(
         z0_coeff' = delta * z0_coeff
         eps_coeff' = delta * eps_coeff + zeta * omega.
 
-    The default start is the forward-process decomposition at ``from_t``,
+    The walk starts from the forward-process decomposition at ``from_t``,
     (sqrt(abar), sqrt(1 - abar)); one step from there lands on
     z0_coeff = sqrt(abar_prev), and the squared coefficient ratio equals
     modified_snr_ddim(schedule, from_t, omega). The two routes share no
-    arithmetic, which is what makes the comparison a real check. Pass an
-    explicit ``start`` such as (0, 1) to model an idealised pure-noise state.
+    arithmetic, which is what makes the comparison a real check.
     """
     if not 1 <= from_t <= schedule.num_steps:
         raise ValueError(f"from_t {from_t} outside [1, {schedule.num_steps}]")
@@ -66,11 +64,9 @@ def propagate_coefficients_ddim(
         raise ValueError(f"steps must lie in [1, {from_t}] to stay on the ladder")
     if not (math.isfinite(omega) and omega > 0.0):
         raise ValueError("omega must be a positive finite number")
-    if start is None:
-        ab = schedule.alpha_bar(from_t)
-        start = CoefficientState(math.sqrt(ab), math.sqrt(1.0 - ab))
-    out = [start]
-    z0_coeff, eps_coeff = start
+    ab = schedule.alpha_bar(from_t)
+    z0_coeff, eps_coeff = math.sqrt(ab), math.sqrt(1.0 - ab)
+    out = [CoefficientState(z0_coeff, eps_coeff)]
     for t in range(from_t, from_t - steps, -1):
         ab_t = schedule.alpha_bar(t)
         ab_prev = schedule.alpha_bar(t - 1)

@@ -74,10 +74,9 @@ def rescale(varpi: float, params: RescaleParams = DEFAULT_RESCALE) -> float:
 
 @dataclass(frozen=True)
 class OmegaMask:
-    """Per-cell omega grid at latent resolution (source dims divided by factor)."""
+    """Per-cell omega grid at latent resolution."""
 
     grid: np.ndarray
-    factor: int = 1
 
     def __post_init__(self):
         grid = np.array(self.grid, dtype=np.float64)
@@ -85,18 +84,12 @@ class OmegaMask:
             raise ValueError("mask grid must be a non-empty 2-D array")
         if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
             raise ValueError("mask cells must be finite and positive")
-        if not isinstance(self.factor, (int, np.integer)) or self.factor < 1:
-            raise ValueError("factor must be an integer >= 1")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.grid.shape  # type: ignore[return-value]
-
-    @property
-    def source_shape(self) -> tuple[int, int]:
-        return (self.grid.shape[0] * self.factor, self.grid.shape[1] * self.factor)
 
 
 def mask_from_grayscale(
@@ -133,7 +126,7 @@ def mask_from_grayscale(
     else:
         raise ValueError(f"unknown downsampling mode {mode!r}")
     grid = omega_low + (pooled / 255.0) * (omega_high - omega_low)
-    return OmegaMask(grid, int(factor))
+    return OmegaMask(grid)
 
 
 def mask_to_grayscale(mask: OmegaMask) -> np.ndarray:

@@ -3,15 +3,14 @@
 A Gaussian-mixture prior pushed through any affine Gaussian corruption
 z = a * z0 + b * eps admits exact posterior means for both z0 and eps, so
 these oracles stand in for trained prediction networks wherever a sampler
-claim needs an exact reference. Scalar mixtures (component means of shape
-(K,)) act independently on every latent cell, which makes them the substrate
-for locality checks; vector mixtures couple coordinates through the component
-responsibilities.
+claim needs an exact reference. A mixture's components are scalar (means of
+shape (K,)), so it acts independently on every latent cell, as a per-cell omega
+mask needs, which makes it the substrate for locality checks.
 
 Responsibilities are always formed in log space with max subtraction, so the
 normalising total never underflows to zero.
 
-A scalar mixture forms only the moments its caller asks for: eps for
+A mixture forms only the moments its caller asks for: eps for
 epsilon_predict, z0 for posterior_z0, both for velocity_predict. With K > 1
 components it walks the flattened latent in blocks of BLOCK_CELLS cells, so
 that its (K, block) temporaries stay in a core's cache instead of being
@@ -23,12 +22,13 @@ for the eps term joins them only once a call asks for both moments. Each
 buffer starts on a 64-byte boundary, which malloc leaves to chance. Every
 block runs the same operations in the same order as one pass over the
 whole latent would, and sums its moments over k straight into freshly
-allocated outputs, so a returned array never aliases the workspace and the
-next call cannot change it. Each call folds every component's constants
-once, log_const = log w - log(2 pi tv) / 2 and half_prec = 0.5 / tv with tv =
-a^2 v + b^2, so a block forms its log responsibilities as log_const - diff^2
-* half_prec (a square, a multiply and a subtract), and eps as (sum_k resp *
-pull) * b, with b applied to the summed row. Against the unfolded formula,
+allocated outputs, 64-byte aligned like the workspace, so a returned array
+never aliases the workspace and the next call cannot change it. Each call
+folds every component's constants once, log_const = log w - log(2 pi tv) / 2
+and half_prec = 0.5 / tv with tv = a^2 v + b^2, so a block forms its log
+responsibilities as log_const - diff^2 * half_prec (a square, a multiply and
+a subtract), and eps as (sum_k resp * pull) * b, with b applied to the summed
+row. Against the unfolded formula,
 log w - (diff^2 / tv + log(2 pi tv)) / 2 and eps = sum_k resp * (b * pull),
 K > 1 outputs differ only in their last digits: at most 5.3e-14 of a cell's
 moment scale (sum_k resp * |term_k|) over the test grids, 3.2e-15 for the
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
-# cells per block of the K > 1 scalar posterior: at most three (3, BLOCK_CELLS)
+# cells per block of the K > 1 posterior: at most three (3, BLOCK_CELLS)
 # float64 buffers take 1.2 MB, within a 2 MiB per-core L2 cache
 BLOCK_CELLS = 16384
 # workspace buffers start on this boundary: one cache line, one AVX-512 vector
@@ -104,7 +104,7 @@ def _scalar_workspace(components: int, width: int, term: bool) -> list:
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Mixture with diagonal covariance; scalar (K,) or vector (K, d) components."""
+    """Mixture of K scalar Gaussian components: weights, means and variances of shape (K,)."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -123,9 +123,9 @@ class GaussianMixture:
             or abs(float(weights.sum()) - 1.0) > _WEIGHT_SUM_TOL
         ):
             raise ValueError("weights must be non-negative with positive total mass summing to 1")
-        if means.shape != variances.shape or means.ndim not in (1, 2):
-            raise ValueError("means and variances must share a (K,) or (K, d) shape")
-        if means.shape[0] != weights.size:
+        if means.ndim != 1 or means.shape != variances.shape:
+            raise ValueError("means and variances must share a 1-D (K,) shape")
+        if means.size != weights.size:
             raise ValueError("component count mismatch between weights and means")
         if np.any(variances <= 0.0) or not np.all(np.isfinite(variances)):
             raise ValueError("variances must be finite and positive")
@@ -139,52 +139,8 @@ class GaussianMixture:
     def num_components(self) -> int:
         return int(self.weights.size)
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.means.ndim == 1
-
-    @property
-    def dimension(self) -> int:
-        return 1 if self.is_scalar else int(self.means.shape[1])
-
     def _posterior(self, z, signal_scale: float, noise_scale: float, *, want_eps=True, want_z0=True):
-        """Posterior means (E[eps | z], E[z0 | z]) under z = a*z0 + b*eps.
-
-        A scalar mixture forms only the wanted moments and returns None for
-        the other; a vector mixture always returns both.
-        """
-        a, b = float(signal_scale), float(noise_scale)
-        if not (math.isfinite(a) and math.isfinite(b)) or a < 0.0 or b < 0.0 or a + b == 0.0:
-            raise ValueError("corruption scales must be non-negative with a positive sum")
-        z = np.asarray(z, dtype=np.float64)
-        if not np.all(np.isfinite(z)):
-            raise ValueError("latent contains non-finite values")
-        if self.is_scalar:
-            return self._scalar_posterior(z, a, b, want_eps, want_z0)
-        with np.errstate(divide="ignore"):  # zero weights contribute -inf, i.e. no mass
-            log_weights = np.log(self.weights)
-        if z.shape != (self.dimension,):
-            raise ValueError(f"vector mixture expects a latent of shape ({self.dimension},)")
-        centers = a * self.means
-        total_var = a * a * self.variances + b * b
-        diff = z[None, :] - centers
-        with np.errstate(over="ignore"):  # a square beyond the float range gives no mass
-            log_resp = log_weights - 0.5 * np.sum(
-                diff * diff / total_var + np.log(2.0 * np.pi * total_var), axis=1
-            )
-        if log_resp.max() == -np.inf:  # far from every centre with mass
-            gaps = self._far_distance_gaps(diff, centers, total_var, log_weights)
-            log_resp = log_weights - 0.5 * (gaps + np.sum(np.log(2.0 * np.pi * total_var), axis=1))
-        log_resp -= log_resp.max()
-        resp = np.exp(log_resp)
-        resp /= resp.sum()
-        pull = diff / total_var
-        eps_mean = (resp[:, None] * (b * pull)).sum(axis=0)
-        z0_mean = (resp[:, None] * (self.means + a * self.variances * pull)).sum(axis=0)
-        return eps_mean, z0_mean
-
-    def _scalar_posterior(self, z: np.ndarray, a: float, b: float, want_eps: bool, want_z0: bool):
-        """Cellwise posterior moments of a scalar mixture; unwanted ones are None.
+        """Cellwise posterior means (E[eps | z], E[z0 | z]) under z = a*z0 + b*eps; unwanted ones are None.
 
         Each cell gets the softmax route's operations in its order: diff =
         z - a*mu, log responsibilities log_const - (diff * diff) * half_prec
@@ -196,6 +152,12 @@ class GaussianMixture:
         start, which only turns -0.0 into +0.0, before the b multiply; the
         softmax is skipped.
         """
+        a, b = float(signal_scale), float(noise_scale)
+        if not (math.isfinite(a) and math.isfinite(b)) or a < 0.0 or b < 0.0 or a + b == 0.0:
+            raise ValueError("corruption scales must be non-negative with a positive sum")
+        z = np.asarray(z, dtype=np.float64)
+        if not np.all(np.isfinite(z)):
+            raise ValueError("latent contains non-finite values")
         shape = z.shape
         eps_mean = z0_mean = None
         if self.num_components == 1:
@@ -220,8 +182,8 @@ class GaussianMixture:
         size = flat.shape[1]
         width = max(1, min(size, BLOCK_CELLS))
         diff_buf, resp_buf, row_buf, term_buf = _scalar_workspace(self.num_components, width, want_eps and want_z0)
-        eps_flat = np.empty(size) if want_eps else None
-        z0_flat = np.empty(size) if want_z0 else None
+        eps_flat = _aligned_empty(1, size)[0] if want_eps else None
+        z0_flat = _aligned_empty(1, size)[0] if want_z0 else None
         for start in range(0, size, width):
             stop = min(start + width, size)
             n = stop - start
@@ -277,29 +239,6 @@ class GaussianMixture:
             spread *= dist - nearest
         spread[~mass] = np.inf
         return log_const - spread
-
-    @staticmethod
-    def _far_distance_gaps(diff: np.ndarray, centers: np.ndarray, total_var: np.ndarray, log_weights: np.ndarray):
-        """Squared standardised distances of a far vector latent, less that of its nearest component.
-
-        Each q_k^2 overflows, so q_k^2 - q_r^2 is summed per coordinate as
-        (s_k - s_r)(s_k + s_r) over the standardised offsets s = diff / sd,
-        with r the nearest component with mass. s_k - s_r is formed from the
-        centres, diff_r (1/sd_k - 1/sd_r) + (c_r - c_k) / sd_k, since the
-        offsets themselves can be equal floats when the latent is far along a
-        coordinate; q_r factors out of the sum so that it does not overflow.
-        A component without mass gets +inf, so its log responsibility is -inf.
-        """
-        inv_sd = 1.0 / np.sqrt(total_var)
-        offsets = diff * inv_sd
-        dist = np.hypot.reduce(np.abs(offsets), axis=1)
-        mass = log_weights > -np.inf
-        r = int(np.argmin(np.where(mass, dist, np.inf)))
-        gap = diff[r] * (inv_sd - inv_sd[r]) + (centers[r] - centers) * inv_sd
-        gaps = np.full(mass.shape, np.inf)  # a component without mass gets none
-        with np.errstate(over="ignore"):  # a component beyond the float range gives no mass
-            gaps[mass] = np.sum(gap[mass] * ((offsets[mass] + offsets[r]) / dist[r]), axis=1) * dist[r]
-        return gaps
 
     def epsilon_given(self, z, signal_scale: float, noise_scale: float) -> np.ndarray:
         """Posterior-mean noise E[eps | a*z0 + b*eps = z]."""

@@ -38,13 +38,6 @@ class TestCoefficientPropagation:
         assert states[0] == CoefficientState(math.sqrt(ab), math.sqrt(1.0 - ab))
         assert len(states) == 4
 
-    def test_pure_noise_start_override(self, linear_bars):
-        states = propagate_coefficients_ddim(
-            linear_bars, 1.0, 1000, steps=2, start=CoefficientState(0.0, 1.0)
-        )
-        assert states[0] == CoefficientState(0.0, 1.0)
-        assert states[1].z0_coeff == 0.0  # no clean component can appear
-
     def test_squared_ratio_matches_bracket_form(self, linear_bars):
         # the two routes share no arithmetic; this is the frozen halfway case
         state = propagate_coefficients_ddim(linear_bars, 0.9, 500, steps=1)[-1]

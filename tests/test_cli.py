@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import math
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -11,6 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_config import CONFIGS
 
 from omegance import cli, load_config, reference_trajectory, run_sampler, standard_normal
 from omegance.cli import main
@@ -818,3 +823,70 @@ class TestPreviewCommand:
         assert main(["preview", "mask", "--config", str(config)]) == 2
         assert main(["preview", "schedule", "--config", str(config)]) == 2
         assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# the failure contract end to end: any vocabulary tree through cli.main
+
+# per command, the thread counts it runs at; snr takes no --threads flag
+FUZZ_COMMANDS = {"sample": (1, 2), "spectrum": (1, 2), "snr": (None,)}
+
+
+def clamp(tree):
+    """The same tree cut down to at most 8 x 8 cells, 5 steps and 2 seeds, wherever it has them."""
+    if not isinstance(tree, dict):
+        return tree
+    tree = dict(tree)
+    sampler = tree.get("sampler")
+    if isinstance(sampler, dict) and isinstance(sampler.get("steps"), int) and sampler["steps"] > 5:
+        tree["sampler"] = dict(sampler, steps=5)
+    latent = tree.get("latent")
+    shape = latent.get("shape") if isinstance(latent, dict) else None
+    if isinstance(shape, list) and all(isinstance(n, int) for n in shape) and math.prod(shape) > 64:
+        tree["latent"] = dict(latent, shape=[8, 8])
+    if isinstance(tree.get("seeds"), list):
+        tree["seeds"] = tree["seeds"][:2]
+    return tree
+
+
+def overflowing(tree):
+    """The same tree with an omega near the float limit, which overflows the latent: exit 3."""
+    if not isinstance(tree, dict):
+        return tree
+    omega = tree.get("omega")
+    omega = {k: v for k, v in omega.items() if k not in ("varpi", "rescale")} if isinstance(omega, dict) else {}
+    return dict(tree, omega=dict(omega, values=[1.0, 1e300]))
+
+
+# one tree in four is pushed toward a numeric abort, which plain trees almost never reach
+FUZZ_TREES = st.sampled_from(range(4)).flatmap(lambda i: CONFIGS.map(overflowing) if i == 0 else CONFIGS)
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=FUZZ_TREES)
+def test_any_vocabulary_tree_exits_with_a_documented_code_and_a_true_manifest(fuzz_root, data):
+    # every run returns 0, 2, 3 or 4 and never raises; an exit 2 writes no
+    # directory, and every other exit leaves a manifest whose artifacts are
+    # exactly the files on disk, each with its sha256
+    work = Path(tempfile.mkdtemp(dir=fuzz_root))
+    write_pgm(work / "mask.pgm", np.arange(64, dtype=np.uint8).reshape(8, 8) * 4)
+    config = write_config(work, clamp(data))
+    for command, thread_counts in FUZZ_COMMANDS.items():
+        for threads in thread_counts:
+            out = work / f"{command}-{threads}"
+            argv = [command, "--config", str(config), "--out", str(out)]
+            code = main(argv + ([] if threads is None else ["--threads", str(threads)]))
+            assert code in (0, 2, 3, 4)
+            if code == 2:
+                assert not out.exists()
+                continue
+            artifacts = read_manifest(out)["artifacts"]
+            on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+            assert sorted([*artifacts, "manifest.json"]) == on_disk
+            for name, digest in artifacts.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest

@@ -75,7 +75,6 @@ class TestMask:
         mask = mask_from_grayscale(np.zeros((4, 4)), 2, 0.9, 1.1)
         assert np.all(mask.grid == 0.9)
         assert mask.shape == (2, 2)
-        assert mask.source_shape == (4, 4)
 
     def test_uniform_white_maps_to_high(self):
         mask = mask_from_grayscale(np.full((4, 4), 255), 2, 0.9, 1.1)
