@@ -7,7 +7,8 @@ spectra and band energies with a paired-seed ordering check), and ``preview``
 the config echo, artifact checksums, versions and timings; identical
 (config, seeds) reproduce identical artifact checksums.
 
-Exit codes: 0 success, 2 config error (no output is written), 3 numeric
+Exit codes: 0 success (``--help`` too), 2 config error or an argument list
+argparse cannot parse (no output is written), 3 numeric
 abort (the manifest then records the aborting cell and step index and lists
 every file written before the abort, the aborting cell's own snapshots
 included; ``snr`` takes no sampler step, so it
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -83,7 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Load the config, run a ``cmd_*`` (it lists each file it writes) and write the manifest."""
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage (code 2) or the help (code 0)
+        return exc.code
     command = f"preview-{args.kind}" if args.command == "preview" else args.command
     written: list[str] = []
     try:
@@ -397,14 +402,14 @@ def cmd_spectrum(args, config: ExperimentConfig, written: list[str]) -> dict:
         profiles = {}
 
         # reduces each snapshot as the sampler hands it over, so a cell holds
-        # one snapshot at a time, not its whole trajectory
+        # one snapshot at a time, not its whole trajectory; a finite latent
+        # whose power overflows aborts like a non-finite one
         def reduce(state) -> None:
-            profile = radial_spectrum(state.values)
-            profiles[state.step] = (
-                profile.mean_power,
-                band_energy(profile, "low"),
-                band_energy(profile, "high"),
-            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                profile = radial_spectrum(state.values)
+                low, high = band_energy(profile, "low"), band_energy(profile, "high")
+            _check_power(low, high, state.step)
+            profiles[state.step] = (profile.mean_power, low, high)
 
         _cell_trajectory(config, schedule, draws, seed, idx, snapshots, on_snapshot=reduce)
         return idx, profiles
@@ -412,10 +417,12 @@ def cmd_spectrum(args, config: ExperimentConfig, written: list[str]) -> dict:
     # (mean_power, low, high) summed over seeds, keyed by (omega index, snapshot
     # step); powers are >= +0.0, so starting from 0.0 changes no bit
     sums: dict[tuple[int, int], tuple] = {}
-    for idx, profiles in _run_cells(config, schedule, threads, run_cell):
-        for step, moments in profiles.items():
-            total = sums.get((idx, step), (0.0, 0.0, 0.0))
-            sums[(idx, step)] = tuple(a + b for a, b in zip(total, moments))
+    cells = _run_cells(config, schedule, threads, run_cell)
+    with np.errstate(over="ignore"):  # an overflowing sum aborts below
+        for idx, profiles in cells:
+            for step, moments in profiles.items():
+                total = sums.get((idx, step), (0.0, 0.0, 0.0))
+                sums[(idx, step)] = tuple(a + b for a, b in zip(total, moments))
 
     n_seeds = len(config.seeds)
     # each omega's cell text, formed once rather than once per spectrum row
@@ -423,6 +430,7 @@ def cmd_spectrum(args, config: ExperimentConfig, written: list[str]) -> dict:
     spectrum_rows = []
     band_rows = []
     for (idx, step), (mean_power, low, high) in sorted(sums.items()):
+        _check_power(low, high, step, cell={"omega_index": idx})
         averaged = mean_power / n_seeds
         for bin_index, value in enumerate(averaged.tolist()):
             spectrum_rows.append([idx, omega_cells[idx], step, bin_index, value])
@@ -455,6 +463,18 @@ def cmd_spectrum(args, config: ExperimentConfig, written: list[str]) -> dict:
     verdict = "pass" if ordering_rows[-1][1] else "fail"
     print(f"high-band ordering at final snapshot: {verdict}")
     return {"high_band_ordering_final": verdict}
+
+
+def _check_power(low: float, high: float, step: int, cell=None) -> None:
+    """Raise NumericAbortError for ``cell`` unless both band energies are finite.
+
+    Every bin's power, all >= 0, counts toward one band, so an infinite or
+    NaN bin, or a sum of bins that overflows, shows in low or high.
+    """
+    if not (math.isfinite(low) and math.isfinite(high)):
+        abort = NumericAbortError(step, f"spectrum power overflows at step {step}")
+        abort.cell = cell
+        raise abort
 
 
 # ---------------------------------------------------------------------------

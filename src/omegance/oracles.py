@@ -24,23 +24,29 @@ block runs the same operations in the same order as one pass over the
 whole latent would, and sums its moments over k straight into freshly
 allocated outputs, 64-byte aligned like the workspace, so a returned array
 never aliases the workspace and the next call cannot change it. Each call
-folds every component's constants once, log_const = log w - log(2 pi tv) / 2
-and half_prec = 0.5 / tv with tv = a^2 v + b^2, so a block forms its log
-responsibilities as log_const - diff^2 * half_prec (a square, a multiply and
-a subtract), and eps as (sum_k resp * pull) * b, with b applied to the summed
-row. Against the unfolded formula,
+folds every component's constants once, log_const = log w - log(2 pi tv) / 2,
+half_prec = 0.5 / tv and inv_var = 1 / tv with tv = a^2 v + b^2, so a block
+forms its log responsibilities as log_const - diff^2 * half_prec (a square, a
+multiply and a subtract), normalises them by one reciprocal of their sum per
+cell (the sum lies in [1, K]), and forms eps as (sum_k resp * pull) * b,
+with b applied to the summed row. A call that wants eps alone takes pull =
+diff * inv_var, a multiply where a divide costs about three; a call that
+wants z0 keeps pull = diff / tv, because with the rounded reciprocal
+z0 = mu + (a*v) * pull no longer cancels to the cell's value at b = 0 (2.5e-13
+of the moment scale for one test mixture). Scales so small that some 1 / tv
+overflows are rejected. Against the unfolded formula,
 log w - (diff^2 / tv + log(2 pi tv)) / 2 and eps = sum_k resp * (b * pull),
 K > 1 outputs differ only in their last digits: at most 5.3e-14 of a cell's
-moment scale (sum_k resp * |term_k|) over the test grids, 3.2e-15 for the
+moment scale (sum_k resp * |term_k|) over the test grids, 1.0e-15 for the
 bench mixture. A single component has responsibility exactly 1.0, so K = 1
 skips the softmax and takes the linear Tweedie form
-eps = (z - a*mu) / (a^2 v + b^2) * b, z0 = mu + (a*v) * (z - a*mu) / (a^2 v + b^2).
-The folding leaves K = 1 bit for bit as it was, except the sign of an eps
-that is zero because b = 0 or b * pull underflows: it now follows pull's
-sign, as the general route's does. Both give every cell the operations of
-the general softmax route in the same order, so their outputs are bitwise
-identical to it, signed zeros included, for every cell whose squared
-distance to some component centre is finite.
+eps = (z - a*mu) * (1 / (a^2 v + b^2)) * b, z0 = mu + (a*v) * (z - a*mu) / (a^2 v + b^2);
+its eps lies within 4.3e-16 of the moment scale of the divided form, and
+its z0 and velocity are the divided form bit for bit. Both give every cell the
+operations of the general softmax route in the same order, so their outputs
+are bitwise identical to it, signed zeros included (an eps that is zero
+because b = 0 or b * pull underflows takes pull's sign), for every cell whose
+squared distance to some component centre is finite.
 A cell farther than about 1.3e154 from every centre, where that route would
 give NaN, has its log responsibilities shifted by the nearest component's
 instead, which keeps them finite; components without mass get -inf there
@@ -127,8 +133,9 @@ class GaussianMixture:
             raise ValueError("means and variances must share a 1-D (K,) shape")
         if means.size != weights.size:
             raise ValueError("component count mismatch between weights and means")
-        if np.any(variances <= 0.0) or not np.all(np.isfinite(variances)):
-            raise ValueError("variances must be finite and positive")
+        with np.errstate(divide="ignore", over="ignore"):
+            if np.any(variances <= 0.0) or not np.all(np.isfinite(variances) & np.isfinite(1.0 / variances)):
+                raise ValueError("variances must be finite and positive, with a finite reciprocal")
         if not np.all(np.isfinite(means)):
             raise ValueError("means must be finite")
         for arr, name in ((weights, "weights"), (means, "means"), (variances, "variances")):
@@ -144,17 +151,23 @@ class GaussianMixture:
 
         Each cell gets the softmax route's operations in its order: diff =
         z - a*mu, log responsibilities log_const - (diff * diff) * half_prec
-        from the per-call (K, 1) constants log_const = log w - log(2 pi tv) / 2
-        and half_prec = 0.5 / tv, normalised before the moment sums, pull =
-        diff / tv, eps = (sum_k resp * pull) * b and z0 = sum_k resp * (mu +
-        (a*v) * pull), with the sums over k starting from +0.0. For K = 1 the
-        responsibility is exactly 1.0, so the sum reduces to adding its +0.0
-        start, which only turns -0.0 into +0.0, before the b multiply; the
-        softmax is skipped.
+        from the per-call (K, 1) constants log_const = log w - log(2 pi tv) / 2,
+        half_prec = 0.5 / tv and inv_var = 1 / tv, normalised before the moment
+        sums by multiplying with 1 / sum_k resp, pull = diff * inv_var when eps
+        alone is wanted and diff / tv otherwise, eps = (sum_k resp * pull) * b
+        and z0 = sum_k resp * (mu + (a*v) * pull), with the sums over k
+        starting from +0.0. For K = 1 the responsibility is exactly 1.0, so the
+        sum reduces to adding its +0.0 start, which only turns -0.0 into +0.0,
+        before the b multiply; the softmax is skipped. Raises ValueError when
+        some component's 1 / tv is not finite.
         """
         a, b = float(signal_scale), float(noise_scale)
         if not (math.isfinite(a) and math.isfinite(b)) or a < 0.0 or b < 0.0 or a + b == 0.0:
             raise ValueError("corruption scales must be non-negative with a positive sum")
+        # tv = a^2 v + b^2 grows with v: the least variance has the largest 1 / tv
+        least_tv = a * a * min(self.variances.tolist()) + b * b
+        if least_tv == 0.0 or not math.isfinite(1.0 / least_tv):
+            raise ValueError("corruption scales too small: 1 / (a^2 v + b^2) overflows float64")
         z = np.asarray(z, dtype=np.float64)
         if not np.all(np.isfinite(z)):
             raise ValueError("latent contains non-finite values")
@@ -163,8 +176,10 @@ class GaussianMixture:
         if self.num_components == 1:
             mean, var = float(self.means[0]), float(self.variances[0])
             pull = z.reshape(-1) - a * mean
-            pull /= a * a * var + b * b
-            if want_z0:
+            if not want_z0:  # least_tv is the one component's tv
+                pull *= 1.0 / least_tv
+            else:  # z0 keeps the divide: a reciprocal leaves mu + a*v*pull 2.5e-13 off at b = 0
+                pull /= least_tv
                 z0_mean = np.multiply(pull, a * var).reshape(shape)
                 z0_mean += mean + 0.0
             if want_eps:
@@ -173,6 +188,7 @@ class GaussianMixture:
                 eps_mean = pull.reshape(shape)
             return eps_mean, z0_mean
         total_var = (a * a * self.variances + b * b)[:, None]
+        inv_var = 1.0 / total_var
         with np.errstate(divide="ignore"):  # zero weights contribute -inf, i.e. no mass
             log_const = np.log(self.weights)[:, None] - 0.5 * np.log(2.0 * np.pi * total_var)
         half_prec = 0.5 / total_var
@@ -200,8 +216,13 @@ class GaussianMixture:
                 peak[:, far] = resp[:, far].max(axis=0)
             resp -= peak
             np.exp(resp, out=resp)
-            resp /= resp.sum(axis=0, keepdims=True, out=peak)
-            pull /= total_var
+            resp.sum(axis=0, keepdims=True, out=peak)  # in [1, K], so its reciprocal is finite
+            np.divide(1.0, peak, out=peak)
+            resp *= peak
+            if not want_z0:
+                pull *= inv_var
+            else:  # z0 keeps the divide: a reciprocal leaves mu + a*v*pull 2.5e-13 off at b = 0
+                pull /= total_var
             if want_eps:
                 term = np.multiply(pull, resp, out=term_buf[:, :n] if want_z0 else pull)
                 term.sum(axis=0, out=eps_flat[start:stop])

@@ -125,8 +125,9 @@ def _check_pair(z: np.ndarray, other: np.ndarray, name: str) -> None:
 def ddim_step(z, schedule: AlphaBarSchedule, t: int, eps_pred, omega=1.0) -> np.ndarray:
     """One deterministic step from ladder index t with the prediction scaled by omega.
 
-    Per cell: z' = sqrt(abar_prev) * (z - sqrt(1-abar_t) * eps * omega) / sqrt(abar_t)
-                   + sqrt(1-abar_prev) * eps * omega.
+    Per cell: z' = delta * (z - sqrt(1-abar_t) * eps * omega) + sqrt(1-abar_prev) * eps * omega,
+    with delta = sqrt(abar_prev) / sqrt(abar_t), the multiplier that
+    analysis.propagate_coefficients_ddim also uses.
     """
     z = np.asarray(z, dtype=np.float64)
     eps_pred = np.asarray(eps_pred, dtype=np.float64)
@@ -139,8 +140,7 @@ def ddim_step(z, schedule: AlphaBarSchedule, t: int, eps_pred, omega=1.0) -> np.
     scaled = np.multiply(eps_pred, omega)
     out = np.multiply(scaled, math.sqrt(1.0 - ab_t))
     np.subtract(z, out, out=out)
-    out /= math.sqrt(ab_t)  # the predicted z0
-    out *= math.sqrt(ab_prev)
+    out *= math.sqrt(ab_prev) / math.sqrt(ab_t)
     scaled *= math.sqrt(1.0 - ab_prev)
     out += scaled
     return out
@@ -155,8 +155,8 @@ def ddim_step_reference(z, schedule: AlphaBarSchedule, t: int, eps_pred) -> np.n
         raise ValueError("ddim steps start at ladder index 1")
     ab_t = schedule.alpha_bar(t)
     ab_prev = schedule.alpha_bar(t - 1)
-    predicted_z0 = (z - math.sqrt(1.0 - ab_t) * eps_pred) / math.sqrt(ab_t)
-    return math.sqrt(ab_prev) * predicted_z0 + math.sqrt(1.0 - ab_prev) * eps_pred
+    delta = math.sqrt(ab_prev) / math.sqrt(ab_t)
+    return delta * (z - math.sqrt(1.0 - ab_t) * eps_pred) + math.sqrt(1.0 - ab_prev) * eps_pred
 
 
 def euler_step(z, schedule: SigmaSchedule, i: int, eps_pred, omega=1.0) -> np.ndarray:

@@ -7,6 +7,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import unittest.mock
 import warnings
 import weakref
 from pathlib import Path
@@ -17,7 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_config import CONFIGS
 
-from omegance import cli, load_config, reference_trajectory, run_sampler, standard_normal
+from omegance import cli, formats, load_config, reference_trajectory, run_sampler, standard_normal
+from omegance.analysis import SpectrumProfile
 from omegance.cli import main
 from omegance.formats import read_pgm, read_snapshot, write_csv, write_pgm, write_snapshot
 from omegance.samplers import NumericAbortError, SamplerConfig
@@ -313,6 +315,16 @@ class TestSampleCommand:
         config = write_config(tmp_path, sample_config(tmp_path, bogus_key=1))
         assert main(["sample", "--config", str(config)]) == 2
         assert main(["sample", "--config", str(tmp_path / "missing.json")]) == 2
+
+    def test_unparsable_argv_returns_2_and_help_returns_0(self, tmp_path, capsys):
+        # argparse's own exit becomes main's return code, for a library caller too
+        config = write_config(tmp_path, sample_config(tmp_path))
+        assert main(["snr", "--config", str(config), "--threads", "1"]) == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+        assert main(["sample"]) == 2
+        assert main(["--help"]) == 0
+        assert "usage: omegance" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_config_number_exit_code(self, tmp_path):
         text = json.dumps(sample_config(tmp_path)).replace("[0.95, 1.0]", "[NaN, 1.0]")
@@ -737,6 +749,35 @@ class TestSpectrumCommand:
     def test_numeric_abort_exit_code_and_manifest(self, tmp_path, monkeypatch):
         check_numeric_abort(tmp_path, monkeypatch, "spectrum")
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_power_of_a_finite_latent_aborts(self, tmp_path, threads):
+        # omega 1e300 leaves a finite latent whose |FFT|^2 overflows: exit 3
+        # naming the cell, not an infinite spectrum.csv (nor a numpy warning)
+        data = sample_config(tmp_path, omega={"values": [1.0, 1e300]}, seeds=[0])
+        data["sampler"] = {"kind": "ddim", "steps": 1, "schedule": {"num_steps": 50}}
+        config = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", "--config", str(config), "--threads", threads]) == 3
+        manifest = read_manifest(out)
+        assert manifest["status"] == "aborted" and manifest["aborted_at_step"] == 1
+        assert manifest["aborted_cell"] == {"seed": 0, "omega_index": 1}
+        assert manifest["error"] == "spectrum power overflows at step 1"
+        assert manifest["artifacts"] == {}
+
+    def test_seed_sum_that_overflows_aborts_naming_the_omega(self, tmp_path, monkeypatch):
+        # every seed's power is finite, their sum is not
+        huge = SpectrumProfile(np.full(2, 1e308), np.ones(2, dtype=int), 1.0)
+        monkeypatch.setattr("omegance.cli.radial_spectrum", lambda values: huge)
+        config = write_config(tmp_path, sample_config(tmp_path, omega={"values": [1.0]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", "--config", str(config)]) == 3
+        manifest = read_manifest(tmp_path / "out")
+        assert manifest["aborted_at_step"] == 0 and manifest["aborted_cell"] == {"omega_index": 0}
+        assert manifest["artifacts"] == {}
+
     def test_sample_and_spectrum_stream_their_snapshots(self, tmp_path, monkeypatch):
         sinks = []
 
@@ -828,8 +869,10 @@ class TestPreviewCommand:
 # ---------------------------------------------------------------------------
 # the failure contract end to end: any vocabulary tree through cli.main
 
-# per command, the thread counts it runs at; snr takes no --threads flag
-FUZZ_COMMANDS = {"sample": (1, 2), "spectrum": (1, 2), "snr": (None,)}
+# per command, the thread counts it runs at; snr takes no --threads flag, so
+# passing one must return argparse's 2
+FUZZ_COMMANDS = {"sample": (1, 2), "spectrum": (1, 2), "snr": (None, 1)}
+EXIT_STATUS = {0: "ok", 3: "aborted", 4: "error"}
 
 
 def clamp(tree):
@@ -862,17 +905,46 @@ def overflowing(tree):
 FUZZ_TREES = st.sampled_from(range(4)).flatmap(lambda i: CONFIGS.map(overflowing) if i == 0 else CONFIGS)
 
 
+class FailingWrites:
+    """Stands in for ``formats._replacing``: the n-th artifact write raises OSError before its first byte.
+
+    n = 0 never fails. The manifest is written through ``cli``'s own binding
+    of ``_replacing``, so it is unaffected.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.calls, self.lock = n, 0, threading.Lock()
+
+    def __call__(self, path, *args, **kwargs):
+        with self.lock:
+            self.calls += 1
+            fail = self.calls == self.n
+        if fail:
+            raise OSError(28, "No space left on device", str(path))
+        return REAL_REPLACING(path, *args, **kwargs)
+
+    @property
+    def fired(self) -> bool:
+        return 0 < self.n <= self.calls
+
+
+REAL_REPLACING = formats._replacing
+
+
 @pytest.fixture(scope="module")
 def fuzz_root(tmp_path_factory):
     return tmp_path_factory.mktemp("cli-fuzz")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(data=FUZZ_TREES)
-def test_any_vocabulary_tree_exits_with_a_documented_code_and_a_true_manifest(fuzz_root, data):
+@given(data=FUZZ_TREES, failing_write=st.sampled_from([0, 1, 0, 3]))
+def test_any_vocabulary_tree_exits_with_a_documented_code_and_a_true_manifest(fuzz_root, data, failing_write):
     # every run returns 0, 2, 3 or 4 and never raises; an exit 2 writes no
-    # directory, and every other exit leaves a manifest whose artifacts are
-    # exactly the files on disk, each with its sha256
+    # directory, and every other exit leaves a manifest whose status matches
+    # the code and whose artifacts are exactly the files on disk, each with
+    # its sha256. Some draws make the first or third artifact write of each
+    # run fail: a run that reaches it exits 4, or 3 where a lower cell on
+    # another thread aborted first
     work = Path(tempfile.mkdtemp(dir=fuzz_root))
     write_pgm(work / "mask.pgm", np.arange(64, dtype=np.uint8).reshape(8, 8) * 4)
     config = write_config(work, clamp(data))
@@ -880,12 +952,22 @@ def test_any_vocabulary_tree_exits_with_a_documented_code_and_a_true_manifest(fu
         for threads in thread_counts:
             out = work / f"{command}-{threads}"
             argv = [command, "--config", str(config), "--out", str(out)]
-            code = main(argv + ([] if threads is None else ["--threads", str(threads)]))
+            writes = FailingWrites(failing_write)
+            with unittest.mock.patch.object(formats, "_replacing", writes):
+                code = main(argv + ([] if threads is None else ["--threads", str(threads)]))
             assert code in (0, 2, 3, 4)
+            if command == "snr" and threads is not None:
+                assert code == 2
+            if writes.fired:
+                assert code == 4 or (code == 3 and threads == 2)
+            else:
+                assert code != 4
             if code == 2:
                 assert not out.exists()
                 continue
-            artifacts = read_manifest(out)["artifacts"]
+            manifest = read_manifest(out)
+            assert manifest["status"] == EXIT_STATUS[code]
+            artifacts = manifest["artifacts"]
             on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
             assert sorted([*artifacts, "manifest.json"]) == on_disk
             for name, digest in artifacts.items():

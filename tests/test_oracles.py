@@ -43,11 +43,13 @@ def quadrature_posterior(weights, means, variances, z, signal_scale, noise_scale
     return float(np.trapezoid(target * weight, eps) / np.trapezoid(weight, eps))
 
 
-def softmax_posterior(mixture, z, a, b):
+def softmax_posterior(mixture, z, a, b, want_z0=True):
     """Scalar-mixture posterior by the general route: both moments through the
     log-space softmax over freshly allocated (K, N) temporaries, for every K,
     with each component's constants folded once: log responsibilities
-    log w - log(2 pi tv) / 2 - diff^2 * (0.5 / tv), and eps = (sum_k resp * pull) * b.
+    log w - log(2 pi tv) / 2 - diff^2 * (0.5 / tv), normalised by the
+    reciprocal of their sum, and eps = (sum_k resp * pull) * b. With want_z0
+    false (the eps-only calls) pull is diff * (1 / tv), else diff / tv.
     The package's posterior must match it bit for bit."""
     z = np.asarray(z, dtype=np.float64)
     flat = z.reshape(1, -1)
@@ -59,8 +61,8 @@ def softmax_posterior(mixture, z, a, b):
     log_resp = log_const - diff * diff * (0.5 / total_var)
     log_resp -= log_resp.max(axis=0, keepdims=True)
     resp = np.exp(log_resp)
-    resp /= resp.sum(axis=0, keepdims=True)
-    pull = diff / total_var
+    resp = resp * (1.0 / resp.sum(axis=0, keepdims=True))
+    pull = diff / total_var if want_z0 else diff * (1.0 / total_var)
     eps_mean = ((resp * pull).sum(axis=0) * b).reshape(z.shape)
     z0_mean = (resp * (mixture.means[:, None] + a * mixture.variances[:, None] * pull)).sum(axis=0).reshape(z.shape)
     return eps_mean, z0_mean
@@ -107,13 +109,13 @@ class TestPosteriorBitwise:
         for alpha_bar in (0.001, 0.3, 0.97):
             a, b = math.sqrt(alpha_bar), math.sqrt(1.0 - alpha_bar)
             z = bitwise_latent(gm, a)
-            assert_bitwise(gm.epsilon_predict(z, alpha_bar=alpha_bar), softmax_posterior(gm, z, a, b)[0])
+            assert_bitwise(gm.epsilon_predict(z, alpha_bar=alpha_bar), softmax_posterior(gm, z, a, b, want_z0=False)[0])
 
     def test_epsilon_predict_sigma(self, name):
         gm = BITWISE_MIXTURES[name]
         for sigma in (0.01, 1.0, 80.0):
             z = bitwise_latent(gm, 1.0)
-            assert_bitwise(gm.epsilon_predict(z, sigma=sigma), softmax_posterior(gm, z, 1.0, sigma)[0])
+            assert_bitwise(gm.epsilon_predict(z, sigma=sigma), softmax_posterior(gm, z, 1.0, sigma, want_z0=False)[0])
 
     def test_posterior_z0(self, name):
         gm = BITWISE_MIXTURES[name]
@@ -131,7 +133,7 @@ class TestPosteriorBitwise:
     def test_zero_dimensional_latent(self, name):
         gm = BITWISE_MIXTURES[name]
         z = np.array(-37.5)
-        assert_bitwise(gm.epsilon_given(z, 0.6, 0.8), softmax_posterior(gm, z, 0.6, 0.8)[0])
+        assert_bitwise(gm.epsilon_given(z, 0.6, 0.8), softmax_posterior(gm, z, 0.6, 0.8, want_z0=False)[0])
 
     @pytest.mark.parametrize("size", sorted(BLOCK_SIZES))
     def test_latents_spanning_blocks(self, name, size):
@@ -142,7 +144,7 @@ class TestPosteriorBitwise:
         flat = np.resize(bitwise_latent(gm, a).reshape(-1), size)
         for z in (flat, flat.reshape(BLOCK_SIZES[size])):
             eps_ref, z0_ref = softmax_posterior(gm, z, a, b)
-            assert_bitwise(gm.epsilon_given(z, a, b), eps_ref)
+            assert_bitwise(gm.epsilon_given(z, a, b), softmax_posterior(gm, z, a, b, want_z0=False)[0])
             assert_bitwise(gm.posterior_z0(z, a, b), z0_ref)
             for actual, reference in zip(gm._posterior(z, a, b), (eps_ref, z0_ref)):
                 assert_bitwise(actual, reference)
@@ -216,7 +218,7 @@ def test_eps_at_zero_noise_scale_keeps_the_general_routes_signed_zeros(name):
     gm = BITWISE_MIXTURES[name]
     z = bitwise_latent(gm, 1.0)
     eps_ref, z0_ref = softmax_posterior(gm, z, 1.0, 0.0)
-    assert_bitwise(gm.epsilon_given(z, 1.0, 0.0), eps_ref)
+    assert_bitwise(gm.epsilon_given(z, 1.0, 0.0), softmax_posterior(gm, z, 1.0, 0.0, want_z0=False)[0])
     for actual, reference in zip(gm._posterior(z, 1.0, 0.0), (eps_ref, z0_ref)):
         assert_bitwise(actual, reference)
 
@@ -252,9 +254,10 @@ def test_cells_far_from_every_centre(name, a, b):
         z0_mean = gm.posterior_z0(z, a, b)
         eps_both, z0_both = gm._posterior(z, a, b)
     velocity = eps_both - z0_both
-    for moments in ((eps_mean, z0_mean), (eps_both, z0_both)):
-        for actual, reference in zip(moments, softmax_posterior(gm, NEAR_CELLS, a, b)):
-            assert_bitwise(actual[FAR_CELLS.size :], reference)
+    eps_ref, z0_ref = softmax_posterior(gm, NEAR_CELLS, a, b)
+    eps_alone_ref = softmax_posterior(gm, NEAR_CELLS, a, b, want_z0=False)[0]
+    for actual, reference in ((eps_mean, eps_alone_ref), (z0_mean, z0_ref), (eps_both, eps_ref), (z0_both, z0_ref)):
+        assert_bitwise(actual[FAR_CELLS.size :], reference)
     for i, cell in enumerate(FAR_CELLS):
         nearest = nearest_component(gm, cell, a, b)
         want_eps, want_z0 = nearest._posterior(np.array([cell]), a, b)
@@ -302,7 +305,8 @@ def test_far_cells_in_later_blocks(name):
         z0_mean = gm.posterior_z0(z, a, b)
         eps_both, z0_both = gm._posterior(z, a, b)
     eps_ref, z0_ref = softmax_posterior(gm, z[near], a, b)
-    for actual, reference in ((eps_mean, eps_ref), (z0_mean, z0_ref), (eps_both, eps_ref), (z0_both, z0_ref)):
+    eps_alone_ref = softmax_posterior(gm, z[near], a, b, want_z0=False)[0]
+    for actual, reference in ((eps_mean, eps_alone_ref), (z0_mean, z0_ref), (eps_both, eps_ref), (z0_both, z0_ref)):
         assert_bitwise(actual[near], reference)
     for index, cell in far.items():
         want_eps, want_z0 = nearest_component(gm, cell, a, b)._posterior(np.array([cell]), a, b)
@@ -508,6 +512,21 @@ class TestEpsilonOracle:
         with pytest.raises(ValueError):
             standard_normal().epsilon_predict(np.array([np.nan]), alpha_bar=0.5)
 
+    @pytest.mark.parametrize("name", ["standard_normal", "bench_k3"])
+    def test_rejects_scales_whose_reciprocal_variance_overflows(self, name):
+        # at (1e-160, 0) every a^2 v + b^2 is subnormal and its reciprocal
+        # overflows, which would turn each moment into NaN; 1e-150 still
+        # works. Neither warns
+        gm = ROUTE_MIXTURES[name]
+        z = np.array([0.5, -0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for want in ({}, {"want_eps": False}, {"want_z0": False}):
+                with pytest.raises(ValueError, match="too small"):
+                    gm._posterior(z, 1e-160, 0.0, **want)
+            for moments in (gm._posterior(z, 1e-150, 0.0), gm._posterior(z, 1e-150, 1e-150)):
+                assert all(np.all(np.isfinite(moment)) for moment in moments)
+
 
 class TestVelocityOracle:
     def test_standard_normal_closed_form(self):
@@ -552,6 +571,14 @@ class TestMixtureValidation:
     def test_variances_positive(self):
         with pytest.raises(ValueError):
             GaussianMixture(np.array([1.0]), np.array([0.0]), np.array([0.0]))
+
+    def test_variances_with_an_overflowing_reciprocal_rejected(self):
+        # a subnormal variance would let a tiny sigma overflow 1 / (v + sigma^2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="reciprocal"):
+                GaussianMixture(np.array([0.5, 0.5]), np.array([0.0, 1.0]), np.array([1.0, 1e-320]))
+            GaussianMixture(np.array([1.0]), np.array([0.0]), np.array([np.finfo(float).tiny]))
 
     def test_shape_mismatch(self):
         cases = [

@@ -173,8 +173,8 @@ def expression_ddim(z, schedule, t, eps_pred, omega):
     ab_t = schedule.alpha_bar(t)
     ab_prev = schedule.alpha_bar(t - 1)
     scaled = eps_pred * omega
-    predicted_z0 = (z - math.sqrt(1.0 - ab_t) * scaled) / math.sqrt(ab_t)
-    return math.sqrt(ab_prev) * predicted_z0 + math.sqrt(1.0 - ab_prev) * scaled
+    delta = math.sqrt(ab_prev) / math.sqrt(ab_t)
+    return delta * (z - math.sqrt(1.0 - ab_t) * scaled) + math.sqrt(1.0 - ab_prev) * scaled
 
 
 def expression_euler(z, schedule, i, eps_pred, omega):
@@ -224,6 +224,27 @@ def test_scaled_kernels_match_their_expressions_and_keep_inputs(linear_bars, ome
         for array, copy in zip(inputs, kept):
             assert bits_equal(array, copy), kernel.__name__
             assert not np.shares_memory(actual, array)
+
+
+def test_folded_ddim_step_within_rounding_of_the_predicted_z0_form(linear_bars):
+    # the kernel multiplies by delta = sqrt(abar_prev) / sqrt(abar_t) once; the
+    # textbook form divides by sqrt(abar_t) into the predicted z0, then
+    # multiplies by sqrt(abar_prev). Over the whole ladder and an omega grid
+    # they differ by at most 4.2e-16 of each cell's term scale with these
+    # inputs (4.4e-16 over 4,096 normal draws); the bound is 1e-15
+    z, pred = kernel_inputs((257,))
+    z *= 3.0
+    for t in range(1, linear_bars.num_steps + 1):
+        ab_t, ab_prev = linear_bars.alpha_bar(t), linear_bars.alpha_bar(t - 1)
+        for omega in (0.5, 0.9, 1.0, 1.1, 2.0, RNG.uniform(0.5, 2.0, z.shape)):
+            scaled = pred * omega
+            noise = math.sqrt(1.0 - ab_t) * scaled
+            predicted_z0 = (z - noise) / math.sqrt(ab_t)
+            expected = math.sqrt(ab_prev) * predicted_z0 + math.sqrt(1.0 - ab_prev) * scaled
+            delta = math.sqrt(ab_prev) / math.sqrt(ab_t)
+            scale = delta * (np.abs(z) + np.abs(noise)) + math.sqrt(1.0 - ab_prev) * np.abs(scaled)
+            actual = ddim_step(z, linear_bars, t, pred, omega)
+            assert np.all(np.abs(actual - expected) <= 1e-15 * scale), t
 
 
 class TestSamplerConfig:
