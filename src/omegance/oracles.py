@@ -7,8 +7,17 @@ claim needs an exact reference. A mixture's components are scalar (means of
 shape (K,)), so it acts independently on every latent cell, as a per-cell omega
 mask needs, which makes it the substrate for locality checks.
 
-Responsibilities are always formed in log space with max subtraction, so the
-normalising total never underflows to zero.
+Responsibilities are formed in log space and exponentiated without a
+per-cell shift: each call shifts the per-component log constants by their
+largest, so no exponent is above 0 and no exp overflows. A cell whose
+exponentials sum below UNDERFLOW_SUM (2^-60) takes the max-shifted route
+instead, where its log responsibilities are shifted by their per-cell maximum
+so that their sum lies in [1, K]. At or above the threshold the unshifted
+route loses nothing: the reciprocal of the sum is at most 2^60, and a term
+that underflowed to zero or went subnormal carries less than 2^-960 of the
+cell's mass. Below it the largest term may itself have lost its digits, or
+every term may be 0. Only cells many standard deviations from every centre
+fall below, so the per-cell max pass runs for those alone.
 
 A mixture forms only the moments its caller asks for: eps for
 epsilon_predict, z0 for posterior_z0, both for velocity_predict. With K > 1
@@ -17,7 +26,7 @@ that its (K, block) temporaries stay in a core's cache instead of being
 allocated, faulted in and freed on every call. Each thread keeps one
 workspace (a ``threading.local``, keyed by (K, block width)) of two (K,
 width) buffers, for the differences and the log responsibilities, and one
-(1, width) row for the per-cell maximum and total; a third (K, width) buffer
+(1, width) row for the per-cell total; a third (K, width) buffer
 for the eps term joins them only once a call asks for both moments. Each
 buffer starts on a 64-byte boundary, which malloc leaves to chance. Every
 block runs the same operations in the same order as one pass over the
@@ -26,12 +35,15 @@ allocated outputs, 64-byte aligned like the workspace, so a returned array
 never aliases the workspace and the next call cannot change it. Each call
 folds every component's constants once, log_const = log w - log(2 pi tv) / 2,
 half_prec = 0.5 / tv and inv_var = 1 / tv with tv = a^2 v + b^2, so a block
-forms its log responsibilities as log_const - diff^2 * half_prec (a square, a
-multiply and a subtract), normalises them by one reciprocal of their sum per
-cell (the sum lies in [1, K]), and forms eps as (sum_k resp * pull) * b,
-with b applied to the summed row. A call that wants eps alone takes pull =
-diff * inv_var, a multiply where a divide costs about three; a call that
-wants z0 keeps pull = diff / tv, because with the rounded reciprocal
+forms its exponents as log_const - diff^2 * half_prec (a square, a multiply
+and a subtract, log_const shifted as above), normalises the exponentials by
+one reciprocal of their sum per cell, and forms eps as
+(sum_k resp * pull) * b, with b applied to the summed row. Every sum over k
+is taken row by row, ((r_0 + r_1) + r_2) + ..., and a moment sum ends by
+adding +0.0: the bits of numpy's axis-0 sum, which starts from +0.0. A call
+that wants eps alone takes pull = diff * inv_var, a multiply where a divide
+costs about three; a call that wants z0 keeps pull = diff / tv, because with
+the rounded reciprocal
 z0 = mu + (a*v) * pull no longer cancels to the cell's value at b = 0 (2.5e-13
 of the moment scale for one test mixture). Scales so small that some 1 / tv
 overflows are rejected. Against the unfolded formula,
@@ -43,14 +55,14 @@ skips the softmax and takes the linear Tweedie form
 eps = (z - a*mu) * (1 / (a^2 v + b^2)) * b, z0 = mu + (a*v) * (z - a*mu) / (a^2 v + b^2);
 its eps lies within 4.3e-16 of the moment scale of the divided form, and
 its z0 and velocity are the divided form bit for bit. Both give every cell the
-operations of the general softmax route in the same order, so their outputs
-are bitwise identical to it, signed zeros included (an eps that is zero
-because b = 0 or b * pull underflows takes pull's sign), for every cell whose
-squared distance to some component centre is finite.
-A cell farther than about 1.3e154 from every centre, where that route would
-give NaN, has its log responsibilities shifted by the nearest component's
-instead, which keeps them finite; components without mass get -inf there
-directly.
+operations of the max-shifted softmax route in the same order, so their
+outputs are bitwise identical to it, signed zeros included (an eps that is
+zero because b = 0 or b * pull underflows takes pull's sign), for every cell
+whose squared distance to some component centre is finite.
+A cell farther than about 1.3e154 from every centre, where every exponential
+is 0 and the max-shifted route would give NaN, has its log responsibilities
+shifted by the nearest component's instead, which keeps them finite;
+components without mass get -inf there directly.
 """
 
 from __future__ import annotations
@@ -75,7 +87,22 @@ _WEIGHT_SUM_TOL = 1e-12
 BLOCK_CELLS = 16384
 # workspace buffers start on this boundary: one cache line, one AVX-512 vector
 _ALIGN_BYTES = 64
+# a cell whose unshifted exponentials sum below this takes the max-shifted
+# route; above it an underflowed term carries < 2**-960 of the cell's mass
+UNDERFLOW_SUM = 2.0**-60
 _workspace = threading.local()
+
+
+def _fold_rows(ufunc, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = ufunc(...ufunc(ufunc(rows[0], rows[1]), rows[2])..., rows[K-1]) for a (K >= 2, n) array.
+
+    The order of numpy's axis-0 reduction, row by row, without the +0.0 that
+    starts an axis-0 sum.
+    """
+    ufunc(rows[0], rows[1], out=out)
+    for row in rows[2:]:
+        ufunc(out, row, out=out)
+    return out
 
 
 def _aligned_empty(rows: int, width: int) -> np.ndarray:
@@ -150,16 +177,19 @@ class GaussianMixture:
         """Cellwise posterior means (E[eps | z], E[z0 | z]) under z = a*z0 + b*eps; unwanted ones are None.
 
         Each cell gets the softmax route's operations in its order: diff =
-        z - a*mu, log responsibilities log_const - (diff * diff) * half_prec
-        from the per-call (K, 1) constants log_const = log w - log(2 pi tv) / 2,
-        half_prec = 0.5 / tv and inv_var = 1 / tv, normalised before the moment
-        sums by multiplying with 1 / sum_k resp, pull = diff * inv_var when eps
-        alone is wanted and diff / tv otherwise, eps = (sum_k resp * pull) * b
-        and z0 = sum_k resp * (mu + (a*v) * pull), with the sums over k
-        starting from +0.0. For K = 1 the responsibility is exactly 1.0, so the
-        sum reduces to adding its +0.0 start, which only turns -0.0 into +0.0,
-        before the b multiply; the softmax is skipped. Raises ValueError when
-        some component's 1 / tv is not finite.
+        z - a*mu, exponentials exp(log_const - (diff * diff) * half_prec) from
+        the per-call (K, 1) constants log_const = log w - log(2 pi tv) / 2
+        less its largest, half_prec = 0.5 / tv and inv_var = 1 / tv,
+        normalised before the moment sums by multiplying with 1 / sum_k resp,
+        pull = diff * inv_var when eps alone is wanted and diff / tv
+        otherwise, eps = (sum_k resp * pull) * b and z0 = sum_k resp *
+        (mu + (a*v) * pull), with the moment sums over k row by row and then
+        + 0.0. A cell whose sum of exponentials is below UNDERFLOW_SUM takes
+        the max-shifted exponentials of _shifted_exponentials instead, before
+        the same normalisation. For K = 1 the responsibility is exactly 1.0,
+        as after the max shift, so the sum reduces to adding +0.0, which only
+        turns -0.0 into +0.0, before the b multiply; the softmax is skipped.
+        Raises ValueError when some component's 1 / tv is not finite.
         """
         a, b = float(signal_scale), float(noise_scale)
         if not (math.isfinite(a) and math.isfinite(b)) or a < 0.0 or b < 0.0 or a + b == 0.0:
@@ -191,6 +221,7 @@ class GaussianMixture:
         inv_var = 1.0 / total_var
         with np.errstate(divide="ignore"):  # zero weights contribute -inf, i.e. no mass
             log_const = np.log(self.weights)[:, None] - 0.5 * np.log(2.0 * np.pi * total_var)
+        shifted_const = log_const - log_const.max()  # at most 0, so no exp below overflows
         half_prec = 0.5 / total_var
         centers = (a * self.means)[:, None]
         z0_scale = (a * self.variances)[:, None]
@@ -203,40 +234,60 @@ class GaussianMixture:
         for start in range(0, size, width):
             stop = min(start + width, size)
             n = stop - start
-            pull, resp, peak = diff_buf[:, :n], resp_buf[:, :n], row_buf[:, :n]
+            pull, resp, total = diff_buf[:, :n], resp_buf[:, :n], row_buf[0, :n]
             np.subtract(flat[:, start:stop], centers, out=pull)
             with np.errstate(over="ignore"):  # a square beyond the float range gives no mass
-                np.multiply(pull, pull, out=resp)  # log responsibilities until the exp
+                np.multiply(pull, pull, out=resp)  # exponents until the exp
                 resp *= half_prec
-            np.subtract(log_const, resp, out=resp)
-            resp.max(axis=0, keepdims=True, out=peak)
-            if peak.min() == -np.inf:  # some cell is far from every centre with mass
-                far = np.flatnonzero(peak == -np.inf)
-                resp[:, far] = self._far_log_responsibilities(pull[:, far], total_var, log_const)
-                peak[:, far] = resp[:, far].max(axis=0)
-            resp -= peak
+            np.subtract(shifted_const, resp, out=resp)
             np.exp(resp, out=resp)
-            resp.sum(axis=0, keepdims=True, out=peak)  # in [1, K], so its reciprocal is finite
-            np.divide(1.0, peak, out=peak)
-            resp *= peak
+            _fold_rows(np.add, resp, total)
+            if total.min() < UNDERFLOW_SUM:  # these cells take the max-shifted route
+                low = np.flatnonzero(total < UNDERFLOW_SUM)
+                resp[:, low], total[low] = self._shifted_exponentials(pull[:, low], total_var, log_const, half_prec)
+            np.divide(1.0, total, out=total)
+            resp *= total
             if not want_z0:
                 pull *= inv_var
             else:  # z0 keeps the divide: a reciprocal leaves mu + a*v*pull 2.5e-13 off at b = 0
                 pull /= total_var
             if want_eps:
                 term = np.multiply(pull, resp, out=term_buf[:, :n] if want_z0 else pull)
-                term.sum(axis=0, out=eps_flat[start:stop])
-                eps_flat[start:stop] *= b
+                eps_row = _fold_rows(np.add, term, eps_flat[start:stop])
+                eps_row += 0.0  # the +0.0 start of a sum: an all -0.0 column sums to +0.0
+                eps_row *= b
             if want_z0:
                 pull *= z0_scale
                 pull += self.means[:, None]
                 pull *= resp
-                pull.sum(axis=0, out=z0_flat[start:stop])
+                z0_row = _fold_rows(np.add, pull, z0_flat[start:stop])
+                z0_row += 0.0
         if want_eps:
             eps_mean = eps_flat.reshape(shape)
         if want_z0:
             z0_mean = z0_flat.reshape(shape)
         return eps_mean, z0_mean
+
+    def _shifted_exponentials(self, diff, total_var, log_const, half_prec):
+        """Exponentials of max-shifted log responsibilities, and their sum over k, for the (K, m) diffs of m cells.
+
+        The per-cell shift puts the largest exponent at 0, so the sum lies in
+        [1, K]. A cell whose every log responsibility is -inf (its squared
+        distance to every centre with mass overflows) is shifted by
+        _far_log_responsibilities instead.
+        """
+        with np.errstate(over="ignore"):
+            log_resp = diff * diff
+            log_resp *= half_prec
+        np.subtract(log_const, log_resp, out=log_resp)
+        peak = _fold_rows(np.maximum, log_resp, np.empty(diff.shape[1]))
+        far = np.flatnonzero(peak == -np.inf)
+        if far.size:
+            log_resp[:, far] = self._far_log_responsibilities(diff[:, far], total_var, log_const)
+            _fold_rows(np.maximum, log_resp, peak)
+        log_resp -= peak
+        np.exp(log_resp, out=log_resp)
+        return log_resp, _fold_rows(np.add, log_resp, peak)
 
     def _far_log_responsibilities(self, diff: np.ndarray, total_var: np.ndarray, log_const: np.ndarray):
         """Log responsibilities, up to a per-cell shift, of cells far from every centre.

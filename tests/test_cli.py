@@ -18,10 +18,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_config import CONFIGS
 
-from omegance import cli, formats, load_config, reference_trajectory, run_sampler, standard_normal
+from omegance import cli, formats, load_config, oracles, reference_trajectory, run_sampler, standard_normal
 from omegance.analysis import SpectrumProfile
 from omegance.cli import main
 from omegance.formats import read_pgm, read_snapshot, write_csv, write_pgm, write_snapshot
+from omegance.oracles import GaussianMixture
 from omegance.samplers import NumericAbortError, SamplerConfig
 
 
@@ -191,6 +192,51 @@ class TestSampleCommand:
             read_manifest(tmp_path / "one")["artifacts"]
             == read_manifest(tmp_path / "four")["artifacts"]
         )
+
+    def test_underflow_fallback_mid_trajectory(self, tmp_path, monkeypatch):
+        # tight components leave late-step cells between centres with an
+        # exponent sum that underflows; those cells take the max-shifted route
+        # while their neighbours do not, on any thread count, and the run stays
+        # within rounding of one in which every cell takes that route
+        data = sample_config(
+            tmp_path,
+            oracle={"kind": "gaussian_mixture", "weights": [0.3, 0.4, 0.3], "means": [-1.5, 0.0, 1.5],
+                    "variances": [1e-4, 1e-4, 1e-4]},
+            omega={"values": [0.5, 0.8]},
+            latent={"shape": [16, 16]},
+        )
+        data["sampler"] = {"kind": "ddim", "steps": 10, "schedule": {"num_steps": 1000}, "snapshots": [5, 10]}
+        config = write_config(tmp_path, data)
+        low_cells = []  # per posterior call, in cell order on one thread
+        posterior, shifted = GaussianMixture._posterior, GaussianMixture._shifted_exponentials
+
+        def counted_posterior(self, *args, **kwargs):
+            low_cells.append(0)
+            return posterior(self, *args, **kwargs)
+
+        def counted_shifted(self, diff, *args):
+            low_cells[-1] += diff.shape[1]
+            return shifted(self, diff, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(GaussianMixture, "_posterior", counted_posterior)
+            patch.setattr(GaussianMixture, "_shifted_exponentials", counted_shifted)
+            assert main(["sample", "--config", str(config), "--out", str(tmp_path / "one"), "--threads", "1"]) == 0
+        assert len(low_cells) == 2 * 2 * 10
+        assert any(low_cells[call] for call in range(len(low_cells)) if call % 10 < 9)
+        assert all(count < 16 * 16 for count in low_cells)
+        assert main(["sample", "--config", str(config), "--out", str(tmp_path / "two"), "--threads", "2"]) == 0
+        assert read_manifest(tmp_path / "one")["artifacts"] == read_manifest(tmp_path / "two")["artifacts"]
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "UNDERFLOW_SUM", math.inf)
+            assert main(["sample", "--config", str(config), "--out", str(tmp_path / "shifted")]) == 0
+        for seed in (0, 1):
+            for omega in (0, 1):
+                name = f"seed{seed}_omega{omega}_final.bin"
+                final, _ = read_snapshot(tmp_path / "one" / name)
+                reference, _ = read_snapshot(tmp_path / "shifted" / name)
+                rms = math.sqrt(float(np.mean(reference * reference)))
+                assert np.max(np.abs(final - reference)) <= 1e-12 * rms
 
     def test_env_thread_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMEGANCE_THREADS", "2")

@@ -17,6 +17,9 @@ from omegance import (
 from omegance import oracles
 from omegance.oracles import BLOCK_CELLS
 
+# the exponent sum below which a cell takes the max-shifted route, pinned
+# here so that the references do not follow a change to the package's own
+UNDERFLOW_SUM = 2.0**-60
 ASYMMETRIC = GaussianMixture(np.array([0.3, 0.7]), np.array([-2.0, 3.0]), np.array([1.0, 1.0]))
 
 
@@ -43,14 +46,65 @@ def quadrature_posterior(weights, means, variances, z, signal_scale, noise_scale
     return float(np.trapezoid(target * weight, eps) / np.trapezoid(weight, eps))
 
 
+def sum_rows(rows):
+    """((rows[0] + rows[1]) + rows[2]) + ... over the first axis, as plain expressions."""
+    total = rows[0] + rows[1]
+    for row in rows[2:]:
+        total = total + row
+    return total
+
+
+def unshifted_exponentials(mixture, z, a, b):
+    """(K, N) exp(log_const_k - max_j log_const_j - diff_k^2 * (0.5 / tv_k)), no per-cell shift."""
+    flat = np.asarray(z, dtype=np.float64).reshape(1, -1)
+    total_var = (a * a * mixture.variances + b * b)[:, None]
+    with np.errstate(divide="ignore"):
+        log_const = np.log(mixture.weights)[:, None] - 0.5 * np.log(2.0 * np.pi * total_var)
+    diff = flat - (a * mixture.means)[:, None]
+    with np.errstate(over="ignore"):
+        return np.exp(log_const - log_const.max() - diff * diff * (0.5 / total_var))
+
+
 def softmax_posterior(mixture, z, a, b, want_z0=True):
-    """Scalar-mixture posterior by the general route: both moments through the
-    log-space softmax over freshly allocated (K, N) temporaries, for every K,
-    with each component's constants folded once: log responsibilities
-    log w - log(2 pi tv) / 2 - diff^2 * (0.5 / tv), normalised by the
-    reciprocal of their sum, and eps = (sum_k resp * pull) * b. With want_z0
-    false (the eps-only calls) pull is diff * (1 / tv), else diff / tv.
-    The package's posterior must match it bit for bit."""
+    """Scalar-mixture posterior by the package's softmax route, over freshly
+    allocated (K, N) temporaries: the constants folded once per call,
+    log_const = log w - log(2 pi tv) / 2 and 0.5 / tv, and shifted by their
+    largest; exponentials exp(log_const - max log_const - diff^2 * (0.5 / tv))
+    without a per-cell shift, normalised by the reciprocal of their sum; eps =
+    (sum_k resp * pull) * b; every sum over k taken row by row and ended by
+    adding +0.0. A cell whose sum falls below UNDERFLOW_SUM takes
+    shifted_softmax_posterior instead, and so does every cell of a K = 1
+    mixture, whose responsibility is 1.0 exactly only after the max shift.
+    With want_z0 false (the eps-only calls) pull is diff * (1 / tv), else
+    diff / tv. The package's posterior must match it bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    if mixture.num_components == 1:
+        return shifted_softmax_posterior(mixture, z, a, b, want_z0)
+    flat = z.reshape(1, -1)
+    total_var = (a * a * mixture.variances + b * b)[:, None]
+    exps = unshifted_exponentials(mixture, z, a, b)
+    sums = sum_rows(exps)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the low cells are replaced below
+        diff = flat - (a * mixture.means)[:, None]
+        resp = exps * (1.0 / sums)
+        pull = diff / total_var if want_z0 else diff * (1.0 / total_var)
+        eps_mean = (sum_rows(resp * pull) + 0.0) * b
+        z0_mean = sum_rows(resp * (mixture.means[:, None] + a * mixture.variances[:, None] * pull)) + 0.0
+    low = np.flatnonzero(sums < UNDERFLOW_SUM)
+    if low.size:
+        eps_mean[low], z0_mean[low] = shifted_softmax_posterior(mixture, flat[0, low], a, b, want_z0)
+    return eps_mean.reshape(z.shape), z0_mean.reshape(z.shape)
+
+
+def shifted_softmax_posterior(mixture, z, a, b, want_z0=True):
+    """Scalar-mixture posterior by the max-shifted softmax: both moments over
+    freshly allocated (K, N) temporaries, with each component's constants
+    folded once: log responsibilities log w - log(2 pi tv) / 2 - diff^2 *
+    (0.5 / tv), shifted by their per-cell maximum, normalised by the
+    reciprocal of their sum, and eps = (sum_k resp * pull) * b, every sum over
+    k numpy's axis-0 sum. With want_z0 false (the eps-only calls) pull is
+    diff * (1 / tv), else diff / tv. The package's fallback route, which
+    every cell takes when the threshold is +inf, must match it bit for bit."""
     z = np.asarray(z, dtype=np.float64)
     flat = z.reshape(1, -1)
     centers = (a * mixture.means)[:, None]
@@ -312,6 +366,83 @@ def test_far_cells_in_later_blocks(name):
         want_eps, want_z0 = nearest_component(gm, cell, a, b)._posterior(np.array([cell]), a, b)
         for actual, want in ((eps_mean, want_eps), (z0_mean, want_z0), (eps_both, want_eps), (z0_both, want_z0)):
             assert actual[index] == pytest.approx(float(want[0]), rel=1e-12)
+
+
+FALLBACK_MIXTURES = ["k2", "k3", "k3_zero_weight", "k4_zero_weights"]
+
+
+def threshold_pair(mixture, a, b, side):
+    """Adjacent floats (inner, outer) beyond the outermost centre with mass on one side
+    (+1 or -1) whose unshifted exponent sums lie at or above and below UNDERFLOW_SUM."""
+    inner = side * max(side * a * mixture.means[mixture.weights > 0.0])
+    outer = side * 1e3
+
+    def above(cell):
+        return sum_rows(unshifted_exponentials(mixture, np.array([cell]), a, b))[0] >= UNDERFLOW_SUM
+
+    assert above(inner) and not above(outer)
+    while True:
+        middle = 0.5 * (inner + outer)
+        if middle in (inner, outer):
+            return inner, outer
+        if above(middle):
+            inner = middle
+        else:
+            outer = middle
+
+
+@pytest.mark.parametrize("name", FALLBACK_MIXTURES)
+def test_cells_at_the_underflow_threshold(name):
+    # cells whose exponent sum lies one float step either side of the
+    # threshold, beside far cells, in the first block and in later ones: each
+    # takes its own route, so every moment equals the reference bit for bit
+    # and stays within rounding of the unfolded formula
+    gm = BITWISE_MIXTURES[name]
+    t = 0.3
+    a, b = 1.0 - t, t
+    boundary = [*threshold_pair(gm, a, b, 1), *threshold_pair(gm, a, b, -1)]
+    z = np.random.default_rng(9).normal(0.0, 3.0, 2 * BLOCK_CELLS + 3)
+    z[5 : 5 + 4] = boundary
+    z[BLOCK_CELLS + 11 : BLOCK_CELLS + 15] = boundary
+    z[2 * BLOCK_CELLS - 2 : 2 * BLOCK_CELLS + 2] = boundary  # across the last block boundary
+    far = {3: 1e155, BLOCK_CELLS + 7: -3e200, 2 * BLOCK_CELLS + 2: 1.7e307}
+    near = np.ones(z.size, dtype=bool)
+    for index, cell in far.items():
+        z[index] = cell
+        near[index] = False
+    sums = sum_rows(unshifted_exponentials(gm, z[near], a, b))
+    assert np.sum(sums < UNDERFLOW_SUM) >= 6 and np.sum(sums >= UNDERFLOW_SUM) >= 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps_mean = gm.epsilon_given(z, a, b)
+        z0_mean = gm.posterior_z0(z, a, b)
+        velocity = gm.velocity_predict(z, t)
+    eps_ref, z0_ref = softmax_posterior(gm, z[near], a, b)
+    assert_bitwise(eps_mean[near], softmax_posterior(gm, z[near], a, b, want_z0=False)[0])
+    assert_bitwise(z0_mean[near], z0_ref)
+    assert_bitwise(velocity[near], eps_ref - z0_ref)
+    eps_unfolded, z0_unfolded, eps_scale, z0_scale = unfolded_posterior(gm, z[near], a, b)
+    assert np.all(np.abs(eps_mean[near] - eps_unfolded) <= 1e-13 * eps_scale)
+    assert np.all(np.abs(z0_mean[near] - z0_unfolded) <= 1e-13 * z0_scale)
+    assert np.all(np.abs(velocity[near] - (eps_unfolded - z0_unfolded)) <= 1e-13 * (eps_scale + z0_scale))
+    for index, cell in far.items():
+        want_eps, want_z0 = nearest_component(gm, cell, a, b)._posterior(np.array([cell]), a, b)
+        for actual, want in ((eps_mean, want_eps), (z0_mean, want_z0), (velocity, want_eps - want_z0)):
+            assert actual[index] == pytest.approx(float(want[0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", FALLBACK_MIXTURES)
+def test_an_infinite_threshold_sends_every_cell_down_the_shifted_softmax(name, monkeypatch):
+    # the fallback is the max-shifted route, which stays a route of its own
+    monkeypatch.setattr(oracles, "UNDERFLOW_SUM", math.inf)
+    gm = BITWISE_MIXTURES[name]
+    z = np.resize(bitwise_latent(gm, 0.6).reshape(-1), 2 * BLOCK_CELLS + 3)
+    for a, b in ((0.6, 0.8), (1.0, 0.0), (0.0, 1.0)):
+        assert_bitwise(gm.epsilon_given(z, a, b), shifted_softmax_posterior(gm, z, a, b, want_z0=False)[0])
+        assert_bitwise(gm.posterior_z0(z, a, b), shifted_softmax_posterior(gm, z, a, b)[1])
+    for t in (0.0, 0.3, 1.0):
+        eps_ref, z0_ref = shifted_softmax_posterior(gm, z, 1.0 - t, t)
+        assert_bitwise(gm.velocity_predict(z, t), eps_ref - z0_ref)
 
 
 def drop_massless(mixture):
