@@ -28,17 +28,13 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .omega import (
     DEFAULT_RESCALE,
     IDENTITY_CONTROL,
-    ConstantSchedule,
-    CosSchedule,
-    ExpSchedule,
     OmegaControl,
     OmegaMask,
     OmegaSchedule,
     RescaleParams,
-    TwoStageSchedule,
     mask_from_grayscale,
     mask_to_grayscale,
-    preset_schedule,
+    omega_schedule,
     rescale,
 )
 from .oracles import (
@@ -92,17 +88,13 @@ __all__ = [
     "parse_config",
     "DEFAULT_RESCALE",
     "IDENTITY_CONTROL",
-    "ConstantSchedule",
-    "CosSchedule",
-    "ExpSchedule",
     "OmegaControl",
     "OmegaMask",
     "OmegaSchedule",
     "RescaleParams",
-    "TwoStageSchedule",
     "mask_from_grayscale",
     "mask_to_grayscale",
-    "preset_schedule",
+    "omega_schedule",
     "rescale",
     "GaussianFieldSpec",
     "GaussianMixture",

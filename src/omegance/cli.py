@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import band_energy, radial_spectrum, snr_trajectory
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, _seeds, load_config
 from .formats import _replacing, format_cell, write_csv, write_pgm, write_snapshot
 from .omega import mask_to_grayscale
 from .oracles import GaussianFieldSpec, gaussian_field_2d
@@ -127,12 +127,10 @@ def _load(args) -> ExperimentConfig:
         updates["output_dir"] = args.out
     if args.seeds:
         try:
-            seeds = tuple(int(s) for s in args.seeds.split(","))
+            seeds = [int(s) for s in args.seeds.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --seeds value {args.seeds!r}") from exc
-        if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
-            raise ConfigError("--seeds must be a non-empty list of distinct non-negative integers")
-        updates["seeds"] = seeds
+        updates["seeds"] = _seeds(seeds, "--seeds")
     return replace(config, **updates)
 
 
@@ -493,7 +491,7 @@ def cmd_preview(args, config: ExperimentConfig, written: list[str]) -> dict:
         write_pgm(out / "mask_preview.pgm", mask_to_grayscale(config.mask))
         written.append("mask_preview.pgm")
     else:
-        values = config.omega_schedule.values()
+        values = config.omega_schedule.values
         write_csv(out / "schedule.csv", ["step", "omega"], list(enumerate(values)))
         written.append("schedule.csv")
     print(f"wrote {', '.join(written)} to {out}")

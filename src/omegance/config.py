@@ -32,16 +32,13 @@ import numpy as np
 
 from .formats import read_pgm
 from .omega import (
-    ConstantSchedule,
-    CosSchedule,
-    ExpSchedule,
+    SCHEDULE_KINDS,
     OmegaControl,
     OmegaMask,
     OmegaSchedule,
     RescaleParams,
-    TwoStageSchedule,
     mask_from_grayscale,
-    preset_schedule,
+    omega_schedule,
     rescale,
 )
 from .oracles import GaussianMixture, standard_normal
@@ -99,6 +96,17 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer")
     return value
+
+
+def _seeds(seeds, name: str) -> tuple[int, ...]:
+    """The seeds of a config or of --seeds, checked: a non-empty list of distinct non-negative integers."""
+    if not isinstance(seeds, list) or not seeds or not all(
+        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds
+    ):
+        raise ConfigError(f"{name} must be a non-empty list of non-negative integers")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{name} must be distinct")
+    return tuple(seeds)
 
 
 @dataclass(frozen=True)
@@ -178,14 +186,7 @@ def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
     oracle = _parse_oracle(top["oracle"])
     init_kind, field_exponent = _parse_init(top.get("init", {"kind": "white"}), latent_shape)
 
-    seeds = top["seeds"]
-    if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds
-    ):
-        raise ConfigError("seeds must be a non-empty list of non-negative integers")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
-
+    seeds = _seeds(top["seeds"], "seeds")
     output_dir = top.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir must be a non-empty string")
@@ -205,7 +206,7 @@ def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
         init_kind=init_kind,
         field_exponent=field_exponent,
         latent_shape=latent_shape,
-        seeds=tuple(seeds),
+        seeds=seeds,
         output_dir=output_dir,
         snapshot_format=snapshot_format,
         raw=data,
@@ -351,41 +352,22 @@ def _parse_omega_schedule(data, steps: int) -> OmegaSchedule:
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("omega.schedule must be an object with a 'kind'")
     kind = data["kind"]
+    if kind == "preset":
+        names = ("name",)
+    elif isinstance(kind, str) and kind in SCHEDULE_KINDS:
+        names = SCHEDULE_KINDS[kind][0]
+    else:
+        raise ConfigError(f"unknown omega schedule kind {kind!r}")
     try:
-        if kind == "constant":
-            sec = _section(data, "omega.schedule", required={"kind", "omega"})
-            return ConstantSchedule(_number(sec["omega"], "schedule.omega"), steps)
-        if kind == "two_stage":
-            sec = _section(data, "omega.schedule", required={"kind", "switch_step", "early", "late"})
-            return TwoStageSchedule(
-                _integer(sec["switch_step"], "schedule.switch_step"),
-                _number(sec["early"], "schedule.early"),
-                _number(sec["late"], "schedule.late"),
-                steps,
-            )
-        if kind == "exp":
-            sec = _section(data, "omega.schedule", required={"kind", "amplitude", "decay", "offset"})
-            return ExpSchedule(
-                _number(sec["amplitude"], "schedule.amplitude"),
-                _number(sec["decay"], "schedule.decay"),
-                _number(sec["offset"], "schedule.offset"),
-                steps,
-            )
-        if kind == "cos":
-            sec = _section(data, "omega.schedule", required={"kind", "amplitude", "offset"})
-            return CosSchedule(
-                _number(sec["amplitude"], "schedule.amplitude"),
-                _number(sec["offset"], "schedule.offset"),
-                steps,
-            )
-        if kind == "preset":
-            sec = _section(data, "omega.schedule", required={"kind", "name"})
-            if not isinstance(sec["name"], str):
-                raise ConfigError("omega.schedule.name must be a string")
-            return preset_schedule(sec["name"], steps)
+        sec = _section(data, "omega.schedule", required={"kind", *names})
+        if kind == "preset":  # omega_schedule rejects a name that is no preset's, a list say
+            return omega_schedule(kind, steps, name=sec["name"])
+        params = {
+            name: (_integer if name == "switch_step" else _number)(sec[name], f"schedule.{name}") for name in names
+        }
+        return omega_schedule(kind, steps, **params)
     except ValueError as exc:
         raise ConfigError(f"bad omega schedule: {exc}") from exc
-    raise ConfigError(f"unknown omega schedule kind {kind!r}")
 
 
 def _parse_oracle(data) -> GaussianMixture:

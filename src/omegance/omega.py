@@ -5,12 +5,13 @@ noise-prediction term of a denoise step (detail enhancement); above 1 grows
 it (detail suppression). The composition rules here produce the single omega
 used at a given (cell, step): base * schedule_value * mask_cell, with absent
 parts contributing an exact factor of 1 so that identity controls leave
-sampler arithmetic bit-for-bit unchanged.
+sampler arithmetic bit-for-bit unchanged. A schedule is one read-only table
+of per-step omegas, built once by omega_schedule from a kind and its
+parameters or from a named preset.
 """
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass
 
@@ -24,12 +25,9 @@ __all__ = [
     "mask_from_grayscale",
     "mask_to_grayscale",
     "OmegaSchedule",
-    "ConstantSchedule",
-    "TwoStageSchedule",
-    "ExpSchedule",
-    "CosSchedule",
+    "SCHEDULE_KINDS",
     "SCHEDULE_PRESETS",
-    "preset_schedule",
+    "omega_schedule",
     "OmegaControl",
     "IDENTITY_CONTROL",
 ]
@@ -138,101 +136,51 @@ def mask_to_grayscale(mask: OmegaMask) -> np.ndarray:
     return np.rint((grid - low) / (high - low) * 255.0).astype(np.uint8)
 
 
-class OmegaSchedule(abc.ABC):
-    """Time-varying omega: one positive value per sampling step."""
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: == on an array field would raise
+class OmegaSchedule:
+    """Time-varying omega: one positive value per sampling step, as a read-only table."""
 
-    total_steps: int
+    values: np.ndarray
 
-    @abc.abstractmethod
+    def __post_init__(self):
+        values = np.array(self.values, dtype=np.float64)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("schedule values must be a non-empty 1-D array")
+        if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
+            raise ValueError("schedule emits a non-positive or non-finite omega")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def total_steps(self) -> int:
+        return self.values.size
+
     def value_at(self, step: int) -> float:
         """Omega applied at the given 0-based sampling step."""
-
-    def _check_step(self, step: int) -> None:
-        if not 0 <= step < self.total_steps:
-            raise ValueError(f"step {step} outside [0, {self.total_steps})")
-
-    def values(self) -> np.ndarray:
-        return np.array([self.value_at(k) for k in range(self.total_steps)])
-
-    def _check_positive(self) -> None:
-        try:
-            emitted = self.values()
-        except OverflowError as exc:
-            raise ValueError("schedule parameters overflow") from exc
-        if np.any(emitted <= 0.0) or not np.all(np.isfinite(emitted)):
-            raise ValueError("schedule emits a non-positive or non-finite omega")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
+        if not 0 <= step < self.values.size:
+            raise ValueError(f"step {step} outside [0, {self.values.size})")
+        return float(self.values[step])
 
 
-@dataclass(frozen=True)
-class ConstantSchedule(OmegaSchedule):
-    omega: float
-    total_steps: int
-
-    def __post_init__(self):
-        self._check_positive()
-
-    def value_at(self, step: int) -> float:
-        self._check_step(step)
-        return self.omega
-
-
-@dataclass(frozen=True)
-class TwoStageSchedule(OmegaSchedule):
-    """omega_early until switch_step, omega_late from then on.
-
-    Early steps settle layout and late steps settle fine detail, so the
-    switch usually sits in the first fifth of the run (step 10 of 50).
-    """
-
-    switch_step: int
-    omega_early: float
-    omega_late: float
-    total_steps: int
-
-    def __post_init__(self):
-        if not 0 <= self.switch_step <= self.total_steps:
-            raise ValueError("switch_step must lie in [0, total_steps]")
-        self._check_positive()
-
-    def value_at(self, step: int) -> float:
-        self._check_step(step)
-        return self.omega_early if step < self.switch_step else self.omega_late
-
-
-@dataclass(frozen=True)
-class ExpSchedule(OmegaSchedule):
-    """1 + amplitude * exp(-decay * step / total_steps) + offset."""
-
-    amplitude: float
-    decay: float
-    offset: float
-    total_steps: int
-
-    def __post_init__(self):
-        self._check_positive()
-
-    def value_at(self, step: int) -> float:
-        self._check_step(step)
-        return 1.0 + self.amplitude * math.exp(-self.decay * step / self.total_steps) + self.offset
-
-
-@dataclass(frozen=True)
-class CosSchedule(OmegaSchedule):
-    """1 + amplitude * cos(pi * step / total_steps) + offset."""
-
-    amplitude: float
-    offset: float
-    total_steps: int
-
-    def __post_init__(self):
-        self._check_positive()
-
-    def value_at(self, step: int) -> float:
-        self._check_step(step)
-        return 1.0 + self.amplitude * math.cos(math.pi * step / self.total_steps) + self.offset
-
+# Each schedule kind's parameter names, which are also its config keys, and
+# its omega at step k of n. A two-stage schedule switches from early to late
+# at switch_step: early steps settle layout and late steps fine detail, so
+# the switch usually sits in the first fifth of the run (step 10 of 50).
+SCHEDULE_KINDS = {
+    "constant": (("omega",), lambda k, n, omega: omega),
+    "two_stage": (
+        ("switch_step", "early", "late"),
+        lambda k, n, switch_step, early, late: early if k < switch_step else late,
+    ),
+    "exp": (
+        ("amplitude", "decay", "offset"),
+        lambda k, n, amplitude, decay, offset: 1.0 + amplitude * math.exp(-decay * k / n) + offset,
+    ),
+    "cos": (
+        ("amplitude", "offset"),
+        lambda k, n, amplitude, offset: 1.0 + amplitude * math.cos(math.pi * k / n) + offset,
+    ),
+}
 
 # Start/end position relative to 1 picks the layout/detail quadrant: below 1
 # early -> busier layout, below 1 late -> finer detail, and vice versa.
@@ -244,16 +192,32 @@ SCHEDULE_PRESETS: dict[str, dict] = {
 }
 
 
-def preset_schedule(name: str, total_steps: int) -> OmegaSchedule:
-    """Named omega-schedule preset over the given number of steps."""
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def omega_schedule(kind: str, total_steps: int, **params) -> OmegaSchedule:
+    """The schedule of a SCHEDULE_KINDS kind and its parameters, or of kind "preset" and a preset name."""
+    if not _is_integer(total_steps) or total_steps < 1:
+        raise ValueError("total_steps must be an integer >= 1")
+    if kind == "preset":
+        name = params.get("name")
+        if set(params) != {"name"} or not isinstance(name, str) or name not in SCHEDULE_PRESETS:
+            raise ValueError(f"a preset schedule takes the name of one of {', '.join(SCHEDULE_PRESETS)}, not {params}")
+        return omega_schedule(total_steps=total_steps, **SCHEDULE_PRESETS[name])
+    if not isinstance(kind, str) or kind not in SCHEDULE_KINDS:
+        raise ValueError(f"unknown omega schedule kind {kind!r}")
+    names, formula = SCHEDULE_KINDS[kind]
+    if set(params) != set(names):
+        raise ValueError(f"a {kind} schedule takes the parameters {', '.join(names)}")
+    if kind == "two_stage":
+        switch = params["switch_step"]
+        if not (_is_integer(switch) and 0 <= switch <= total_steps):
+            raise ValueError("switch_step must be an integer in [0, total_steps]")
     try:
-        params = dict(SCHEDULE_PRESETS[name])
-    except KeyError:
-        raise ValueError(f"unknown schedule preset {name!r}") from None
-    kind = params.pop("kind")
-    if kind == "exp":
-        return ExpSchedule(total_steps=total_steps, **params)
-    return CosSchedule(total_steps=total_steps, **params)
+        return OmegaSchedule([formula(k, total_steps, **params) for k in range(total_steps)])
+    except OverflowError as exc:
+        raise ValueError("schedule parameters overflow") from exc
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ costs about three; a call that wants z0 keeps pull = diff / tv, because with
 the rounded reciprocal
 z0 = mu + (a*v) * pull no longer cancels to the cell's value at b = 0 (2.5e-13
 of the moment scale for one test mixture). Scales so small that some 1 / tv
-overflows are rejected. Against the unfolded formula,
+overflows, or so large that some tv does, are rejected. Against the unfolded formula,
 log w - (diff^2 / tv + log(2 pi tv)) / 2 and eps = sum_k resp * (b * pull),
 K > 1 outputs differ only in their last digits: at most 5.3e-14 of a cell's
 moment scale (sum_k resp * |term_k|) over the test grids, 1.0e-15 for the
@@ -189,15 +189,18 @@ class GaussianMixture:
         the same normalisation. For K = 1 the responsibility is exactly 1.0,
         as after the max shift, so the sum reduces to adding +0.0, which only
         turns -0.0 into +0.0, before the b multiply; the softmax is skipped.
-        Raises ValueError when some component's 1 / tv is not finite.
+        Raises ValueError when some component's tv or 1 / tv is not finite.
         """
         a, b = float(signal_scale), float(noise_scale)
         if not (math.isfinite(a) and math.isfinite(b)) or a < 0.0 or b < 0.0 or a + b == 0.0:
             raise ValueError("corruption scales must be non-negative with a positive sum")
         # tv = a^2 v + b^2 grows with v: the least variance has the largest 1 / tv
+        # and the greatest variance the largest tv
         least_tv = a * a * min(self.variances.tolist()) + b * b
         if least_tv == 0.0 or not math.isfinite(1.0 / least_tv):
             raise ValueError("corruption scales too small: 1 / (a^2 v + b^2) overflows float64")
+        if not math.isfinite(a * a * max(self.variances.tolist()) + b * b):
+            raise ValueError("corruption scales too large: a^2 v + b^2 overflows float64")
         z = np.asarray(z, dtype=np.float64)
         if not np.all(np.isfinite(z)):
             raise ValueError("latent contains non-finite values")

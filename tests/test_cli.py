@@ -253,6 +253,13 @@ class TestSampleCommand:
         assert main(["sample", "--config", str(config), "--seeds", "7,7"]) == 2
         assert main(["sample", "--config", str(config), "--seeds", "-1"]) == 2
 
+    @pytest.mark.parametrize("seeds", ["7,", "a", "1.5", "0x3"])
+    def test_unparsable_seeds_override(self, tmp_path, capsys, seeds):
+        config = write_config(tmp_path, sample_config(tmp_path))
+        assert main(["sample", "--config", str(config), "--seeds", seeds]) == 2
+        assert capsys.readouterr().err == f"config error: bad --seeds value {seeds!r}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_identity_omega_matches_reference_run_bytes(self, tmp_path):
         data = sample_config(tmp_path, omega={"values": [1.0]}, seeds=[3])
         config = write_config(tmp_path, data)
@@ -839,6 +846,32 @@ class TestSpectrumCommand:
             assert len(sinks) == 4 and all(callable(sink) for sink in sinks)
 
 
+# sha256 of preview schedule's schedule.csv at 17 steps for every kind and
+# preset: a formula whose arithmetic changes by one bit changes its digest
+PREVIEW_SCHEDULE_SHA256 = {
+    "constant": (
+        {"kind": "constant", "omega": 1.03},
+        "96a9e7e50a170393d61a4ac347c2c744c1bbd38b92c56bdd18b417e88b32509e",
+    ),
+    "two_stage": (
+        {"kind": "two_stage", "switch_step": 5, "early": 0.95, "late": 1.02},
+        "77f1fd3728a8590dc226c358fa11b51840a6df7863e256f2d4c4d22e55b013d5",
+    ),
+    "exp": (
+        {"kind": "exp", "amplitude": 0.07, "decay": 2.5, "offset": -0.01},
+        "bd97218ad94e44ac0917d55e97a3da6cf56b3f1167b992b0808d26dd68b02150",
+    ),
+    "cos": (
+        {"kind": "cos", "amplitude": 0.04, "offset": 0.01},
+        "75dd489545761e9f7967aa9a7d93199fc4a86727994e3743cb9a15ac265f4377",
+    ),
+    "EXP1": ({"kind": "preset", "name": "EXP1"}, "9cccc063f57cb2a4782699a09cc27e7ab1de1df3012306015837df2aea4ec1df"),
+    "EXP2": ({"kind": "preset", "name": "EXP2"}, "b3f8244e3affe59cc49a3630d126b857f3618979d95e4b1b0ce9e7f78d92ba32"),
+    "COS1": ({"kind": "preset", "name": "COS1"}, "e8d66486ea0beac49ae4b040ea91369e6e27b6b8111189227469047309b0e23b"),
+    "COS2": ({"kind": "preset", "name": "COS2"}, "cb197ad37b2663db6dc92383d79db1a554a0edef3bbddcdec6dd367005123c34"),
+}
+
+
 class TestPreviewCommand:
     def test_schedule_two_stage_discontinuity(self, tmp_path):
         config = write_config(
@@ -881,6 +914,15 @@ class TestPreviewCommand:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["omega"]) < 1.0
         assert float(rows[-1]["omega"]) > 1.0
+
+    @pytest.mark.parametrize("schedule, digest", PREVIEW_SCHEDULE_SHA256.values(), ids=list(PREVIEW_SCHEDULE_SHA256))
+    def test_schedule_csv_bytes_are_pinned(self, tmp_path, schedule, digest):
+        data = sample_config(tmp_path, omega={"values": [0.95, 1.05], "schedule": schedule})
+        data["sampler"] = {"kind": "ddim", "steps": 17, "schedule": {"num_steps": 100}}
+        assert main(["preview", "schedule", "--config", str(write_config(tmp_path, data))]) == 0
+        text = (tmp_path / "out" / "schedule.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == digest
+        assert len(text.splitlines()) == 17 + 1
 
     def test_mask_preview_uniform_ones(self, tmp_path):
         pgm = tmp_path / "mask.pgm"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from omegance import ConfigError, load_config, parse_config, rescale
 from omegance.config import MAX_LATENT_BYTES
 from omegance.formats import write_pgm
-from omegance.omega import ExpSchedule, TwoStageSchedule
+from omegance.omega import SCHEDULE_PRESETS, omega_schedule
 from omegance.schedules import AlphaBarSchedule, FlowTimesteps, SigmaSchedule
 
 
@@ -186,12 +186,15 @@ class TestOmegaSection:
                 }
             )
         )
-        assert isinstance(config.omega_schedule, TwoStageSchedule)
+        two_stage = omega_schedule("two_stage", config.steps, switch_step=3, early=0.95, late=1.0)
+        assert config.omega_schedule.values.tobytes() == two_stage.values.tobytes()
         assert config.omega_schedule.total_steps == config.steps
         config = parse_config(
             minimal(omega={"values": [1.0], "schedule": {"kind": "preset", "name": "EXP2"}})
         )
-        assert isinstance(config.omega_schedule, ExpSchedule)
+        exp2 = omega_schedule(total_steps=config.steps, **SCHEDULE_PRESETS["EXP2"])
+        assert SCHEDULE_PRESETS["EXP2"]["kind"] == "exp"
+        assert config.omega_schedule.values.tobytes() == exp2.values.tobytes()
         with pytest.raises(ConfigError):
             parse_config(minimal(omega={"values": [1.0], "schedule": {"kind": "linear"}}))
 

@@ -6,19 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegance import (
-    ConstantSchedule,
-    CosSchedule,
-    ExpSchedule,
     IDENTITY_CONTROL,
     OmegaControl,
     OmegaMask,
+    OmegaSchedule,
     RescaleParams,
-    TwoStageSchedule,
     mask_from_grayscale,
     mask_to_grayscale,
-    preset_schedule,
+    omega_schedule,
     rescale,
 )
+from omegance.omega import SCHEDULE_PRESETS
 
 
 class TestRescale:
@@ -130,44 +128,44 @@ class TestMask:
 
 class TestSchedules:
     def test_constant_identity(self):
-        sched = ConstantSchedule(1.0, 10)
+        sched = omega_schedule("constant", 10, omega=1.0)
         assert all(sched.value_at(k) == 1.0 for k in range(10))
 
     def test_two_stage_boundary(self):
-        sched = TwoStageSchedule(10, 0.95, 1.0, 50)
+        sched = omega_schedule("two_stage", 50, switch_step=10, early=0.95, late=1.0)
         assert sched.value_at(5) == 0.95
         assert sched.value_at(9) == 0.95
         assert sched.value_at(10) == 1.0
         assert sched.value_at(20) == 1.0
 
     def test_two_stage_single_discontinuity(self):
-        sched = TwoStageSchedule(10, 0.95, 1.0, 50)
-        jumps = np.flatnonzero(np.diff(sched.values()) != 0.0)
+        sched = omega_schedule("two_stage", 50, switch_step=10, early=0.95, late=1.0)
+        jumps = np.flatnonzero(np.diff(sched.values) != 0.0)
         assert jumps.tolist() == [9]
 
     def test_exp_family_frozen_endpoints(self):
-        sched = ExpSchedule(-0.1, 3.0, 0.02, 50)
+        sched = omega_schedule("exp", 50, amplitude=-0.1, decay=3.0, offset=0.02)
         assert sched.value_at(0) == pytest.approx(0.92, rel=1e-12)
         expected_last = 1.0 + -0.1 * math.exp(-3.0 * 49.0 / 50.0) + 0.02
         assert sched.value_at(49) == pytest.approx(expected_last, rel=1e-12)
         assert sched.value_at(49) == pytest.approx(1.0147134271261649, rel=1e-12)
 
     def test_cos_family_formula(self):
-        sched = CosSchedule(0.05, -0.02, 50)
+        sched = omega_schedule("cos", 50, amplitude=0.05, offset=-0.02)
         for step in (0, 13, 49):
             expected = 1.0 + 0.05 * math.cos(math.pi * step / 50.0) - 0.02
             assert sched.value_at(step) == pytest.approx(expected, rel=1e-12)
 
     def test_positivity_enforced_at_construction(self):
         with pytest.raises(ValueError):
-            ConstantSchedule(0.0, 10)
+            omega_schedule("constant", 10, omega=0.0)
         with pytest.raises(ValueError):
-            TwoStageSchedule(2, -0.5, 1.0, 10)
+            omega_schedule("two_stage", 10, switch_step=2, early=-0.5, late=1.0)
         with pytest.raises(ValueError):
-            ExpSchedule(-2.0, 3.0, 0.0, 10)
+            omega_schedule("exp", 10, amplitude=-2.0, decay=3.0, offset=0.0)
 
     def test_step_bounds(self):
-        sched = ConstantSchedule(1.0, 10)
+        sched = omega_schedule("constant", 10, omega=1.0)
         with pytest.raises(ValueError):
             sched.value_at(10)
         with pytest.raises(ValueError):
@@ -175,10 +173,10 @@ class TestSchedules:
 
     def test_presets_match_their_quadrants(self):
         total = 50
-        exp1 = preset_schedule("EXP1", total)
-        exp2 = preset_schedule("EXP2", total)
-        cos1 = preset_schedule("COS1", total)
-        cos2 = preset_schedule("COS2", total)
+        exp1 = omega_schedule("preset", total, name="EXP1")
+        exp2 = omega_schedule("preset", total, name="EXP2")
+        cos1 = omega_schedule("preset", total, name="COS1")
+        cos2 = omega_schedule("preset", total, name="COS2")
         # below 1 early means busier layout; below 1 late means finer detail
         assert exp1.value_at(0) < 1.0 and exp1.value_at(total - 1) < 1.0
         assert exp2.value_at(0) < 1.0 and exp2.value_at(total - 1) > 1.0
@@ -187,7 +185,81 @@ class TestSchedules:
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
-            preset_schedule("EXP9", 50)
+            omega_schedule("preset", 50, name="EXP9")
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_PRESETS))
+    def test_preset_is_its_explicit_kind_bit_for_bit(self, name):
+        for total in (1, 17, 50):
+            preset = omega_schedule("preset", total, name=name)
+            explicit = omega_schedule(total_steps=total, **SCHEDULE_PRESETS[name])
+            assert preset.values.tobytes() == explicit.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], np.ones((2, 2)), [1.0, 0.0], [1.0, -0.5], [1.0, math.nan], [math.inf, 1.0]],
+        ids=["empty", "2-D", "zero", "negative", "nan", "inf"],
+    )
+    def test_table_rejects(self, values):
+        with pytest.raises(ValueError):
+            OmegaSchedule(values)
+
+    def test_table_is_read_only_and_bounded(self):
+        sched = OmegaSchedule([0.9, 1.0, 1.1])
+        assert sched.total_steps == 3 and sched.values.dtype == np.float64
+        assert sched.value_at(2) == 1.1 and isinstance(sched.value_at(2), float)
+        with pytest.raises(ValueError):
+            sched.values[0] = 2.0
+        for step in (-1, 3):
+            with pytest.raises(ValueError):
+                sched.value_at(step)
+
+    def test_a_control_with_a_schedule_stays_hashable(self):
+        sched = OmegaSchedule([0.9, 1.0])
+        assert sched == sched
+        assert hash(OmegaControl(schedule=sched)) == hash(OmegaControl(schedule=sched))
+
+    def test_table_copies_its_input(self):
+        source = np.array([0.9, 1.0])
+        sched = OmegaSchedule(source)
+        source[0] = 5.0
+        assert sched.values.tolist() == [0.9, 1.0]
+
+    @pytest.mark.parametrize("total_steps", [2.5, 0, -3, True, "3", None])
+    def test_builder_rejects_a_step_count_that_is_no_positive_integer(self, total_steps):
+        with pytest.raises(ValueError, match="total_steps"):
+            omega_schedule("constant", total_steps, omega=1.0)
+
+    @pytest.mark.parametrize("switch_step", [1.5, 2.0, True, -1, 4])
+    def test_builder_rejects_a_bad_switch_step(self, switch_step):
+        with pytest.raises(ValueError, match="switch_step"):
+            omega_schedule("two_stage", 3, switch_step=switch_step, early=0.9, late=1.1)
+
+    def test_switch_step_at_either_end(self):
+        assert omega_schedule("two_stage", 3, switch_step=0, early=0.9, late=1.1).values.tolist() == [1.1] * 3
+        assert omega_schedule("two_stage", 3, switch_step=3, early=0.9, late=1.1).values.tolist() == [0.9] * 3
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("linear", {}),
+            (["exp"], {}),
+            ("constant", {}),
+            ("constant", {"omega": 1.0, "offset": 0.0}),
+            ("cos", {"amplitude": 0.1, "decay": 1.0}),
+            ("preset", {}),
+            ("preset", {"name": ["COS2"]}),
+            ("preset", {"name": "EXP1", "offset": 0.1}),
+        ],
+    )
+    def test_builder_rejects_unknown_kinds_and_parameters(self, kind, params):
+        with pytest.raises(ValueError):
+            omega_schedule(kind, 5, **params)
+
+    def test_overflowing_formula_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflow"):
+            omega_schedule("exp", 10, amplitude=0.1, decay=-1e4, offset=0.0)
+        with pytest.raises(ValueError):
+            omega_schedule("cos", 10, amplitude=1e308, offset=1e308)
 
 
 class TestControl:
@@ -203,7 +275,7 @@ class TestControl:
 
     def test_product_composition(self):
         mask = OmegaMask(np.array([[0.98]]))
-        control = OmegaControl(base=1.0, mask=mask, schedule=ConstantSchedule(1.02, 5))
+        control = OmegaControl(base=1.0, mask=mask, schedule=omega_schedule("constant", 5, omega=1.02))
         value = float(control.resolve_field((1, 1), 3)[0, 0])
         assert value == pytest.approx(0.98 * 1.02, rel=1e-12)
         assert value == pytest.approx(0.9996, rel=1e-12)

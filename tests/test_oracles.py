@@ -658,6 +658,26 @@ class TestEpsilonOracle:
             for moments in (gm._posterior(z, 1e-150, 0.0), gm._posterior(z, 1e-150, 1e-150)):
                 assert all(np.all(np.isfinite(moment)) for moment in moments)
 
+    @pytest.mark.parametrize("name", ["standard_normal", "bench_k3"])
+    def test_rejects_scales_whose_variance_overflows(self, name):
+        # at sigma = 1e160 every a^2 v + b^2 overflows to inf, which would make
+        # eps 0.0 for K = 1 (the exact value is about 1e-10) and NaN for K = 3;
+        # at 1e150 it stays finite. Neither warns
+        gm = ROUTE_MIXTURES[name]
+        z = np.array([1e150, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large"):
+                gm.epsilon_predict(z, sigma=1e160)
+            # both moments, as velocity_predict asks for them, at either scale overflowing
+            for a, b in ((1.0, 1e160), (1e160, 1.0)):
+                for want in ({}, {"want_eps": False}, {"want_z0": False}):
+                    with pytest.raises(ValueError, match="too large"):
+                        gm._posterior(z, a, b, **want)
+            eps = gm.epsilon_predict(z, sigma=1e150)
+            assert eps[0] == pytest.approx(1.0, rel=1e-12)
+            assert all(np.all(np.isfinite(moment)) for moment in gm._posterior(z, 1.0, 1e150))
+
 
 class TestVelocityOracle:
     def test_standard_normal_closed_form(self):

@@ -8,11 +8,8 @@ PUBLIC_NAMES = [
     "BetaSchedule",
     "CoefficientState",
     "ConfigError",
-    "ConstantSchedule",
-    "CosSchedule",
     "DEFAULT_RESCALE",
     "Denoiser",
-    "ExpSchedule",
     "ExperimentConfig",
     "FlowTimesteps",
     "GaussianFieldSpec",
@@ -31,7 +28,6 @@ PUBLIC_NAMES = [
     "SnrTrajectory",
     "SpectrumProfile",
     "Trajectory",
-    "TwoStageSchedule",
     "alpha_bar_from_betas",
     "band_energy",
     "closed_form_scalar_trajectory",
@@ -49,8 +45,8 @@ PUBLIC_NAMES = [
     "mask_from_grayscale",
     "mask_to_grayscale",
     "modified_snr_ddim",
+    "omega_schedule",
     "parse_config",
-    "preset_schedule",
     "propagate_coefficients_ddim",
     "radial_spectrum",
     "reference_trajectory",

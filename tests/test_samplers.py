@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import bits_equal
 from omegance import (
     IDENTITY_CONTROL,
-    ConstantSchedule,
     GaussianFieldSpec,
     GaussianMixture,
     LatentState,
@@ -19,7 +18,6 @@ from omegance import (
     OmegaMask,
     SamplerConfig,
     SigmaSchedule,
-    TwoStageSchedule,
     band_energy,
     ddim_step,
     ddim_step_reference,
@@ -30,6 +28,7 @@ from omegance import (
     flow_timesteps,
     gaussian_field_2d,
     karras_sigmas,
+    omega_schedule,
     radial_spectrum,
     reference_trajectory,
     run_sampler,
@@ -265,7 +264,7 @@ class TestSamplerConfig:
         assert cfg.snapshots == (0, 5, 10)
 
     def test_control_schedule_length_must_match(self, linear_bars):
-        control = OmegaControl(schedule=ConstantSchedule(1.0, 20))
+        control = OmegaControl(schedule=omega_schedule("constant", 20, omega=1.0))
         with pytest.raises(ValueError):
             SamplerConfig("ddim", 10, linear_bars, control=control)
 
@@ -312,7 +311,7 @@ class TestTrajectoryDriver:
     def test_reference_ignores_the_control(self, kind, linear_bars):
         steps = 12
         grid = np.linspace(0.9, 1.1, 64).reshape(8, 8)
-        schedule = TwoStageSchedule(4, 0.95, 1.02, steps)
+        schedule = omega_schedule("two_stage", steps, switch_step=4, early=0.95, late=1.02)
         control = OmegaControl(base=0.97, mask=OmegaMask(grid), schedule=schedule)
         mixture = GaussianMixture(np.array([0.4, 0.6]), np.array([-1.0, 1.5]), np.array([0.5, 0.8]))
         z0 = np.random.default_rng(5).standard_normal((8, 8))
@@ -448,7 +447,7 @@ class TestRunSampler:
         by_schedule = run_sampler(
             gm,
             SamplerConfig(
-                "ddim", 10, linear_bars, control=OmegaControl(schedule=ConstantSchedule(0.93, 10))
+                "ddim", 10, linear_bars, control=OmegaControl(schedule=omega_schedule("constant", 10, omega=0.93))
             ),
             z0,
         )
@@ -500,12 +499,10 @@ class TestRunSampler:
     def test_schedule_and_mask_compose_per_step(self, linear_bars):
         # hand-rolled loop with explicitly assembled per-step fields must
         # reproduce the runner's composition bit for bit
-        from omegance import TwoStageSchedule
-
         gm = standard_normal()
         steps = 12
         grid = np.linspace(0.9, 1.1, 64).reshape(8, 8)
-        schedule = TwoStageSchedule(4, 0.95, 1.02, steps)
+        schedule = omega_schedule("two_stage", steps, switch_step=4, early=0.95, late=1.02)
         control = OmegaControl(base=1.01, mask=OmegaMask(grid), schedule=schedule)
         z0 = RNG.standard_normal((8, 8))
 
