@@ -45,8 +45,8 @@ from .analysis import band_energy, radial_spectrum, snr_trajectory
 from .config import ConfigError, ExperimentConfig, _seeds, load_config
 from .formats import _replacing, format_cell, write_csv, write_pgm, write_snapshot
 from .omega import mask_to_grayscale
-from .oracles import GaussianFieldSpec, gaussian_field_2d
-from .samplers import NumericAbortError, SamplerConfig, run_sampler
+from .oracles import gaussian_field_2d
+from .samplers import NumericAbortError, run_sampler
 
 __all__ = ["main"]
 
@@ -155,7 +155,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _init_latent(config: ExperimentConfig, schedule, seed: int) -> np.ndarray:
+def _init_latent(config: ExperimentConfig, seed: int) -> np.ndarray:
     """Initial latent for one seed; stream 0 of the seed's SeedSequence.
 
     The draw depends on the seed only, so omega sweeps are automatically
@@ -163,13 +163,12 @@ def _init_latent(config: ExperimentConfig, schedule, seed: int) -> np.ndarray:
     """
     init_stream = np.random.SeedSequence(seed).spawn(2)[0]
     rng = np.random.default_rng(init_stream)
-    if config.init_kind == "gaussian_field":
-        height, width = config.latent_shape
-        z = gaussian_field_2d(GaussianFieldSpec(height, width, config.field_exponent), rng)
+    if config.field is not None:
+        z = gaussian_field_2d(config.field, rng)
     else:
         z = rng.standard_normal(config.latent_shape)
-    if config.sampler_kind == "euler":
-        z = z * float(schedule.sigmas[0])
+    if config.sampler.kind == "euler":
+        z = z * float(config.sampler.schedule.sigmas[0])
     return z
 
 
@@ -182,9 +181,8 @@ class _SeedDraws:
     initial latent, so the cells never see each other's writes.
     """
 
-    def __init__(self, config: ExperimentConfig, schedule):
+    def __init__(self, config: ExperimentConfig):
         self._config = config
-        self._schedule = schedule
         # seed -> [lock, draw or None, omega cells yet to take it]
         self._slots = {seed: [threading.Lock(), None, len(config.omegas)] for seed in config.seeds}
 
@@ -193,7 +191,7 @@ class _SeedDraws:
         with slot[0]:
             z = slot[1]
             if z is None:
-                z = slot[1] = _init_latent(self._config, self._schedule, seed)
+                z = slot[1] = _init_latent(self._config, seed)
                 z.flags.writeable = False
             slot[2] -= 1
             if slot[2] == 0:
@@ -211,9 +209,12 @@ def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> lis
     The error raised is that of the lowest failing cell, a numeric abort
     with ``cell`` set to it. One thread stops at the first failure; more
     run every cell first, so the files written are all listed.
+
+    ``schedule`` is not read, since the config holds it; the parameter stays
+    because bench/spans.py wraps this function by its signature.
     """
     cells = [(seed, idx) for seed in config.seeds for idx in range(len(config.omegas))]
-    draws = _SeedDraws(config, schedule)
+    draws = _SeedDraws(config)
 
     def run(cell):
         try:
@@ -255,19 +256,12 @@ def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> lis
     return [future.result() for future in futures]
 
 
-def _cell_trajectory(
-    config: ExperimentConfig, schedule, draws: _SeedDraws, seed: int, idx: int, snapshots, on_snapshot
-):
+def _cell_trajectory(config: ExperimentConfig, draws: _SeedDraws, seed: int, idx: int, snapshots, on_snapshot):
     """Trajectory of one (seed, omega index) cell, streaming the given snapshot steps to ``on_snapshot``."""
-    sampler_config = SamplerConfig(
-        kind=config.sampler_kind,
-        steps=config.steps,
-        schedule=schedule,
-        control=config.make_control(config.omegas[idx]),
-        seed=seed,
-        snapshots=snapshots,
-    )
-    return run_sampler(config.oracle, sampler_config, draws.take(seed), on_snapshot=on_snapshot)
+    sampler = config.sampler
+    control = replace(sampler.control, base=config.omegas[idx])
+    cell = replace(sampler, control=control, seed=seed, snapshots=snapshots)
+    return run_sampler(config.oracle, cell, draws.take(seed), on_snapshot=on_snapshot)
 
 
 def _sha256(path: Path) -> str:
@@ -331,19 +325,18 @@ def _write_latent(out: Path, stem: str, values: np.ndarray, step: int, fmt: str)
 def cmd_sample(args, config: ExperimentConfig, written: list[str]) -> dict:
     threads = _thread_count(args)
     out = _out_dir(config)
-    schedule = config.make_schedule()
 
     def run_cell(seed: int, idx: int, draws: _SeedDraws) -> None:
         def write(state) -> None:
             stem = f"seed{seed}_omega{idx}_step{state.step:04d}"
             written.append(_write_latent(out, stem, state.values, state.step, config.snapshot_format))
 
-        final = _cell_trajectory(config, schedule, draws, seed, idx, config.snapshots, on_snapshot=write).final
+        final = _cell_trajectory(config, draws, seed, idx, config.sampler.snapshots, on_snapshot=write).final
         written.append(
             _write_latent(out, f"seed{seed}_omega{idx}_final", final.values, final.step, config.snapshot_format)
         )
 
-    _run_cells(config, schedule, threads, run_cell)
+    _run_cells(config, config.sampler.schedule, threads, run_cell)
     print(f"wrote {len(written)} trajectory files to {out}")
     return {}
 
@@ -353,10 +346,10 @@ def cmd_sample(args, config: ExperimentConfig, written: list[str]) -> dict:
 
 
 def cmd_snr(args, config: ExperimentConfig, written: list[str]) -> dict:
-    if config.sampler_kind != "ddim":
+    if config.sampler.kind != "ddim":
         raise ConfigError("snr analysis requires a ddim config")
     out = _out_dir(config)
-    schedule = config.make_schedule()
+    schedule = config.sampler.schedule
 
     rows = []
     max_deviation = 0.0
@@ -393,8 +386,7 @@ def cmd_spectrum(args, config: ExperimentConfig, written: list[str]) -> dict:
         raise ConfigError("spectrum analysis requires a 2-D latent of at least 4x4")
     threads = _thread_count(args)
     out = _out_dir(config)
-    schedule = config.make_schedule()
-    snapshots = config.snapshots or (config.steps,)
+    snapshots = config.sampler.snapshots or (config.sampler.steps,)
 
     def run_cell(seed: int, idx: int, draws: _SeedDraws):
         profiles = {}
@@ -409,13 +401,13 @@ def cmd_spectrum(args, config: ExperimentConfig, written: list[str]) -> dict:
             _check_power(low, high, state.step)
             profiles[state.step] = (profile.mean_power, low, high)
 
-        _cell_trajectory(config, schedule, draws, seed, idx, snapshots, on_snapshot=reduce)
+        _cell_trajectory(config, draws, seed, idx, snapshots, on_snapshot=reduce)
         return idx, profiles
 
     # (mean_power, low, high) summed over seeds, keyed by (omega index, snapshot
     # step); powers are >= +0.0, so starting from 0.0 changes no bit
     sums: dict[tuple[int, int], tuple] = {}
-    cells = _run_cells(config, schedule, threads, run_cell)
+    cells = _run_cells(config, config.sampler.schedule, threads, run_cell)
     with np.errstate(over="ignore"):  # an overflowing sum aborts below
         for idx, profiles in cells:
             for step, moments in profiles.items():
@@ -480,18 +472,19 @@ def _check_power(low: float, high: float, step: int, cell=None) -> None:
 
 
 def cmd_preview(args, config: ExperimentConfig, written: list[str]) -> dict:
-    if (config.mask if args.kind == "mask" else config.omega_schedule) is None:
+    control = config.sampler.control
+    if (control.mask if args.kind == "mask" else control.schedule) is None:
         raise ConfigError(f"config has no omega {args.kind} to preview")
     out = _out_dir(config)
     if args.kind == "mask":
-        grid = config.mask.grid
+        grid = control.mask.grid
         rows = [[i, j, grid[i, j]] for i in range(grid.shape[0]) for j in range(grid.shape[1])]
         write_csv(out / "mask_omega.csv", ["row", "col", "omega"], rows)
         written.append("mask_omega.csv")
-        write_pgm(out / "mask_preview.pgm", mask_to_grayscale(config.mask))
+        write_pgm(out / "mask_preview.pgm", mask_to_grayscale(control.mask))
         written.append("mask_preview.pgm")
     else:
-        values = config.omega_schedule.values
+        values = control.schedule.values
         write_csv(out / "schedule.csv", ["step", "omega"], list(enumerate(values)))
         written.append("schedule.csv")
     print(f"wrote {', '.join(written)} to {out}")

@@ -5,6 +5,14 @@ in the tree so a mistyped omega parameter fails loudly instead of silently
 running the default. All validation problems raise ConfigError, which the
 command-line layer maps to exit code 2.
 
+Parsing builds the run's objects once: the sampler section, the omega mask
+and the omega schedule become one validated ``SamplerConfig`` (its schedule
+built, its control at base 1.0), and a gaussian_field init becomes a
+``GaussianFieldSpec``. Defaults a config leaves out are those of the
+schedule builders' signatures. The constructors' own checks (steps against
+the schedule length, the snapshot range, ...) are the config's checks; their
+ValueError becomes ConfigError.
+
 Schema sketch (see the README for the full field list):
 
     {
@@ -34,15 +42,14 @@ from .formats import read_pgm
 from .omega import (
     SCHEDULE_KINDS,
     OmegaControl,
-    OmegaMask,
     OmegaSchedule,
     RescaleParams,
     mask_from_grayscale,
     omega_schedule,
     rescale,
 )
-from .oracles import GaussianMixture, standard_normal
-from .samplers import SAMPLER_KINDS
+from .oracles import GaussianFieldSpec, GaussianMixture, standard_normal
+from .samplers import SamplerConfig
 from .schedules import (
     AlphaBarSchedule,
     FlowTimesteps,
@@ -62,6 +69,18 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 # that collects a trajectory's states holds them all, so the bound keeps the
 # snapshot term.
 MAX_LATENT_BYTES = 1 << 32
+
+# Each sampler kind's schedule kind, that schedule's config keys and its
+# builder, called with the sampler's step count and the keys the config gives.
+_SAMPLER_SCHEDULES = {
+    "ddim": (
+        "linear_beta",
+        ("num_steps", "beta_start", "beta_end"),
+        lambda steps, **keys: alpha_bar_from_betas(make_linear_beta(**keys)),
+    ),
+    "euler": ("karras", ("sigma_min", "sigma_max", "rho", "churn"), karras_sigmas),
+    "flow": ("uniform", (), flow_timesteps),
+}
 
 
 class ConfigError(ValueError):
@@ -111,18 +130,19 @@ def _seeds(seeds, name: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A parsed experiment: resolved objects plus the raw JSON echo for the manifest."""
+    """A parsed experiment: resolved objects plus the raw JSON echo for the manifest.
 
-    sampler_kind: str
-    steps: int
-    schedule_spec: dict
-    snapshots: tuple[int, ...]
+    ``sampler`` is the run's validated SamplerConfig: kind, steps, the built
+    schedule, the snapshot steps and an OmegaControl at base 1.0 holding the
+    omega mask and schedule. A (seed, omega) cell is this config with its
+    seed and the omega as the control's base. ``field`` is the spec of a
+    gaussian_field init, and None for white init.
+    """
+
+    sampler: SamplerConfig
     omegas: tuple[float, ...]
-    mask: OmegaMask | None
-    omega_schedule: OmegaSchedule | None
     oracle: GaussianMixture
-    init_kind: str
-    field_exponent: float
+    field: GaussianFieldSpec | None
     latent_shape: tuple[int, ...]
     seeds: tuple[int, ...]
     output_dir: str
@@ -130,19 +150,8 @@ class ExperimentConfig:
     raw: dict
 
     def make_schedule(self) -> AlphaBarSchedule | SigmaSchedule | FlowTimesteps:
-        """Build the sampler schedule object described by schedule_spec."""
-        spec = self.schedule_spec
-        if self.sampler_kind == "ddim":
-            betas = make_linear_beta(spec["num_steps"], spec["beta_start"], spec["beta_end"])
-            return alpha_bar_from_betas(betas)
-        if self.sampler_kind == "euler":
-            return karras_sigmas(
-                self.steps, spec["sigma_min"], spec["sigma_max"], spec["rho"], spec["churn"]
-            )
-        return flow_timesteps(self.steps)
-
-    def make_control(self, omega: float) -> OmegaControl:
-        return OmegaControl(base=omega, mask=self.mask, schedule=self.omega_schedule)
+        """The sampler schedule, built once when the config was parsed."""
+        return self.sampler.schedule
 
 
 def load_config(path) -> ExperimentConfig:
@@ -158,7 +167,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
-    """Validate a config tree; the sampler schedule it describes is built once as a check."""
+    """Validate a config tree and build the run's sampler, omega control and init field once."""
     top = _section(
         data,
         "config",
@@ -176,15 +185,20 @@ def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
         raise ConfigError("latent.shape must be a list of one or two positive integers")
     latent_shape = tuple(shape)
 
-    sampler_kind, steps, schedule_spec, snapshots = _parse_sampler(top["sampler"])
-    if math.prod(latent_shape) * 8 * (len(snapshots) + 2) > MAX_LATENT_BYTES:
+    kind, steps, schedule_keys, snapshots = _parse_sampler(top["sampler"])
+    omegas, control = _parse_omega(top["omega"], steps, latent_shape, Path(base_dir))
+    try:  # OverflowError: sigma_max ** (1 / rho) for a tiny rho
+        schedule = _SAMPLER_SCHEDULES[kind][2](steps, **schedule_keys)
+        sampler = SamplerConfig(kind, steps, schedule, control, snapshots=tuple(snapshots))
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"bad sampler: {exc}") from exc
+    if math.prod(latent_shape) * 8 * (len(sampler.snapshots) + 2) > MAX_LATENT_BYTES:
         raise ConfigError(
             f"latent.shape {shape} needs more than {MAX_LATENT_BYTES} bytes per trajectory (8 per cell"
-            f" for the latent, its prediction and each of {len(snapshots)} snapshots)"
+            f" for the latent, its prediction and each of {len(sampler.snapshots)} snapshots)"
         )
-    omegas, mask, omega_schedule = _parse_omega(top["omega"], steps, latent_shape, Path(base_dir))
     oracle = _parse_oracle(top["oracle"])
-    init_kind, field_exponent = _parse_init(top.get("init", {"kind": "white"}), latent_shape)
+    field = _parse_init(top.get("init", {"kind": "white"}), latent_shape)
 
     seeds = _seeds(top["seeds"], "seeds")
     output_dir = top.get("output_dir", "out")
@@ -194,83 +208,41 @@ def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
     if snapshot_format not in ("binary", "csv"):
         raise ConfigError("snapshot_format must be 'binary' or 'csv'")
 
-    config = ExperimentConfig(
-        sampler_kind=sampler_kind,
-        steps=steps,
-        schedule_spec=schedule_spec,
-        snapshots=snapshots,
+    return ExperimentConfig(
+        sampler=sampler,
         omegas=omegas,
-        mask=mask,
-        omega_schedule=omega_schedule,
         oracle=oracle,
-        init_kind=init_kind,
-        field_exponent=field_exponent,
+        field=field,
         latent_shape=latent_shape,
         seeds=seeds,
         output_dir=output_dir,
         snapshot_format=snapshot_format,
         raw=data,
     )
-    try:
-        config.make_schedule()
-    except (OverflowError, ValueError) as exc:  # OverflowError: sigma_max ** (1 / rho) for a tiny rho
-        raise ConfigError(f"bad sampler schedule: {exc}") from exc
-    return config
 
 
-def _parse_sampler(data) -> tuple[str, int, dict, tuple[int, ...]]:
+def _parse_sampler(data) -> tuple[str, int, dict, list]:
+    """The sampler's kind, steps, schedule keys and snapshot list; the constructors check the rest."""
     sampler = _section(data, "sampler", required={"kind", "steps"}, optional={"schedule", "snapshots"})
     kind = sampler["kind"]
-    if kind not in SAMPLER_KINDS:
-        raise ConfigError(f"sampler.kind must be one of {', '.join(SAMPLER_KINDS)}")
+    if not isinstance(kind, str) or kind not in _SAMPLER_SCHEDULES:
+        raise ConfigError(f"sampler.kind must be one of {', '.join(_SAMPLER_SCHEDULES)}")
     steps = _integer(sampler["steps"], "sampler.steps")
     if steps < 1:
         raise ConfigError("sampler.steps must be >= 1")
 
-    spec = sampler.get("schedule", {})
-    if kind == "ddim":
-        spec = _section(
-            spec, "sampler.schedule", required=set(), optional={"kind", "num_steps", "beta_start", "beta_end"}
-        )
-        if spec.get("kind", "linear_beta") != "linear_beta":
-            raise ConfigError("ddim supports the linear_beta schedule only")
-        resolved = {
-            "kind": "linear_beta",
-            "num_steps": _integer(spec.get("num_steps", 1000), "schedule.num_steps"),
-            "beta_start": _number(spec.get("beta_start", 1e-4), "schedule.beta_start"),
-            "beta_end": _number(spec.get("beta_end", 0.02), "schedule.beta_end"),
-        }
-        if steps > resolved["num_steps"]:
-            raise ConfigError("sampler.steps exceeds the schedule length")
-    elif kind == "euler":
-        spec = _section(
-            spec, "sampler.schedule", required=set(), optional={"kind", "sigma_min", "sigma_max", "rho", "churn"}
-        )
-        if spec.get("kind", "karras") != "karras":
-            raise ConfigError("euler supports the karras schedule only")
-        resolved = {
-            "kind": "karras",
-            "sigma_min": _number(spec.get("sigma_min", 0.0292), "schedule.sigma_min"),
-            "sigma_max": _number(spec.get("sigma_max", 14.6146), "schedule.sigma_max"),
-            "rho": _number(spec.get("rho", 7.0), "schedule.rho"),
-            "churn": _number(spec.get("churn", 0.0), "schedule.churn"),
-        }
-        if steps < 2:
-            raise ConfigError("euler needs at least 2 steps to form a sigma ladder")
-    else:
-        spec = _section(spec, "sampler.schedule", required=set(), optional={"kind"})
-        if spec.get("kind", "uniform") != "uniform":
-            raise ConfigError("flow supports the uniform schedule only")
-        resolved = {"kind": "uniform"}
+    schedule_kind, keys, _ = _SAMPLER_SCHEDULES[kind]
+    spec = _section(sampler.get("schedule", {}), "sampler.schedule", required=set(), optional={"kind", *keys})
+    if spec.get("kind", schedule_kind) != schedule_kind:
+        raise ConfigError(f"{kind} supports the {schedule_kind} schedule only")
+    schedule_keys = {
+        key: (_integer if key == "num_steps" else _number)(spec[key], f"schedule.{key}") for key in keys if key in spec
+    }
 
     snapshots = sampler.get("snapshots", [])
-    if not isinstance(snapshots, list) or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in snapshots
-    ):
+    if not isinstance(snapshots, list):
         raise ConfigError("sampler.snapshots must be a list of integers")
-    if any(s < 0 or s > steps for s in snapshots):
-        raise ConfigError(f"snapshot indices must lie in [0, {steps}]")
-    return kind, steps, resolved, tuple(sorted(set(snapshots)))
+    return kind, steps, schedule_keys, snapshots
 
 
 def _parse_omega(data, steps: int, latent_shape, base_dir: Path):
@@ -345,7 +317,7 @@ def _parse_omega(data, steps: int, latent_shape, base_dir: Path):
     schedule = None
     if "schedule" in omega:
         schedule = _parse_omega_schedule(omega["schedule"], steps)
-    return tuple(omegas), mask, schedule
+    return tuple(omegas), OmegaControl(mask=mask, schedule=schedule)
 
 
 def _parse_omega_schedule(data, steps: int) -> OmegaSchedule:
@@ -391,15 +363,15 @@ def _parse_oracle(data) -> GaussianMixture:
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
-def _parse_init(data, latent_shape) -> tuple[str, float]:
+def _parse_init(data, latent_shape) -> GaussianFieldSpec | None:
     sec = _section(data, "init", required={"kind"}, optional={"exponent"})
     kind = sec["kind"]
     if kind == "white":
         if "exponent" in sec:
             raise ConfigError("init.exponent only applies to gaussian_field")
-        return "white", 0.0
+        return None
     if kind == "gaussian_field":
         if len(latent_shape) != 2:
             raise ConfigError("gaussian_field init requires a 2-D latent")
-        return "gaussian_field", _number(sec.get("exponent", 0.0), "init.exponent")
+        return GaussianFieldSpec(*latent_shape, _number(sec.get("exponent", 0.0), "init.exponent"))
     raise ConfigError(f"unknown init kind {kind!r}")

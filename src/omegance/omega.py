@@ -70,7 +70,7 @@ def rescale(varpi: float, params: RescaleParams = DEFAULT_RESCALE) -> float:
     return params.lower + (params.upper - params.lower) / (1.0 + math.exp(exponent))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: == on an array field would raise
 class OmegaMask:
     """Per-cell omega grid at latent resolution."""
 

@@ -55,7 +55,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .omega import IDENTITY_CONTROL, OmegaControl
+from .omega import IDENTITY_CONTROL, OmegaControl, _is_integer
 from .schedules import AlphaBarSchedule, FlowTimesteps, SigmaSchedule
 
 __all__ = [
@@ -236,7 +236,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"kind must be one of {SAMPLER_KINDS}")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+        if not _is_integer(self.steps) or self.steps < 1:
             raise ValueError("steps must be an integer >= 1")
         if self.kind == "ddim":
             if not isinstance(self.schedule, AlphaBarSchedule):
@@ -253,6 +253,8 @@ class SamplerConfig:
                 raise ValueError("flow requires FlowTimesteps")
             if self.schedule.num_steps != self.steps:
                 raise ValueError("flow timesteps must provide exactly `steps` steps")
+        if not all(_is_integer(s) for s in self.snapshots):
+            raise ValueError("snapshot steps must be integers")
         snaps = tuple(sorted(set(int(s) for s in self.snapshots)))
         if snaps and not (0 <= snaps[0] and snaps[-1] <= self.steps):
             raise ValueError(f"snapshot indices must lie in [0, {self.steps}]")

@@ -42,6 +42,8 @@ class SignalDivergenceError(ZeroDivisionError):
     """SNR query with no finite positive value: pure-signal entry, zero step bracket or over/underflow."""
 
 
+# The schedule classes hold these vectors, so they compare and hash by
+# identity (eq=False): a generated == over an array field would raise.
 def _frozen_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -52,7 +54,7 @@ def _frozen_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaSchedule:
     """Per-step corruption variances beta_t, each strictly inside (0, 1)."""
 
@@ -70,7 +72,7 @@ class BetaSchedule:
 
 
 def make_linear_beta(
-    num_steps: int, beta_start: float = 1e-4, beta_end: float = 0.02
+    num_steps: int = 1000, beta_start: float = 1e-4, beta_end: float = 0.02
 ) -> BetaSchedule:
     """Linearly interpolated beta schedule from beta_start to beta_end.
 
@@ -84,7 +86,7 @@ def make_linear_beta(
     return BetaSchedule(np.linspace(beta_start, beta_end, num_steps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlphaBarSchedule:
     """Cumulative signal coefficients with a leading exact-1.0 anchor.
 
@@ -185,7 +187,7 @@ def modified_snr_ddim(schedule: AlphaBarSchedule, t: int, omega: float) -> float
     return ab_prev / (bracket * bracket)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaSchedule:
     """Decreasing noise levels for variance-exploding stepping, ending at 0.
 
@@ -238,7 +240,7 @@ def karras_sigmas(
     return SigmaSchedule(np.concatenate((levels, [0.0])), churn=churn)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowTimesteps:
     """Integration times running from 1 down to 0; every dt is negative."""
 

@@ -49,6 +49,11 @@ REJECTED_CONFIGS = {
     "spectrum_below_4x4": ("spectrum", {"latent": {"shape": [3, 8]}}),
     "oversize_latent": ("sample", {"latent": {"shape": [10**30, 10**30]}}),
     "oversize_latent_spectrum": ("spectrum", {"latent": {"shape": [100000, 100000]}}),
+    "ddim_steps_beyond_num_steps": ("sample", {"sampler": dict(ddim_sampler(), steps=51)}),
+    "euler_one_step": ("sample", {"sampler": dict(euler_sampler(), steps=1)}),
+    "snapshot_beyond_steps": ("sample", {"sampler": dict(ddim_sampler(), snapshots=[0, 6])}),
+    "negative_snapshot": ("sample", {"sampler": dict(ddim_sampler(), snapshots=[-1, 5])}),
+    "flow_non_uniform_schedule": ("sample", {"sampler": {"kind": "flow", "steps": 5, "schedule": {"kind": "karras"}}}),
 }
 
 
@@ -569,9 +574,9 @@ class TestSeedDraws:
         alive_at_draw = []  # how many earlier draws were still alive at each draw
         real = cli._init_latent
 
-        def counted(config, schedule, seed):
+        def counted(config, seed):
             alive_at_draw.append(sum(ref() is not None for ref in draws))
-            z = real(config, schedule, seed)
+            z = real(config, seed)
             drawn.append(seed)
             draws.append(weakref.ref(z))
             return z
@@ -604,10 +609,10 @@ class TestSeedDraws:
         seed1_drawn = threading.Event()
         real = cli._init_latent
 
-        def gated(config, schedule, seed):
+        def gated(config, seed):
             if seed == 0:
                 assert seed1_drawn.wait(timeout=10)
-            z = real(config, schedule, seed)
+            z = real(config, seed)
             if seed == 1:
                 seed1_drawn.set()
             return z
@@ -870,6 +875,72 @@ PREVIEW_SCHEDULE_SHA256 = {
     "COS1": ({"kind": "preset", "name": "COS1"}, "e8d66486ea0beac49ae4b040ea91369e6e27b6b8111189227469047309b0e23b"),
     "COS2": ({"kind": "preset", "name": "COS2"}, "cb197ad37b2663db6dc92383d79db1a554a0edef3bbddcdec6dd367005123c34"),
 }
+
+
+# sha256 of every sample artifact of three tiny configs at --threads 1 and 2,
+# each with the standard_normal oracle, white init, a 4x4 latent and seeds 0
+# and 1: ddim, euler with churn, a pgm mask and a two-stage schedule, and
+# flow. With K = 1 and no FFT these bytes rest only on IEEE arithmetic and
+# numpy's random streams; they were taken from the tree before the config
+# held its built SamplerConfig.
+SAMPLE_CONFIGS = {
+    "ddim": {
+        "sampler": {"kind": "ddim", "steps": 6, "schedule": {"num_steps": 40}, "snapshots": [3]},
+        "omega": {"values": [0.95, 1.05]},
+    },
+    "euler": {
+        "sampler": {"kind": "euler", "steps": 6, "schedule": {"sigma_max": 8.0, "churn": 0.3}, "snapshots": [3]},
+        "omega": {
+            "values": [0.97, 1.03],
+            "mask": {"path": "mask.pgm", "factor": 2, "low": 0.95, "high": 1.05},
+            "schedule": {"kind": "two_stage", "switch_step": 2, "early": 0.96, "late": 1.02},
+        },
+    },
+    "flow": {"sampler": {"kind": "flow", "steps": 5, "snapshots": [2]}, "omega": {"values": [0.9, 1.1]}},
+}
+SAMPLE_SHA256 = {
+    "ddim": {
+        "seed0_omega0_final.bin": "c41aaebb85e8b3034feb7f350b55d6efa6b8b32a7b824346e725624ce8eecc25",
+        "seed0_omega0_step0003.bin": "557504af78b60d98c791a413ad1f627974615afc599bd6363c3acff4d0eee776",
+        "seed0_omega1_final.bin": "ec857fbd5a6a0e27b351d4454a2eb7e454b9f7cc75d22330391048af128fc387",
+        "seed0_omega1_step0003.bin": "1483acaa0f5e9b15e04ae7467954866270533e46e41cb3011c9cd081465d0e86",
+        "seed1_omega0_final.bin": "23e18275a9d23489f82ab3723f735495195be8505d0a8c53fa1bc44a6f97f1c3",
+        "seed1_omega0_step0003.bin": "bb55fc8b22003f028acc2f9f1c296ebbe92758f848176127a3eaf7aa7bd82f64",
+        "seed1_omega1_final.bin": "d06ee61dff811d30f6fe77c6f595eb8ca9650627677e4a906c1d7196237b9deb",
+        "seed1_omega1_step0003.bin": "4faad0acdb98be77584e14f3ea577c5a2b31425c8e7d323414d31c365adb6f31",
+    },
+    "euler": {
+        "seed0_omega0_final.bin": "36f75403550960e4bc906ddc562e6b0638ea3f647666e3d21b1fe0565ab1a0a7",
+        "seed0_omega0_step0003.bin": "0c398bf9d335dcf310460f82f8d0177ff0520c29722356b28f8ba7641e542eb2",
+        "seed0_omega1_final.bin": "0f6505d373c91afead97cd864a58ba03cc58d54f890c40a8e5a454a6af9a0c42",
+        "seed0_omega1_step0003.bin": "eddebecb87c4eb10da8625efccf346026dc588b54885109a618656529a002079",
+        "seed1_omega0_final.bin": "3025d8bd68a80cd5394d0689ac890bb6d70dbf96ff1f95cde224529097f0b7df",
+        "seed1_omega0_step0003.bin": "050be32df9085f0c95da45cd05535321368712fe0542f8452019a7c3467a658c",
+        "seed1_omega1_final.bin": "9ae6c390dee7251af4dfc94cd95b5b7d434e34e93b515e495e5e438c5bc19160",
+        "seed1_omega1_step0003.bin": "9c7ad9a5692a9032a6175b1c86897b2de0e0254e5657c95ecee2a77c82b7fc73",
+    },
+    "flow": {
+        "seed0_omega0_final.bin": "402c310a3859e344e4edf436c68ddcd6b7b6377443d02115903db574c4ffc17f",
+        "seed0_omega0_step0002.bin": "8fd6a9d5f23f6f937bcd25ccf29434aa69029557b3e297ba982143f0261a2d16",
+        "seed0_omega1_final.bin": "a719f469953374d8aa54f9a9b4ff9d6413ccaf96403c9f95ef21b33997e0e7d2",
+        "seed0_omega1_step0002.bin": "2aad23217035a4efb9411c21a50b6456f89251df3f5af74852df99bb550c5c85",
+        "seed1_omega0_final.bin": "29cc75f2305c25ac0fb270eef208922cb23e16af88a560fa2495ad2999a9daaf",
+        "seed1_omega0_step0002.bin": "e7dc92bd032d524943c8e74b419362d587c803cf744b0381bda0d8699773d98f",
+        "seed1_omega1_final.bin": "bbe349b8c1d76214e5125fa34cad1d7128667fb17f006131b579682e9453ad0f",
+        "seed1_omega1_step0002.bin": "1583154c98793b89b144dca17c7a1fc1363b6e57d021720eea1c65c7ac23e1f9",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", list(SAMPLE_CONFIGS))
+def test_sample_artifact_bytes_are_pinned(tmp_path, kind):
+    write_pgm(tmp_path / "mask.pgm", (np.arange(64).reshape(8, 8) * 4).astype(np.uint8))
+    data = sample_config(tmp_path, init={"kind": "white"}, latent={"shape": [4, 4]}, **SAMPLE_CONFIGS[kind])
+    config = write_config(tmp_path, data)
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        assert main(["sample", "--config", str(config), "--out", str(out), "--threads", threads]) == 0
+        assert read_manifest(out)["artifacts"] == SAMPLE_SHA256[kind]
 
 
 class TestPreviewCommand:

@@ -10,7 +10,15 @@ from omegance import ConfigError, load_config, parse_config, rescale
 from omegance.config import MAX_LATENT_BYTES
 from omegance.formats import write_pgm
 from omegance.omega import SCHEDULE_PRESETS, omega_schedule
-from omegance.schedules import AlphaBarSchedule, FlowTimesteps, SigmaSchedule
+from omegance.oracles import GaussianFieldSpec
+from omegance.schedules import (
+    AlphaBarSchedule,
+    FlowTimesteps,
+    SigmaSchedule,
+    alpha_bar_from_betas,
+    karras_sigmas,
+    make_linear_beta,
+)
 
 
 def minimal(**overrides):
@@ -28,13 +36,14 @@ def minimal(**overrides):
 class TestParsing:
     def test_minimal_ddim(self):
         config = parse_config(minimal())
-        assert config.sampler_kind == "ddim"
-        assert config.steps == 10
+        assert config.sampler.kind == "ddim"
+        assert config.sampler.steps == 10
         assert config.omegas == (1.0,)
         assert config.latent_shape == (8, 8)
         assert config.output_dir == "out"
         assert config.snapshot_format == "binary"
         assert isinstance(config.make_schedule(), AlphaBarSchedule)
+        assert config.make_schedule() is config.sampler.schedule
 
     def test_euler_and_flow_schedules(self):
         euler = parse_config(
@@ -48,18 +57,18 @@ class TestParsing:
 
     def test_defaults_applied(self):
         config = parse_config(minimal(sampler={"kind": "ddim", "steps": 10}))
-        assert config.schedule_spec == {
-            "kind": "linear_beta",
-            "num_steps": 1000,
-            "beta_start": 1e-4,
-            "beta_end": 0.02,
-        }
+        default = alpha_bar_from_betas(make_linear_beta(1000, 1e-4, 0.02))
+        assert config.sampler.schedule.alpha_bars.tobytes() == default.alpha_bars.tobytes()
+        config = parse_config(minimal(sampler={"kind": "euler", "steps": 10}))
+        default = karras_sigmas(10, 0.0292, 14.6146, 7.0, 0.0)
+        assert config.sampler.schedule.sigmas.tobytes() == default.sigmas.tobytes()
+        assert config.sampler.schedule.churn == 0.0
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(minimal()))
         config = load_config(path)
-        assert config.steps == 10
+        assert config.sampler.steps == 10
 
     def test_unreadable_and_invalid_json(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -186,15 +195,15 @@ class TestOmegaSection:
                 }
             )
         )
-        two_stage = omega_schedule("two_stage", config.steps, switch_step=3, early=0.95, late=1.0)
-        assert config.omega_schedule.values.tobytes() == two_stage.values.tobytes()
-        assert config.omega_schedule.total_steps == config.steps
+        two_stage = omega_schedule("two_stage", config.sampler.steps, switch_step=3, early=0.95, late=1.0)
+        assert config.sampler.control.schedule.values.tobytes() == two_stage.values.tobytes()
+        assert config.sampler.control.schedule.total_steps == config.sampler.steps
         config = parse_config(
             minimal(omega={"values": [1.0], "schedule": {"kind": "preset", "name": "EXP2"}})
         )
-        exp2 = omega_schedule(total_steps=config.steps, **SCHEDULE_PRESETS["EXP2"])
+        exp2 = omega_schedule(total_steps=config.sampler.steps, **SCHEDULE_PRESETS["EXP2"])
         assert SCHEDULE_PRESETS["EXP2"]["kind"] == "exp"
-        assert config.omega_schedule.values.tobytes() == exp2.values.tobytes()
+        assert config.sampler.control.schedule.values.tobytes() == exp2.values.tobytes()
         with pytest.raises(ConfigError):
             parse_config(minimal(omega={"values": [1.0], "schedule": {"kind": "linear"}}))
 
@@ -207,8 +216,16 @@ class TestOmegaSection:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
         config = load_config(config_path)
-        assert config.mask is not None
-        assert np.all(config.mask.grid == 1.0)
+        assert config.sampler.control.mask is not None
+        assert np.all(config.sampler.control.mask.grid == 1.0)
+
+    def test_parsed_configs_compare_without_raising(self, tmp_path):
+        write_pgm(tmp_path / "mask.pgm", np.full((8, 8), 255, dtype=np.uint8))
+        data = minimal(omega={"values": [1.0], "mask": {"path": "mask.pgm"}})
+        first, second = parse_config(data, base_dir=tmp_path), parse_config(data, base_dir=tmp_path)
+        assert first == first
+        assert (first == second) is False  # the mask and schedule compare by identity
+        assert hash(first.sampler) == hash(first.sampler)
 
     def test_mask_dims_must_match_latent(self, tmp_path):
         pgm = tmp_path / "mask.pgm"
@@ -268,8 +285,8 @@ class TestOracleSection:
 class TestInitSection:
     def test_gaussian_field(self):
         config = parse_config(minimal(init={"kind": "gaussian_field", "exponent": -2.0}))
-        assert config.init_kind == "gaussian_field"
-        assert config.field_exponent == -2.0
+        assert config.field == GaussianFieldSpec(8, 8, -2.0)
+        assert parse_config(minimal()).field is None
 
     def test_field_requires_2d(self):
         with pytest.raises(ConfigError):

@@ -117,6 +117,14 @@ class TestMask:
         with pytest.raises(ValueError):
             OmegaMask(np.array([[1.0, 0.0]]))
 
+    def test_compared_and_hashed_by_identity(self):
+        # a generated == over the grid would raise, and hash would fail on it
+        mask = OmegaMask(np.ones((2, 2)))
+        assert mask == mask
+        assert (OmegaMask(np.ones((2, 2))) == mask) is False
+        assert hash(OmegaControl(mask=mask)) == hash(OmegaControl(mask=mask))
+        assert OmegaControl(mask=mask) == OmegaControl(mask=mask)
+
     def test_preview_normalisation(self):
         mask = OmegaMask(np.array([[0.9, 1.0], [1.1, 0.9]]))
         gray = mask_to_grayscale(mask)

@@ -263,6 +263,20 @@ class TestSamplerConfig:
         cfg = SamplerConfig("ddim", 10, linear_bars, snapshots=(5, 0, 5, 10))
         assert cfg.snapshots == (0, 5, 10)
 
+    @pytest.mark.parametrize("snapshots", [(2.7,), (True,), (1, 2.0), (np.float64(2.0),), ("2",)])
+    def test_snapshot_steps_must_be_integers(self, snapshots):
+        # int() would truncate 2.7 to 2 and take True for step 1
+        with pytest.raises(ValueError, match="integers"):
+            SamplerConfig("flow", 4, flow_timesteps(4), snapshots=snapshots)
+        assert SamplerConfig("flow", 4, flow_timesteps(4), snapshots=(np.int64(2), 1)).snapshots == (1, 2)
+
+    def test_steps_must_be_an_integer_not_a_bool(self, linear_bars):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            SamplerConfig("flow", True, flow_timesteps(1))
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            SamplerConfig("ddim", 2.0, linear_bars)
+        assert SamplerConfig("ddim", np.int64(2), linear_bars).steps == 2
+
     def test_control_schedule_length_must_match(self, linear_bars):
         control = OmegaControl(schedule=omega_schedule("constant", 20, omega=1.0))
         with pytest.raises(ValueError):
