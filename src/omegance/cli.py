@@ -10,17 +10,17 @@ the config echo, artifact checksums, versions and timings; identical
 Exit codes: 0 success (``--help`` too), 2 config error or an argument list
 argparse cannot parse (no output is written), 3 numeric
 abort (the manifest then records the aborting cell and step index and lists
-every file written before the abort, the aborting cell's own snapshots
+every file the run wrote, the aborting cell's own snapshots
 included; ``snr`` takes no sampler step, so it
 records step 0 and the omega index, and its error names the ladder step),
 4 I/O error (an artifact that could not be written leaves a manifest with
-status "error" listing every file written before it; a manifest that could
+status "error" listing every file the run wrote; a manifest that could
 not be written leaves the previous one whole). Commands never modify their
 input files. ``--threads N``/``OMEGANCE_THREADS`` run independent (seed,
 omega) cells on the calling thread plus N - 1 helper threads; results do not
-depend on the thread count. After an abort, N > 1 still runs every cell (N =
-1 stops at the aborting one), so an aborted manifest can list more files
-than at N = 1.
+depend on the thread count. Every cell runs at every thread count, an
+aborting or failing one included, so an aborted or failed manifest does not
+depend on ``--threads`` either.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import platform
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -202,46 +201,39 @@ class _SeedDraws:
 def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> list:
     """Results of ``cell_fn(seed, omega index, draws)`` for every cell, in order.
 
-    ``draws`` is the sweep's ``_SeedDraws``. With ``threads`` > 1 the
-    calling thread runs cells beside ``threads`` - 1 helper threads (no more
-    threads than cells), all taking them in cell order from one queue: the
-    caller does not sit idle, and malloc keeps one per-thread arena fewer.
-    The error raised is that of the lowest failing cell, a numeric abort
-    with ``cell`` set to it. One thread stops at the first failure; more
-    run every cell first, so the files written are all listed.
+    ``draws`` is the sweep's ``_SeedDraws``. The calling thread runs cells
+    beside ``threads`` - 1 helper threads (no more threads than cells), all
+    taking them in cell order from one queue: the caller does not sit idle,
+    and malloc keeps one per-thread arena fewer. Every cell runs at every
+    thread count, so the files written, and listed, do not depend on it. The
+    error raised is that of the lowest failing cell, a numeric abort with
+    ``cell`` set to it.
 
     ``schedule`` is not read, since the config holds it; the parameter stays
     because bench/spans.py wraps this function by its signature.
     """
     cells = [(seed, idx) for seed in config.seeds for idx in range(len(config.omegas))]
     draws = _SeedDraws(config)
-
-    def run(cell):
-        try:
-            return cell_fn(*cell, draws)
-        except NumericAbortError as exc:
-            exc.cell = {"seed": cell[0], "omega_index": cell[1]}
-            raise
-
-    if threads == 1:
-        return [run(cell) for cell in cells]
-    futures = [Future() for _ in cells]
-    tasks = iter(zip(cells, futures))
+    results = [None] * len(cells)
+    errors = [None] * len(cells)
+    order = iter(range(len(cells)))
     lock = threading.Lock()
 
     def work() -> None:
         while True:
             with lock:
-                task = next(tasks, None)
-            if task is None:
+                i = next(order, None)
+            if i is None:
                 return
-            cell, future = task
+            seed, idx = cells[i]
             try:
-                future.set_result(run(cell))
+                results[i] = cell_fn(seed, idx, draws)
             except BaseException as exc:
-                # every future is resolved, so reading them below cannot hang;
-                # an interrupt still stops the thread it reached
-                future.set_exception(exc)
+                if isinstance(exc, NumericAbortError):
+                    exc.cell = {"seed": seed, "omega_index": idx}
+                # every cell is still run and its error kept; an interrupt
+                # still stops the thread it reached
+                errors[i] = exc
                 if not isinstance(exc, Exception):
                     raise
 
@@ -253,7 +245,10 @@ def _run_cells(config: ExperimentConfig, schedule, threads: int, cell_fn) -> lis
     finally:
         for helper in helpers:
             helper.join()
-    return [future.result() for future in futures]
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 def _cell_trajectory(config: ExperimentConfig, draws: _SeedDraws, seed: int, idx: int, snapshots, on_snapshot):

@@ -135,7 +135,7 @@ def _scalar_workspace(components: int, width: int, term: bool) -> list:
     return buffers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: == on an array field would raise
 class GaussianMixture:
     """Mixture of K scalar Gaussian components: weights, means and variances of shape (K,)."""
 

@@ -74,7 +74,12 @@ __all__ = [
     "reference_trajectory",
 ]
 
-SAMPLER_KINDS = ("ddim", "euler", "flow")
+# each sampler kind's schedule type and the denoiser method its steps call
+_KINDS = {
+    "ddim": (AlphaBarSchedule, "epsilon_predict"),
+    "euler": (SigmaSchedule, "epsilon_predict"),
+    "flow": (FlowTimesteps, "velocity_predict"),
+}
 
 
 class NumericAbortError(ArithmeticError):
@@ -117,9 +122,13 @@ def _check_omega_field(omega, shape) -> None:
         raise ValueError("omega must be positive")
 
 
-def _check_pair(z: np.ndarray, other: np.ndarray, name: str) -> None:
-    if other.shape != z.shape:
-        raise ValueError(f"{name} shape {other.shape} does not match latent shape {z.shape}")
+def _operands(z, pred, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The latent and a prediction as float64 arrays, checked to share one shape."""
+    z = np.asarray(z, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
+    if pred.shape != z.shape:
+        raise ValueError(f"{name} shape {pred.shape} does not match latent shape {z.shape}")
+    return z, pred
 
 
 def ddim_step(z, schedule: AlphaBarSchedule, t: int, eps_pred, omega=1.0) -> np.ndarray:
@@ -129,9 +138,7 @@ def ddim_step(z, schedule: AlphaBarSchedule, t: int, eps_pred, omega=1.0) -> np.
     with delta = sqrt(abar_prev) / sqrt(abar_t), the multiplier that
     analysis.propagate_coefficients_ddim also uses.
     """
-    z = np.asarray(z, dtype=np.float64)
-    eps_pred = np.asarray(eps_pred, dtype=np.float64)
-    _check_pair(z, eps_pred, "eps_pred")
+    z, eps_pred = _operands(z, eps_pred, "eps_pred")
     if t < 1:
         raise ValueError("ddim steps start at ladder index 1")
     _check_omega_field(omega, z.shape)
@@ -148,9 +155,7 @@ def ddim_step(z, schedule: AlphaBarSchedule, t: int, eps_pred, omega=1.0) -> np.
 
 def ddim_step_reference(z, schedule: AlphaBarSchedule, t: int, eps_pred) -> np.ndarray:
     """Unscaled deterministic step; the baseline the omega path is checked against."""
-    z = np.asarray(z, dtype=np.float64)
-    eps_pred = np.asarray(eps_pred, dtype=np.float64)
-    _check_pair(z, eps_pred, "eps_pred")
+    z, eps_pred = _operands(z, eps_pred, "eps_pred")
     if t < 1:
         raise ValueError("ddim steps start at ladder index 1")
     ab_t = schedule.alpha_bar(t)
@@ -161,9 +166,7 @@ def ddim_step_reference(z, schedule: AlphaBarSchedule, t: int, eps_pred) -> np.n
 
 def euler_step(z, schedule: SigmaSchedule, i: int, eps_pred, omega=1.0) -> np.ndarray:
     """One variance-exploding step: z + (sigma_next - sigma_hat) * eps * omega."""
-    z = np.asarray(z, dtype=np.float64)
-    eps_pred = np.asarray(eps_pred, dtype=np.float64)
-    _check_pair(z, eps_pred, "eps_pred")
+    z, eps_pred = _operands(z, eps_pred, "eps_pred")
     _check_omega_field(omega, z.shape)
     sigma_hat = schedule.sigma_hat(i)
     sigma_next = float(schedule.sigmas[i + 1])
@@ -175,9 +178,7 @@ def euler_step(z, schedule: SigmaSchedule, i: int, eps_pred, omega=1.0) -> np.nd
 
 def euler_step_reference(z, schedule: SigmaSchedule, i: int, eps_pred) -> np.ndarray:
     """Unscaled variance-exploding step."""
-    z = np.asarray(z, dtype=np.float64)
-    eps_pred = np.asarray(eps_pred, dtype=np.float64)
-    _check_pair(z, eps_pred, "eps_pred")
+    z, eps_pred = _operands(z, eps_pred, "eps_pred")
     sigma_hat = schedule.sigma_hat(i)
     sigma_next = float(schedule.sigmas[i + 1])
     return z + (sigma_next - sigma_hat) * eps_pred
@@ -189,9 +190,7 @@ def flow_step(z, dt: float, v_pred, omega=1.0) -> np.ndarray:
     At omega = 1 the recentring detour is skipped so the result is
     bit-identical to the plain update z + dt * v.
     """
-    z = np.asarray(z, dtype=np.float64)
-    v_pred = np.asarray(v_pred, dtype=np.float64)
-    _check_pair(z, v_pred, "v_pred")
+    z, v_pred = _operands(z, v_pred, "v_pred")
     if z.size == 0:
         raise ValueError("empty latent")
     if dt == 0.0 or not math.isfinite(dt):
@@ -211,9 +210,7 @@ def flow_step(z, dt: float, v_pred, omega=1.0) -> np.ndarray:
 
 def flow_step_reference(z, dt: float, v_pred) -> np.ndarray:
     """Plain integration step z + dt * v."""
-    z = np.asarray(z, dtype=np.float64)
-    v_pred = np.asarray(v_pred, dtype=np.float64)
-    _check_pair(z, v_pred, "v_pred")
+    z, v_pred = _operands(z, v_pred, "v_pred")
     if z.size == 0:
         raise ValueError("empty latent")
     if dt == 0.0 or not math.isfinite(dt):
@@ -234,25 +231,16 @@ class SamplerConfig:
     snapshots: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in SAMPLER_KINDS:
-            raise ValueError(f"kind must be one of {SAMPLER_KINDS}")
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+            raise ValueError(f"kind must be one of {tuple(_KINDS)}")
         if not _is_integer(self.steps) or self.steps < 1:
             raise ValueError("steps must be an integer >= 1")
-        if self.kind == "ddim":
-            if not isinstance(self.schedule, AlphaBarSchedule):
-                raise ValueError("ddim requires an AlphaBarSchedule")
-            if self.steps > self.schedule.num_steps:
-                raise ValueError("steps exceeds the schedule length")
-        elif self.kind == "euler":
-            if not isinstance(self.schedule, SigmaSchedule):
-                raise ValueError("euler requires a SigmaSchedule")
-            if self.schedule.num_steps != self.steps:
-                raise ValueError("sigma schedule must provide exactly `steps` levels")
-        else:
-            if not isinstance(self.schedule, FlowTimesteps):
-                raise ValueError("flow requires FlowTimesteps")
-            if self.schedule.num_steps != self.steps:
-                raise ValueError("flow timesteps must provide exactly `steps` steps")
+        schedule_type = _KINDS[self.kind][0]
+        if not isinstance(self.schedule, schedule_type):
+            raise ValueError(f"{self.kind} requires a {schedule_type.__name__}")
+        # ddim takes `steps` rungs of a longer ladder; euler and flow take every level
+        if self.steps > self.schedule.num_steps or (self.kind != "ddim" and self.steps < self.schedule.num_steps):
+            raise ValueError(f"{self.steps} steps do not fit a {self.schedule.num_steps}-step {self.kind} schedule")
         if not all(_is_integer(s) for s in self.snapshots):
             raise ValueError("snapshot steps must be integers")
         snaps = tuple(sorted(set(int(s) for s in self.snapshots)))
@@ -283,16 +271,9 @@ def _prepare_latent(z_init) -> np.ndarray:
 
 
 def _check_capability(denoiser, kind: str) -> None:
-    needed = "velocity_predict" if kind == "flow" else "epsilon_predict"
+    needed = _KINDS[kind][1]
     if not callable(getattr(denoiser, needed, None)):
         raise TypeError(f"denoiser lacks the {needed} capability required by {kind!r}")
-
-
-def _prediction(denoiser_output, z: np.ndarray) -> np.ndarray:
-    pred = np.asarray(denoiser_output, dtype=np.float64)
-    if pred.shape != z.shape:
-        raise ValueError(f"denoiser output shape {pred.shape} does not match latent {z.shape}")
-    return pred
 
 
 def _churn_rng(seed: int) -> np.random.Generator:
@@ -330,7 +311,7 @@ def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool, on_snapsh
             omega = (config.control.resolve_field(z.shape, k),) if scaled else ()
             if config.kind == "ddim":
                 t = config.steps - k
-                pred = _prediction(denoiser.epsilon_predict(z, alpha_bar=ladder.alpha_bar(t)), z)
+                pred = denoiser.epsilon_predict(z, alpha_bar=ladder.alpha_bar(t))
                 z = (ddim_step if scaled else ddim_step_reference)(z, ladder, t, pred, *omega)
             elif config.kind == "euler":
                 sched = config.schedule
@@ -339,10 +320,10 @@ def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool, on_snapsh
                     sigma_hat = sched.sigma_hat(k)
                     z = z + math.sqrt(sigma_hat**2 - sigma**2) * rng.standard_normal(z.shape)
                     sigma = sigma_hat
-                pred = _prediction(denoiser.epsilon_predict(z, sigma=sigma), z)
+                pred = denoiser.epsilon_predict(z, sigma=sigma)
                 z = (euler_step if scaled else euler_step_reference)(z, sched, k, pred, *omega)
             else:
-                pred = _prediction(denoiser.velocity_predict(z, float(config.schedule.times[k])), z)
+                pred = denoiser.velocity_predict(z, float(config.schedule.times[k]))
                 z = (flow_step if scaled else flow_step_reference)(z, config.schedule.dt(k), pred, *omega)
             # the next denoiser call and the snapshot sink need neither
             del pred, omega

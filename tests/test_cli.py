@@ -54,6 +54,13 @@ REJECTED_CONFIGS = {
     "snapshot_beyond_steps": ("sample", {"sampler": dict(ddim_sampler(), snapshots=[0, 6])}),
     "negative_snapshot": ("sample", {"sampler": dict(ddim_sampler(), snapshots=[-1, 5])}),
     "flow_non_uniform_schedule": ("sample", {"sampler": {"kind": "flow", "steps": 5, "schedule": {"kind": "karras"}}}),
+    # a^2 v + b^2 overflows at the first level: the oracle's scale check, and
+    # with churn the churn step's sigma_hat**2 too
+    "euler_sigma_overflows_the_oracle": ("sample", {"sampler": euler_sampler(sigma_min=1e159, sigma_max=1e160)}),
+    "euler_churned_sigma_overflows": (
+        "sample",
+        {"sampler": euler_sampler(sigma_min=1e159, sigma_max=1e160, churn=0.5)},
+    ),
 }
 
 
@@ -96,10 +103,11 @@ def test_rejected_config_exits_2_and_writes_nothing(tmp_path, capsys, command, o
 def check_numeric_abort(tmp_path, monkeypatch, command):
     """Only the (seed 1, omega index 1) cell aborts: exit 3 and an aborted manifest naming it.
 
-    The manifest lists, with checksums, exactly the files the run wrote: those
-    of the cells before the abort and, with two threads, of cell (seed 2,
-    omega index 0), held in flight until after the abort, but not a file an
-    earlier run left in the output directory.
+    Every other cell still runs, at one thread as at two, so both manifests
+    list, with the same checksums, exactly the files the run wrote: those of
+    every other cell, with two threads cell (seed 2, omega index 0) held in
+    flight until after the abort, but not a file an earlier run left in the
+    output directory.
     """
     in_flight = threading.Event()
 
@@ -116,6 +124,7 @@ def check_numeric_abort(tmp_path, monkeypatch, command):
     monkeypatch.setattr("omegance.cli.run_sampler", explode)
     config = write_config(tmp_path, sample_config(tmp_path, seeds=[0, 1, 2]))
     stale = "seed9_omega0_final.bin"
+    artifacts = {}
     for threads in ("1", "2"):
         in_flight.clear()
         out = tmp_path / f"out{threads}"
@@ -132,14 +141,14 @@ def check_numeric_abort(tmp_path, monkeypatch, command):
         assert manifest["artifacts"] == {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in written
         }
+        artifacts[threads] = manifest["artifacts"]
         if command == "spectrum":
             assert written == []
             continue
-        cells = [(0, 0), (0, 1), (1, 0)] + ([(2, 0)] if threads == "2" else [])
-        for seed, idx in cells:
-            assert {f"seed{seed}_omega{idx}_step0000.bin", f"seed{seed}_omega{idx}_final.bin"} <= set(written)
-        if threads == "1":
-            assert len(written) == 3 * 3
+        cells = [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]
+        ends = ("step0000", "step0005", "final")
+        assert written == sorted(f"seed{seed}_omega{idx}_{end}.bin" for seed, idx in cells for end in ends)
+    assert artifacts["1"] == artifacts["2"]
 
 
 class TestSampleCommand:
@@ -421,8 +430,8 @@ class TestSampleCommand:
         assert manifest["artifacts"] == {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in on_disk
         }
-        expected = []
-        for seed in [0] if threads == "1" else [0, 1]:
+        expected = []  # every cell runs at every thread count
+        for seed in [0, 1]:
             expected += [f"seed{seed}_omega0_{end}.bin" for end in ("final", "step0000", "step0001", "step0005")]
             expected += [f"seed{seed}_omega1_step0000.bin", f"seed{seed}_omega1_step0001.bin"]
         assert on_disk == sorted(expected)
@@ -681,6 +690,35 @@ class TestRunCells:
             cli._run_cells(config, schedule, threads, cell)
         assert info.value.cell == {"seed": 0, "omega_index": 1}
         assert sorted(ran) == cells
+
+    def test_one_thread_runs_every_cell_past_a_failure(self, tmp_path):
+        config, schedule, cells = self.sweep(tmp_path, [0, 1, 2])
+        ran = []
+
+        def cell(seed, idx, draws):
+            ran.append((seed, idx))
+            if (seed, idx) in ((0, 1), (1, 0)):
+                raise NumericAbortError(2, f"cell {seed} {idx}")
+            return seed, idx
+
+        with pytest.raises(NumericAbortError, match="cell 0 1") as info:
+            cli._run_cells(config, schedule, 1, cell)
+        assert info.value.cell == {"seed": 0, "omega_index": 1}
+        assert ran == cells
+
+    def test_an_interrupt_stops_the_thread_it_reaches(self, tmp_path):
+        config, schedule, cells = self.sweep(tmp_path, [0, 1])
+        ran = []
+
+        def cell(seed, idx, draws):
+            ran.append((seed, idx))
+            if (seed, idx) == (0, 1):
+                raise KeyboardInterrupt
+            return seed, idx
+
+        with pytest.raises(KeyboardInterrupt):
+            cli._run_cells(config, schedule, 1, cell)
+        assert ran == cells[:2]
 
 
 class TestSnrCommand:
@@ -1052,12 +1090,15 @@ def clamp(tree):
 
 
 def overflowing(tree):
-    """The same tree with an omega near the float limit, which overflows the latent: exit 3."""
+    """The same tree with a first omega near the float limit, which overflows the latent: exit 3.
+
+    Its cells abort before the omega = 1 cells of the same seed run.
+    """
     if not isinstance(tree, dict):
         return tree
     omega = tree.get("omega")
     omega = {k: v for k, v in omega.items() if k not in ("varpi", "rescale")} if isinstance(omega, dict) else {}
-    return dict(tree, omega=dict(omega, values=[1.0, 1e300]))
+    return dict(tree, omega=dict(omega, values=[1e300, 1.0]))
 
 
 # one tree in four is pushed toward a numeric abort, which plain trees almost never reach
@@ -1102,12 +1143,14 @@ def test_any_vocabulary_tree_exits_with_a_documented_code_and_a_true_manifest(fu
     # directory, and every other exit leaves a manifest whose status matches
     # the code and whose artifacts are exactly the files on disk, each with
     # its sha256. Some draws make the first or third artifact write of each
-    # run fail: a run that reaches it exits 4, or 3 where a lower cell on
-    # another thread aborted first
+    # run fail: a run that reaches it exits 4, or 3 where a lower cell
+    # aborted, since every cell runs at every thread count. Without a failing
+    # write, sample and spectrum end alike at one thread and at two
     work = Path(tempfile.mkdtemp(dir=fuzz_root))
     write_pgm(work / "mask.pgm", np.arange(64, dtype=np.uint8).reshape(8, 8) * 4)
     config = write_config(work, clamp(data))
     for command, thread_counts in FUZZ_COMMANDS.items():
+        outcomes = []
         for threads in thread_counts:
             out = work / f"{command}-{threads}"
             argv = [command, "--config", str(config), "--out", str(out)]
@@ -1118,11 +1161,12 @@ def test_any_vocabulary_tree_exits_with_a_documented_code_and_a_true_manifest(fu
             if command == "snr" and threads is not None:
                 assert code == 2
             if writes.fired:
-                assert code == 4 or (code == 3 and threads == 2)
+                assert code in (3, 4)
             else:
                 assert code != 4
             if code == 2:
                 assert not out.exists()
+                outcomes.append(code)
                 continue
             manifest = read_manifest(out)
             assert manifest["status"] == EXIT_STATUS[code]
@@ -1131,3 +1175,6 @@ def test_any_vocabulary_tree_exits_with_a_documented_code_and_a_true_manifest(fu
             assert sorted([*artifacts, "manifest.json"]) == on_disk
             for name, digest in artifacts.items():
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+            outcomes.append((code, manifest["status"], manifest.get("aborted_cell"), artifacts))
+        if command != "snr" and failing_write == 0:
+            assert outcomes[0] == outcomes[1]

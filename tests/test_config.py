@@ -277,6 +277,14 @@ class TestOracleSection:
                 )
             )
 
+    def test_parsed_mixtures_compare_and_hash_by_identity(self):
+        # a generated == over the (K,) arrays would raise for K > 1, and hash would fail on them
+        mixture = {"kind": "gaussian_mixture", "weights": [0.3, 0.7], "means": [-2.0, 3.0], "variances": [1.0, 1.0]}
+        first, second = parse_config(minimal(oracle=mixture)).oracle, parse_config(minimal(oracle=mixture)).oracle
+        assert first == first
+        assert (first == second) is False
+        assert hash(first) == hash(first)
+
     def test_unknown_oracle(self):
         with pytest.raises(ConfigError):
             parse_config(minimal(oracle={"kind": "unet"}))

@@ -18,6 +18,7 @@ from omegance import (
     OmegaMask,
     SamplerConfig,
     SigmaSchedule,
+    alpha_bar_from_betas,
     band_energy,
     ddim_step,
     ddim_step_reference,
@@ -28,6 +29,7 @@ from omegance import (
     flow_timesteps,
     gaussian_field_2d,
     karras_sigmas,
+    make_linear_beta,
     omega_schedule,
     radial_spectrum,
     reference_trajectory,
@@ -246,16 +248,29 @@ def test_folded_ddim_step_within_rounding_of_the_predicted_z0_form(linear_bars):
             assert np.all(np.abs(actual - expected) <= 1e-15 * scale), t
 
 
+# each sampler kind's schedule builder, called with a step count
+SCHEDULE_BUILDERS = {
+    "ddim": lambda n: alpha_bar_from_betas(make_linear_beta(n, 1e-4, 0.02)),
+    "euler": karras_sigmas,
+    "flow": flow_timesteps,
+}
+# (kind, schedule kind, steps, schedule steps) for every other kind's schedule
+# and for every step count its own schedule does not fit: ddim may take fewer
+# steps than its ladder has, euler and flow take exactly theirs
+MISMATCHES = [(kind, other, 10, 10) for kind in SCHEDULE_BUILDERS for other in SCHEDULE_BUILDERS if other != kind]
+MISMATCHES += [("ddim", "ddim", 11, 10), ("euler", "euler", 9, 10), ("euler", "euler", 11, 10)]
+MISMATCHES += [("flow", "flow", 9, 10), ("flow", "flow", 11, 10)]
+
+
 class TestSamplerConfig:
-    def test_kind_schedule_agreement(self, linear_bars):
-        with pytest.raises(ValueError):
-            SamplerConfig("euler", 10, linear_bars)
-        with pytest.raises(ValueError):
-            SamplerConfig("ddim", 2000, linear_bars)
-        with pytest.raises(ValueError):
-            SamplerConfig("flow", 10, flow_timesteps(5))
-        with pytest.raises(ValueError):
-            SamplerConfig("heun", 10, linear_bars)
+    @pytest.mark.parametrize("kind, schedule_kind, steps, schedule_steps", MISMATCHES)
+    def test_kind_schedule_agreement(self, kind, schedule_kind, steps, schedule_steps):
+        schedule = SCHEDULE_BUILDERS[schedule_kind](schedule_steps)
+        with pytest.raises(ValueError, match="requires" if kind != schedule_kind else "do not fit"):
+            SamplerConfig(kind, steps, schedule)
+        assert SamplerConfig(schedule_kind, schedule_steps, schedule).steps == schedule_steps
+        with pytest.raises(ValueError, match="kind must be one of"):
+            SamplerConfig("heun", steps, schedule)
 
     def test_snapshot_bounds(self, linear_bars):
         with pytest.raises(ValueError):
@@ -587,13 +602,20 @@ class TestRunSampler:
             run_sampler(Explodes(), SamplerConfig("ddim", 10, linear_bars), np.ones(4))
         assert err.value.step == 3
 
-    def test_prediction_shape_checked(self, linear_bars):
+    @pytest.mark.parametrize("kind", ["ddim", "euler", "flow"])
+    def test_prediction_shape_checked(self, kind):
+        # the step kernel's operand check is the only one the loop makes
         class WrongShape:
             def epsilon_predict(self, z, *, alpha_bar=None, sigma=None):
                 return np.zeros(z.size + 1)
 
-        with pytest.raises(ValueError):
-            run_sampler(WrongShape(), SamplerConfig("ddim", 4, linear_bars), np.zeros(4))
+            def velocity_predict(self, z, t):
+                return np.zeros(z.size + 1)
+
+        config = SamplerConfig(kind, 4, SCHEDULE_BUILDERS[kind](4))
+        for run in (run_sampler, reference_trajectory):
+            with pytest.raises(ValueError, match=r"_pred shape \(5,\) does not match latent shape \(4,\)"):
+                run(WrongShape(), config, np.zeros(4))
 
     def test_variance_scaling_of_scaled_noise(self):
         # scaling a unit-normal draw by omega leaves the mean at 0 and moves
