@@ -9,9 +9,9 @@ Parsing builds the run's objects once: the sampler section, the omega mask
 and the omega schedule become one validated ``SamplerConfig`` (its schedule
 built, its control at base 1.0), and a gaussian_field init becomes a
 ``GaussianFieldSpec``. Defaults a config leaves out are those of the
-schedule builders' signatures. The constructors' own checks (steps against
-the schedule length, the snapshot range, ...) are the config's checks; their
-ValueError becomes ConfigError.
+schedule builders' signatures and of ``RescaleParams``. The constructors'
+own checks (steps against the schedule length, each cell's least omega, ...)
+are the config's checks; their ValueError becomes ConfigError.
 
 Schema sketch (see the README for the full field list):
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -267,22 +267,14 @@ def _parse_omega(data, steps: int, latent_shape, base_dir: Path):
 
     if has_values:
         omegas = _as_list(omega["values"], "omega.values")
-        if any(v <= 0.0 for v in omegas):
-            raise ConfigError("omega values must be positive")
     else:
-        params = RescaleParams()
-        if "rescale" in omega:
-            sec = _section(
-                omega["rescale"], "omega.rescale", required=set(), optional={"steepness", "lower", "upper"}
-            )
-            try:
-                params = RescaleParams(
-                    steepness=_number(sec.get("steepness", params.steepness), "rescale.steepness"),
-                    lower=_number(sec.get("lower", params.lower), "rescale.lower"),
-                    upper=_number(sec.get("upper", params.upper), "rescale.upper"),
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        sec = _section(
+            omega.get("rescale", {}), "omega.rescale", required=set(), optional={"steepness", "lower", "upper"}
+        )
+        try:
+            params = RescaleParams(**{key: _number(value, f"rescale.{key}") for key, value in sec.items()})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         omegas = [rescale(v, params) for v in _as_list(omega["varpi"], "omega.varpi")]
     if len(set(omegas)) != len(omegas):
         raise ConfigError("omega values must be distinct")
@@ -296,9 +288,7 @@ def _parse_omega(data, steps: int, latent_shape, base_dir: Path):
             raise ConfigError("omega masks require a 2-D latent")
         if not isinstance(sec["path"], str):
             raise ConfigError("omega.mask.path must be a string")
-        pgm_path = Path(sec["path"])
-        if not pgm_path.is_absolute():
-            pgm_path = base_dir / pgm_path
+        pgm_path = base_dir / sec["path"]
         if not pgm_path.exists():
             raise ConfigError(f"mask file {pgm_path} does not exist")
         try:
@@ -320,7 +310,13 @@ def _parse_omega(data, steps: int, latent_shape, base_dir: Path):
     schedule = None
     if "schedule" in omega:
         schedule = _parse_omega_schedule(omega["schedule"], steps)
-    return tuple(omegas), OmegaControl(mask=mask, schedule=schedule)
+    try:  # the run's control at base 1.0, then each cell's, with its omega as the base
+        control = OmegaControl(mask=mask, schedule=schedule)
+        for v in omegas:
+            replace(control, base=v)
+    except ValueError as exc:
+        raise ConfigError(f"bad omega: {exc}") from exc
+    return tuple(omegas), control
 
 
 def _parse_omega_schedule(data, steps: int) -> OmegaSchedule:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedules import _is_integer
+
 __all__ = [
     "RescaleParams",
     "DEFAULT_RESCALE",
@@ -25,8 +27,6 @@ __all__ = [
     "mask_from_grayscale",
     "mask_to_grayscale",
     "OmegaSchedule",
-    "SCHEDULE_KINDS",
-    "SCHEDULE_PRESETS",
     "omega_schedule",
     "OmegaControl",
     "IDENTITY_CONTROL",
@@ -110,7 +110,7 @@ def mask_from_grayscale(
         raise ValueError("pixels must be a non-empty 2-D array")
     if np.any(image < 0.0) or np.any(image > 255.0):
         raise ValueError("pixel intensities must lie in [0, 255]")
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
+    if not _is_integer(factor) or factor < 1:
         raise ValueError("factor must be an integer >= 1")
     height, width = image.shape
     if height % factor or width % factor:
@@ -192,10 +192,6 @@ SCHEDULE_PRESETS: dict[str, dict] = {
 }
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def omega_schedule(kind: str, total_steps: int, **params) -> OmegaSchedule:
     """The schedule of a SCHEDULE_KINDS kind and its parameters, or of kind "preset" and a preset name."""
     if not _is_integer(total_steps) or total_steps < 1:
@@ -226,7 +222,8 @@ class OmegaControl:
 
     Resolution multiplies whichever parts are present. A control with no
     parts set is the exact identity: resolve_field returns the float 1.0 and
-    sampler output stays bit-identical to an unscaled run.
+    sampler output stays bit-identical to an unscaled run. The least resolved
+    omega, formed in resolve_field's order, must not round to 0.
     """
 
     base: float = 1.0
@@ -235,7 +232,14 @@ class OmegaControl:
 
     def __post_init__(self):
         if not (isinstance(self.base, (int, float)) and math.isfinite(self.base) and self.base > 0):
-            raise ValueError("base omega must be a positive finite number")
+            raise ValueError(f"base omega must be a positive finite number, not {self.base!r}")
+        least = self.base
+        if self.schedule is not None:
+            least = least * float(self.schedule.values.min())
+        if self.mask is not None:
+            least = float(self.mask.grid.min()) * least
+        if least == 0.0:
+            raise ValueError(f"the least omega, base {self.base!r} * schedule * mask, rounds to 0")
 
     def resolve_field(self, shape: tuple[int, ...], step: int):
         """Omega for every cell of a latent with the given shape at one step.

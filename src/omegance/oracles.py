@@ -74,6 +74,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedules import _is_integer
+
 __all__ = [
     "GaussianMixture",
     "standard_normal",
@@ -364,7 +366,7 @@ class GaussianFieldSpec:
     def __post_init__(self):
         for name in ("height", "width"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
         if not math.isfinite(self.spectral_exponent):
             raise ValueError("spectral_exponent must be finite")

@@ -55,8 +55,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .omega import IDENTITY_CONTROL, OmegaControl, _is_integer
-from .schedules import AlphaBarSchedule, FlowTimesteps, SigmaSchedule
+from .omega import IDENTITY_CONTROL, OmegaControl
+from .schedules import AlphaBarSchedule, FlowTimesteps, SigmaSchedule, _is_integer
 
 __all__ = [
     "NumericAbortError",

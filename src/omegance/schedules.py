@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class SignalDivergenceError(ZeroDivisionError):
     """SNR query with no finite positive value: pure-signal entry, zero step bracket or over/underflow."""
 
@@ -79,7 +83,7 @@ def make_linear_beta(
     Defaults follow the common discrete-diffusion convention (1000 steps over
     [1e-4, 0.02]); both endpoints and the length are configurable.
     """
-    if not isinstance(num_steps, (int, np.integer)) or num_steps < 2:
+    if not _is_integer(num_steps) or num_steps < 2:
         raise ValueError("num_steps must be an integer >= 2")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("need 0 < beta_start <= beta_end < 1")
@@ -228,7 +232,7 @@ def karras_sigmas(
     churn: float = 0.0,
 ) -> SigmaSchedule:
     """num_levels decreasing levels interpolated in sigma**(1/rho) space, plus a terminal 0."""
-    if not isinstance(num_levels, (int, np.integer)) or num_levels < 2:
+    if not _is_integer(num_levels) or num_levels < 2:
         raise ValueError("num_levels must be an integer >= 2")
     if not (0.0 < sigma_min < sigma_max):
         raise ValueError("need 0 < sigma_min < sigma_max")
@@ -268,6 +272,6 @@ class FlowTimesteps:
 
 def flow_timesteps(num_steps: int) -> FlowTimesteps:
     """Uniform grid of num_steps integration steps from t=1 to t=0 (dt = -1/num_steps)."""
-    if not isinstance(num_steps, (int, np.integer)) or num_steps < 1:
+    if not _is_integer(num_steps) or num_steps < 1:
         raise ValueError("num_steps must be an integer >= 1")
     return FlowTimesteps(np.linspace(1.0, 0.0, num_steps + 1))

@@ -61,6 +61,20 @@ REJECTED_CONFIGS = {
         "sample",
         {"sampler": euler_sampler(sigma_min=1e159, sigma_max=1e160, churn=0.5)},
     ),
+    # a cell's least omega, base * schedule * mask, rounds to 0: the base is a
+    # listed value or a rescaled dial, the mask is mask.pgm beside the config
+    "omega_times_schedule_underflows": (
+        "sample",
+        {"omega": {"values": [1e-300], "schedule": {"kind": "constant", "omega": 1e-300}}},
+    ),
+    "omega_times_mask_underflows": (
+        "sample",
+        {"omega": {"values": [1e-300], "mask": {"path": "mask.pgm", "low": 1e-300, "high": 1e-300}}},
+    ),
+    "rescaled_omega_times_schedule_underflows": (
+        "sample",
+        {"omega": {"varpi": [-10000], "rescale": {"lower": 5e-324}, "schedule": {"kind": "constant", "omega": 0.5}}},
+    ),
 }
 
 
@@ -94,6 +108,7 @@ def read_manifest(out_dir):
 
 @pytest.mark.parametrize("command, overrides", REJECTED_CONFIGS.values(), ids=list(REJECTED_CONFIGS))
 def test_rejected_config_exits_2_and_writes_nothing(tmp_path, capsys, command, overrides):
+    write_pgm(tmp_path / "mask.pgm", np.full((8, 8), 128, dtype=np.uint8))
     config = write_config(tmp_path, sample_config(tmp_path, **overrides))
     assert main([command, "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")

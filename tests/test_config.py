@@ -219,6 +219,22 @@ class TestOmegaSection:
         assert config.sampler.control.mask is not None
         assert np.all(config.sampler.control.mask.grid == 1.0)
 
+    def test_mask_path_absolute_or_relative_to_the_config(self, tmp_path):
+        # an absolute path loads the same file from any config directory; a
+        # relative one names the file beside the config
+        elsewhere, config_dir = tmp_path / "elsewhere", tmp_path / "configs"
+        elsewhere.mkdir()
+        config_dir.mkdir()
+        write_pgm(elsewhere / "mask.pgm", np.full((8, 8), 255, dtype=np.uint8))
+        write_pgm(config_dir / "mask.pgm", np.zeros((8, 8), dtype=np.uint8))
+        config_path = config_dir / "config.json"
+        for path, omega in ((str(elsewhere / "mask.pgm"), 1.0), ("mask.pgm", 0.9)):
+            mask = {"path": path, "low": 0.9, "high": 1.0}
+            config_path.write_text(json.dumps(minimal(omega={"values": [1.0], "mask": mask})))
+            assert np.all(load_config(config_path).sampler.control.mask.grid == omega)
+        absolute = minimal(omega={"values": [1.0], "mask": {"path": str(elsewhere / "mask.pgm")}})
+        assert parse_config(absolute, base_dir=tmp_path / "absent").sampler.control.mask is not None
+
     def test_parsed_configs_compare_without_raising(self, tmp_path):
         write_pgm(tmp_path / "mask.pgm", np.full((8, 8), 255, dtype=np.uint8))
         data = minimal(omega={"values": [1.0], "mask": {"path": "mask.pgm"}})

@@ -301,3 +301,44 @@ class TestControl:
     def test_rejects_bad_base(self):
         with pytest.raises(ValueError):
             OmegaControl(base=0.0)
+
+    # (base, schedule values, mask row): the least resolved omega rounds to 0
+    UNDERFLOWING = [
+        (1e-300, [1e-300], None),
+        (1e-300, [1.0, 2e-24], None),
+        (1e-300, None, [2e-24, 1.0]),
+        (5e-324, [0.5, 1.0], None),  # half the least subnormal: a tie, to even
+        (5e-324, [1.0], [0.5, 1.0]),
+    ]
+    # ... and rounds to the least subnormal, 5e-324, exactly
+    LEAST_SUBNORMAL = [
+        (5e-324, None, None),
+        (1e-300, [1.0, 5e-24], None),
+        (1e-300, None, [5e-24, 1.0]),
+        (5e-324, [1.0, 2.0], [0.75, 1.0]),
+        (1e-200, [1e-100, 1.0], [5e-24, 1.0]),
+    ]
+
+    @staticmethod
+    def parts(schedule, mask):
+        return (
+            None if schedule is None else OmegaSchedule(schedule),
+            None if mask is None else OmegaMask([mask]),
+        )
+
+    @pytest.mark.parametrize("base, schedule, mask", UNDERFLOWING)
+    def test_rejects_a_least_omega_that_rounds_to_0(self, base, schedule, mask):
+        schedule, mask = self.parts(schedule, mask)
+        grid = np.ones((1, 2)) if mask is None else mask.grid
+        values = [1.0] if schedule is None else schedule.values
+        assert min(np.min(grid * (base * float(v))) for v in values) == 0.0  # resolve_field's arithmetic
+        with pytest.raises(ValueError, match="rounds to 0"):
+            OmegaControl(base, mask, schedule)
+
+    @pytest.mark.parametrize("base, schedule, mask", LEAST_SUBNORMAL)
+    def test_accepts_a_least_omega_of_the_least_subnormal(self, base, schedule, mask):
+        schedule, mask = self.parts(schedule, mask)
+        control = OmegaControl(base, mask, schedule)
+        steps = 1 if schedule is None else schedule.total_steps
+        least = min(np.min(control.resolve_field((1, 2), k)) for k in range(steps))
+        assert least == math.ulp(0.0) == 5e-324

@@ -445,6 +445,54 @@ def test_an_infinite_threshold_sends_every_cell_down_the_shifted_softmax(name, m
         assert_bitwise(gm.velocity_predict(z, t), eps_ref - z0_ref)
 
 
+COMPLEX_STEP = 1e-200
+
+
+def tweedie_epsilon(mixture, z, a, b):
+    """E[eps | z] by Tweedie's formula, -b * d/dz log p(z), the derivative by complex step.
+
+    An independent route, sharing no arithmetic with the responsibility sums:
+    log p(z + ih) of the corrupted prior sum_k w_k N(a mu_k, a^2 v_k + b^2),
+    its terms shifted by their real per-cell maximum, and the score read as
+    Im(log p(z + ih)) / h. The common -log(2 pi) / 2 cancels and is dropped.
+    Squared distances must stay finite, so cells beyond about 1.3e154 are out.
+    """
+    z = np.asarray(z, dtype=np.float64).reshape(1, -1)
+    total_var = (a * a * mixture.variances + b * b)[:, None]
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(mixture.weights)[:, None] - 0.5 * np.log(total_var)
+    diff = (z + 1j * COMPLEX_STEP) - (a * mixture.means)[:, None]
+    log_terms = log_weights - diff * diff / (2.0 * total_var)
+    log_terms -= log_terms.real.max(axis=0, keepdims=True)
+    return -b * np.log(np.exp(log_terms).sum(axis=0)).imag / COMPLEX_STEP
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_MIXTURES))
+def test_eps_within_rounding_of_tweedies_score(name):
+    # eps from epsilon_given and epsilon_predict lies within 1e-14 of each
+    # cell's moment scale (sum_k resp * |b * pull_k|) of Tweedie's route, over
+    # the alpha-bar and sigma grids of the unfolded-formula test, on a +-30
+    # sweep, the bitwise latents and, for K > 1, cells either side of
+    # UNDERFLOW_SUM. The worst cell read 5.0e-15, at a component's centre,
+    # where all of eps comes from a responsibility of about e^-40 whose exp
+    # limits every route alike: the unfolded formula is 7.1e-15 off there
+    gm = BITWISE_MIXTURES[name]
+    alpha_bars = (1e-4, 0.05, 0.3, 0.5, 0.8, 0.97, 0.9999)
+    cases = [(math.sqrt(ab), math.sqrt(1.0 - ab), {"alpha_bar": ab}) for ab in alpha_bars]
+    cases += [(1.0, sigma, {"sigma": sigma}) for sigma in (0.002, 0.3, 1.0, 5.0, 80.0)]
+    for a, b, level in cases:
+        cells = [np.linspace(-30.0, 30.0, 5001), bitwise_latent(gm, a).reshape(-1)]
+        if gm.num_components > 1:
+            cells.append(np.array([*threshold_pair(gm, a, b, 1), *threshold_pair(gm, a, b, -1)]))
+            sums = sum_rows(unshifted_exponentials(gm, np.concatenate(cells), a, b))
+            assert np.any(sums < UNDERFLOW_SUM) and np.any(sums >= UNDERFLOW_SUM)
+        z = np.concatenate(cells)
+        expected = tweedie_epsilon(gm, z, a, b)
+        scale = unfolded_posterior(gm, z, a, b)[2]
+        for actual in (gm.epsilon_given(z, a, b), gm.epsilon_predict(z, **level)):
+            assert np.all(np.abs(actual - expected) <= 1e-14 * scale), (a, b)
+
+
 def drop_massless(mixture):
     keep = mixture.weights > 0.0
     return GaussianMixture(mixture.weights[keep], mixture.means[keep], mixture.variances[keep])

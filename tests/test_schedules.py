@@ -8,16 +8,36 @@ from hypothesis import strategies as st
 
 from omegance import (
     AlphaBarSchedule,
+    GaussianFieldSpec,
     SigmaSchedule,
     SignalDivergenceError,
     alpha_bar_from_betas,
     flow_timesteps,
     karras_sigmas,
     make_linear_beta,
+    mask_from_grayscale,
     modified_snr_ddim,
     propagate_coefficients_ddim,
     snr,
 )
+
+
+# every count the package takes follows one integer rule, in which a bool is
+# no integer, even where its value, 1, would be a valid count
+BOOL_COUNTS = {
+    "make_linear_beta": lambda: make_linear_beta(True),
+    "karras_sigmas": lambda: karras_sigmas(True),
+    "flow_timesteps": lambda: flow_timesteps(True),
+    "field_height": lambda: GaussianFieldSpec(True, 4),
+    "field_width": lambda: GaussianFieldSpec(4, True),
+    "mask_factor": lambda: mask_from_grayscale(np.full((4, 4), 128), True, 0.9, 1.1),
+}
+
+
+@pytest.mark.parametrize("build", BOOL_COUNTS.values(), ids=list(BOOL_COUNTS))
+def test_a_bool_is_no_count(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
 
 
 class TestLinearBeta:
