@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import _is_integer
+from .schedules import _frozen_array, _is_integer, _is_positive_finite
 
 __all__ = [
     "RescaleParams",
@@ -77,12 +77,9 @@ class OmegaMask:
     grid: np.ndarray
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=np.float64)
-        if grid.ndim != 2 or grid.size == 0:
-            raise ValueError("mask grid must be a non-empty 2-D array")
-        if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
+        grid = _frozen_array(self.grid, "mask grid", ndim=2)
+        if not _is_positive_finite(grid):
             raise ValueError("mask cells must be finite and positive")
-        grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
     @property
@@ -115,7 +112,7 @@ def mask_from_grayscale(
     height, width = image.shape
     if height % factor or width % factor:
         raise ValueError(f"image dims {image.shape} not divisible by factor {factor}")
-    if not (0.0 < omega_low <= omega_high):
+    if not (_is_positive_finite(omega_low) and omega_low <= omega_high):
         raise ValueError("need 0 < omega_low <= omega_high")
     if mode == "average":
         pooled = image.reshape(height // factor, factor, width // factor, factor).mean(axis=(1, 3))
@@ -143,12 +140,9 @@ class OmegaSchedule:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("schedule values must be a non-empty 1-D array")
-        if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
+        values = _frozen_array(self.values, "schedule values")
+        if not _is_positive_finite(values):
             raise ValueError("schedule emits a non-positive or non-finite omega")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -231,14 +225,14 @@ class OmegaControl:
     schedule: OmegaSchedule | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.base, (int, float)) and math.isfinite(self.base) and self.base > 0):
+        if isinstance(self.base, np.ndarray) or not _is_positive_finite(self.base):
             raise ValueError(f"base omega must be a positive finite number, not {self.base!r}")
         least = self.base
         if self.schedule is not None:
             least = least * float(self.schedule.values.min())
         if self.mask is not None:
             least = float(self.mask.grid.min()) * least
-        if least == 0.0:
+        if not _is_positive_finite(least):
             raise ValueError(f"the least omega, base {self.base!r} * schedule * mask, rounds to 0")
 
     def resolve_field(self, shape: tuple[int, ...], step: int):

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import _is_integer
+from .schedules import _frozen_array, _is_integer, _is_positive_finite
 
 __all__ = [
     "GaussianMixture",
@@ -146,30 +146,20 @@ class GaussianMixture:
     variances: np.ndarray
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.float64)
-        means = np.array(self.means, dtype=np.float64)
-        variances = np.array(self.variances, dtype=np.float64)
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValueError("weights must be a non-empty 1-D vector")
+        for name in ("weights", "means", "variances"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), name))
+        weights, means, variances = self.weights, self.means, self.variances
         if (
-            not np.all(np.isfinite(weights))
-            or np.any(weights < 0.0)
+            np.any(weights < 0.0)
             or not np.any(weights > 0.0)
             or abs(float(weights.sum()) - 1.0) > _WEIGHT_SUM_TOL
         ):
             raise ValueError("weights must be non-negative with positive total mass summing to 1")
-        if means.ndim != 1 or means.shape != variances.shape:
-            raise ValueError("means and variances must share a 1-D (K,) shape")
-        if means.size != weights.size:
-            raise ValueError("component count mismatch between weights and means")
+        if not weights.shape == means.shape == variances.shape:
+            raise ValueError("weights, means and variances must share one (K,) shape")
         with np.errstate(divide="ignore", over="ignore"):
-            if np.any(variances <= 0.0) or not np.all(np.isfinite(variances) & np.isfinite(1.0 / variances)):
-                raise ValueError("variances must be finite and positive, with a finite reciprocal")
-        if not np.all(np.isfinite(means)):
-            raise ValueError("means must be finite")
-        for arr, name in ((weights, "weights"), (means, "means"), (variances, "variances")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            if np.any(variances <= 0.0) or not np.all(np.isfinite(1.0 / variances)):
+                raise ValueError("variances must be positive, with a finite reciprocal")
 
     @property
     def num_components(self) -> int:
@@ -337,7 +327,7 @@ class GaussianMixture:
             if not 0.0 < alpha_bar < 1.0:
                 raise ValueError("alpha_bar must lie strictly inside (0, 1)")
             return self.epsilon_given(z, math.sqrt(alpha_bar), math.sqrt(1.0 - alpha_bar))
-        if sigma <= 0.0 or not math.isfinite(sigma):
+        if not _is_positive_finite(sigma):
             raise ValueError("sigma must be positive and finite")
         return self.epsilon_given(z, 1.0, float(sigma))
 

@@ -56,7 +56,7 @@ from typing import Protocol
 import numpy as np
 
 from .omega import IDENTITY_CONTROL, OmegaControl
-from .schedules import AlphaBarSchedule, FlowTimesteps, SigmaSchedule, _is_integer
+from .schedules import AlphaBarSchedule, FlowTimesteps, SigmaSchedule, _is_integer, _is_positive_finite
 
 __all__ = [
     "NumericAbortError",
@@ -113,13 +113,10 @@ class LatentState:
 
 
 def _check_omega_field(omega, shape) -> None:
-    if isinstance(omega, np.ndarray):
-        if omega.shape != tuple(shape):
-            raise ValueError(f"omega field {omega.shape} does not match latent shape {tuple(shape)}")
-        if np.any(omega <= 0.0):
-            raise ValueError("omega field cells must be positive")
-    elif not omega > 0.0:
-        raise ValueError("omega must be positive")
+    if isinstance(omega, np.ndarray) and omega.shape != tuple(shape):
+        raise ValueError(f"omega field {omega.shape} does not match latent shape {tuple(shape)}")
+    if not _is_positive_finite(omega):
+        raise ValueError("omega must be a positive finite number, or a field of them")
 
 
 def _operands(z, pred, name: str) -> tuple[np.ndarray, np.ndarray]:

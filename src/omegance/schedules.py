@@ -19,6 +19,7 @@ the independent arithmetic route used to verify it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +43,25 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_positive_finite(value) -> bool:
+    """The omega rule: a real non-bool scalar in (0, inf), or a non-empty array whose min and max both are."""
+    if type(value) is float:  # the per-step case, kept cheap
+        return 0.0 < value < math.inf
+    if isinstance(value, np.ndarray):  # a NaN cell propagates through min and fails
+        return value.size > 0 and _is_positive_finite(value.min()) and _is_positive_finite(value.max())
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < math.inf
+
+
 class SignalDivergenceError(ZeroDivisionError):
     """SNR query with no finite positive value: pure-signal entry, zero step bracket or over/underflow."""
 
 
-# The schedule classes hold these vectors, so they compare and hash by
-# identity (eq=False): a generated == over an array field would raise.
-def _frozen_vector(values, name: str) -> np.ndarray:
+# A read-only float64 copy: non-empty, finite, of rank ndim. Its holders compare
+# and hash by identity (eq=False): a generated == over an array field would raise.
+def _frozen_array(values, name: str, ndim: int = 1) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D vector")
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"{name} must be a non-empty {ndim}-D array")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
@@ -65,7 +75,7 @@ class BetaSchedule:
     betas: np.ndarray
 
     def __post_init__(self):
-        betas = _frozen_vector(self.betas, "betas")
+        betas = _frozen_array(self.betas, "betas")
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ValueError("every beta must lie strictly inside (0, 1)")
         object.__setattr__(self, "betas", betas)
@@ -102,7 +112,7 @@ class AlphaBarSchedule:
     alpha_bars: np.ndarray
 
     def __post_init__(self):
-        bars = _frozen_vector(self.alpha_bars, "alpha_bars")
+        bars = _frozen_array(self.alpha_bars, "alpha_bars")
         if bars.size < 2:
             raise ValueError("alpha_bars needs the anchor plus at least one step")
         if np.any(bars <= 0.0) or np.any(bars > 1.0):
@@ -178,7 +188,7 @@ def modified_snr_ddim(schedule: AlphaBarSchedule, t: int, omega: float) -> float
     """
     if not 1 <= t <= schedule.num_steps:
         raise ValueError(f"step index {t} outside [1, {schedule.num_steps}]")
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega > 0.0):
+    if not _is_positive_finite(omega):
         raise ValueError("omega must be a positive finite number")
     ab_prev = schedule.alpha_bar(t - 1)
     ab_t = schedule.alpha_bar(t)
@@ -203,7 +213,7 @@ class SigmaSchedule:
     churn: float = 0.0
 
     def __post_init__(self):
-        sig = _frozen_vector(self.sigmas, "sigmas")
+        sig = _frozen_array(self.sigmas, "sigmas")
         if sig.size < 2:
             raise ValueError("sigmas needs at least one level plus the terminal 0")
         if not np.all(np.diff(sig) < 0.0):
@@ -251,7 +261,7 @@ class FlowTimesteps:
     times: np.ndarray
 
     def __post_init__(self):
-        times = _frozen_vector(self.times, "times")
+        times = _frozen_array(self.times, "times")
         if times.size < 2:
             raise ValueError("times needs at least a start and an end")
         if not np.all(np.diff(times) < 0.0):
