@@ -130,7 +130,7 @@ def _load(args) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"bad --seeds value {args.seeds!r}") from exc
         updates["seeds"] = _seeds(seeds, "--seeds")
-    return replace(config, **updates)
+    return replace(config, **updates, raw={**config.raw, **updates})  # the manifest echoes the run
 
 
 def _thread_count(args) -> int:

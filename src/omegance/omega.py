@@ -216,8 +216,9 @@ class OmegaControl:
 
     Resolution multiplies whichever parts are present. A control with no
     parts set is the exact identity: resolve_field returns the float 1.0 and
-    sampler output stays bit-identical to an unscaled run. The least resolved
-    omega, formed in resolve_field's order, must not round to 0.
+    sampler output stays bit-identical to an unscaled run. The least and the
+    greatest resolved omega, formed in resolve_field's order, must round to
+    neither 0 nor inf.
     """
 
     base: float = 1.0
@@ -227,13 +228,16 @@ class OmegaControl:
     def __post_init__(self):
         if isinstance(self.base, np.ndarray) or not _is_positive_finite(self.base):
             raise ValueError(f"base omega must be a positive finite number, not {self.base!r}")
-        least = self.base
+        least = greatest = self.base
         if self.schedule is not None:
             least = least * float(self.schedule.values.min())
+            greatest = greatest * float(self.schedule.values.max())
         if self.mask is not None:
             least = float(self.mask.grid.min()) * least
-        if not _is_positive_finite(least):
-            raise ValueError(f"the least omega, base {self.base!r} * schedule * mask, rounds to 0")
+            greatest = float(self.mask.grid.max()) * greatest
+        if not (_is_positive_finite(least) and _is_positive_finite(greatest)):
+            omegas = f"the resolved omegas, base {self.base!r} * schedule * mask, span [{least!r}, {greatest!r}]"
+            raise ValueError(f"{omegas}: one rounds to 0 or to inf")
 
     def resolve_field(self, shape: tuple[int, ...], step: int):
         """Omega for every cell of a latent with the given shape at one step.

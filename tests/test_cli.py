@@ -75,6 +75,11 @@ REJECTED_CONFIGS = {
         "sample",
         {"omega": {"varpi": [-10000], "rescale": {"lower": 5e-324}, "schedule": {"kind": "constant", "omega": 0.5}}},
     ),
+    # ... and a cell's greatest omega rounds to inf
+    "omega_times_schedule_overflows": (
+        "sample",
+        {"omega": {"values": [1e200], "schedule": {"kind": "constant", "omega": 1e200}}},
+    ),
 }
 
 
@@ -281,6 +286,15 @@ class TestSampleCommand:
         assert all(name.startswith("seed7_") for name in manifest["artifacts"])
         assert main(["sample", "--config", str(config), "--seeds", "7,7"]) == 2
         assert main(["sample", "--config", str(config), "--seeds", "-1"]) == 2
+
+    def test_manifest_echoes_the_file_and_the_overrides(self, tmp_path):
+        data = sample_config(tmp_path)
+        config = write_config(tmp_path, data)
+        assert main(["sample", "--config", str(config)]) == 0
+        assert read_manifest(tmp_path / "out")["config"] == data
+        out = tmp_path / "o2"
+        assert main(["sample", "--config", str(config), "--seeds", "7,8", "--out", str(out)]) == 0
+        assert read_manifest(out)["config"] == {**data, "seeds": [7, 8], "output_dir": str(out)}
 
     @pytest.mark.parametrize("seeds", ["7,", "a", "1.5", "0x3"])
     def test_unparsable_seeds_override(self, tmp_path, capsys, seeds):

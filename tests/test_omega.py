@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,10 +12,20 @@ from omegance import (
     OmegaMask,
     OmegaSchedule,
     RescaleParams,
+    alpha_bar_from_betas,
+    closed_form_scalar_trajectory,
+    ddim_step,
+    euler_step,
+    flow_step,
+    karras_sigmas,
+    make_linear_beta,
     mask_from_grayscale,
     mask_to_grayscale,
+    modified_snr_ddim,
     omega_schedule,
+    propagate_coefficients_ddim,
     rescale,
+    standard_normal,
 )
 from omegance.omega import SCHEDULE_PRESETS
 
@@ -342,3 +353,94 @@ class TestControl:
         steps = 1 if schedule is None else schedule.total_steps
         least = min(np.min(control.resolve_field((1, 2), k)) for k in range(steps))
         assert least == math.ulp(0.0) == 5e-324
+
+    # (base, schedule values, mask row): the greatest resolved omega rounds to inf
+    OVERFLOWING = [
+        (1e200, [1e200], None),
+        (1e200, [1.0, 1e109], None),
+        (1e200, None, [1.0, 1e109]),
+        (2.0, [1.0, sys.float_info.max / 2.0], [1.0, 1.0000000000000002]),
+    ]
+
+    @pytest.mark.parametrize("base, schedule, mask", OVERFLOWING)
+    def test_rejects_a_greatest_omega_that_rounds_to_inf(self, base, schedule, mask):
+        schedule, mask = self.parts(schedule, mask)
+        with pytest.raises(ValueError, match=r"span \[.*, inf\]: one rounds to 0 or to inf"):
+            OmegaControl(base, mask, schedule)
+
+    def test_accepts_a_greatest_omega_of_the_largest_float(self):
+        control = OmegaControl(2.0, OmegaMask([[0.5, 1.0]]), OmegaSchedule([1.0, sys.float_info.max / 2.0]))
+        assert np.max(control.resolve_field((1, 2), 1)) == sys.float_info.max
+
+    def test_rejects_an_array_base(self):
+        with pytest.raises(ValueError, match="base omega"):
+            OmegaControl(base=np.array(0.9))
+
+
+class TestOneOmegaRule:
+    """Every entry point that takes an omega (or the euler oracle's sigma) applies one rule.
+
+    A scalar must be a real number in (0, inf) that is not a bool, and a
+    field must hold such numbers in every cell.
+    """
+
+    LADDER = alpha_bar_from_betas(make_linear_beta(20)).subsample(5)
+    SIGMAS = karras_sigmas(4)
+    Z = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    PRED = np.full((2, 3), 0.5)
+
+    SCALAR_SITES = {
+        "ddim_step": lambda w: ddim_step(TestOneOmegaRule.Z, TestOneOmegaRule.LADDER, 2, TestOneOmegaRule.PRED, w),
+        "euler_step": lambda w: euler_step(TestOneOmegaRule.Z, TestOneOmegaRule.SIGMAS, 0, TestOneOmegaRule.PRED, w),
+        "flow_step": lambda w: flow_step(TestOneOmegaRule.Z, -0.25, TestOneOmegaRule.PRED, w),
+        "OmegaControl.base": lambda w: OmegaControl(base=w),
+        "modified_snr_ddim": lambda w: modified_snr_ddim(TestOneOmegaRule.LADDER, 2, w),
+        "propagate_coefficients_ddim": lambda w: propagate_coefficients_ddim(TestOneOmegaRule.LADDER, w, 2),
+        "closed_form_scalar_trajectory": lambda w: closed_form_scalar_trajectory("ddim", TestOneOmegaRule.LADDER, w),
+        "epsilon_predict_sigma": lambda w: standard_normal().epsilon_predict(TestOneOmegaRule.Z, sigma=w),
+    }
+    FIELD_SITES = {
+        "ddim_step": SCALAR_SITES["ddim_step"],
+        "euler_step": SCALAR_SITES["euler_step"],
+        "flow_step": SCALAR_SITES["flow_step"],
+        "OmegaMask": OmegaMask,
+        "OmegaSchedule": lambda w: OmegaSchedule(w.ravel()),
+    }
+    GOOD_SCALARS = {"0.9": 0.9, "int_1": 1, "float32_0.9": np.float32(0.9)}
+    BAD_SCALARS = {
+        "True": True,
+        "nan": math.nan,
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "0.0": 0.0,
+        "-1.0": -1.0,
+    }
+    BAD_CELLS = {"nan": math.nan, "inf": math.inf, "0.0": 0.0}
+
+    @staticmethod
+    def field(cell=None):
+        omega = np.linspace(0.9, 1.1, 6).reshape(2, 3)
+        if cell is not None:
+            omega[1, 2] = cell
+        return omega
+
+    @pytest.mark.parametrize("site", SCALAR_SITES)
+    @pytest.mark.parametrize("omega", GOOD_SCALARS.values(), ids=list(GOOD_SCALARS))
+    def test_scalar_accepted(self, site, omega):
+        self.SCALAR_SITES[site](omega)
+
+    @pytest.mark.parametrize("site", SCALAR_SITES)
+    @pytest.mark.parametrize("omega", BAD_SCALARS.values(), ids=list(BAD_SCALARS))
+    def test_scalar_refused(self, site, omega):
+        with pytest.raises(ValueError):
+            self.SCALAR_SITES[site](omega)
+
+    @pytest.mark.parametrize("site", FIELD_SITES)
+    def test_field_accepted(self, site):
+        self.FIELD_SITES[site](self.field())
+
+    @pytest.mark.parametrize("site", FIELD_SITES)
+    @pytest.mark.parametrize("cell", BAD_CELLS.values(), ids=list(BAD_CELLS))
+    def test_field_with_one_bad_cell_refused(self, site, cell):
+        with pytest.raises(ValueError):
+            self.FIELD_SITES[site](self.field(cell))
