@@ -62,7 +62,7 @@ def propagate_coefficients_ddim(
         raise ValueError(f"from_t {from_t} outside [1, {schedule.num_steps}]")
     if not 1 <= steps <= from_t:
         raise ValueError(f"steps must lie in [1, {from_t}] to stay on the ladder")
-    if not _is_positive_finite(omega):
+    if isinstance(omega, np.ndarray) or not _is_positive_finite(omega):
         raise ValueError("omega must be a positive finite number")
     ab = schedule.alpha_bar(from_t)
     z0_coeff, eps_coeff = math.sqrt(ab), math.sqrt(1.0 - ab)
@@ -160,7 +160,7 @@ def closed_form_scalar_trajectory(kind: str, schedule, omega: float) -> ScalarTr
     flow: the velocity (2t-1) / ((1-t)^2 + t^2) * z splits each step into a
     deviation multiplier 1 + dt*s*omega and a mean multiplier 1 + dt*s.
     """
-    if not _is_positive_finite(omega):
+    if isinstance(omega, np.ndarray) or not _is_positive_finite(omega):
         raise ValueError("omega must be a positive finite number")
     if kind == "ddim":
         if not isinstance(schedule, AlphaBarSchedule):

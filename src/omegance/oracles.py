@@ -327,7 +327,7 @@ class GaussianMixture:
             if not 0.0 < alpha_bar < 1.0:
                 raise ValueError("alpha_bar must lie strictly inside (0, 1)")
             return self.epsilon_given(z, math.sqrt(alpha_bar), math.sqrt(1.0 - alpha_bar))
-        if not _is_positive_finite(sigma):
+        if isinstance(sigma, np.ndarray) or not _is_positive_finite(sigma):
             raise ValueError("sigma must be positive and finite")
         return self.epsilon_given(z, 1.0, float(sigma))
 

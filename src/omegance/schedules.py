@@ -188,7 +188,7 @@ def modified_snr_ddim(schedule: AlphaBarSchedule, t: int, omega: float) -> float
     """
     if not 1 <= t <= schedule.num_steps:
         raise ValueError(f"step index {t} outside [1, {schedule.num_steps}]")
-    if not _is_positive_finite(omega):
+    if isinstance(omega, np.ndarray) or not _is_positive_finite(omega):
         raise ValueError("omega must be a positive finite number")
     ab_prev = schedule.alpha_bar(t - 1)
     ab_t = schedule.alpha_bar(t)

@@ -435,6 +435,12 @@ class TestOneOmegaRule:
         with pytest.raises(ValueError):
             self.SCALAR_SITES[site](omega)
 
+    @pytest.mark.parametrize("site", sorted(set(SCALAR_SITES) - set(FIELD_SITES)))
+    @pytest.mark.parametrize("omega", [np.array(0.9), np.array([0.9, 1.1])], ids=["0-d", "1-d"])
+    def test_scalar_only_sites_refuse_an_array(self, site, omega):
+        with pytest.raises(ValueError):
+            self.SCALAR_SITES[site](omega)
+
     @pytest.mark.parametrize("site", FIELD_SITES)
     def test_field_accepted(self, site):
         self.FIELD_SITES[site](self.field())
