@@ -372,9 +372,11 @@ class TestControl:
         control = OmegaControl(2.0, OmegaMask([[0.5, 1.0]]), OmegaSchedule([1.0, sys.float_info.max / 2.0]))
         assert np.max(control.resolve_field((1, 2), 1)) == sys.float_info.max
 
-    def test_rejects_an_array_base(self):
-        with pytest.raises(ValueError, match="base omega"):
-            OmegaControl(base=np.array(0.9))
+
+# the operands every omega entry point below is called with
+RULE_LADDER = alpha_bar_from_betas(make_linear_beta(20)).subsample(5)
+RULE_LATENT = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+RULE_PRED = np.full((2, 3), 0.5)
 
 
 class TestOneOmegaRule:
@@ -384,20 +386,15 @@ class TestOneOmegaRule:
     field must hold such numbers in every cell.
     """
 
-    LADDER = alpha_bar_from_betas(make_linear_beta(20)).subsample(5)
-    SIGMAS = karras_sigmas(4)
-    Z = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
-    PRED = np.full((2, 3), 0.5)
-
     SCALAR_SITES = {
-        "ddim_step": lambda w: ddim_step(TestOneOmegaRule.Z, TestOneOmegaRule.LADDER, 2, TestOneOmegaRule.PRED, w),
-        "euler_step": lambda w: euler_step(TestOneOmegaRule.Z, TestOneOmegaRule.SIGMAS, 0, TestOneOmegaRule.PRED, w),
-        "flow_step": lambda w: flow_step(TestOneOmegaRule.Z, -0.25, TestOneOmegaRule.PRED, w),
+        "ddim_step": lambda w: ddim_step(RULE_LATENT, RULE_LADDER, 2, RULE_PRED, w),
+        "euler_step": lambda w: euler_step(RULE_LATENT, karras_sigmas(4), 0, RULE_PRED, w),
+        "flow_step": lambda w: flow_step(RULE_LATENT, -0.25, RULE_PRED, w),
         "OmegaControl.base": lambda w: OmegaControl(base=w),
-        "modified_snr_ddim": lambda w: modified_snr_ddim(TestOneOmegaRule.LADDER, 2, w),
-        "propagate_coefficients_ddim": lambda w: propagate_coefficients_ddim(TestOneOmegaRule.LADDER, w, 2),
-        "closed_form_scalar_trajectory": lambda w: closed_form_scalar_trajectory("ddim", TestOneOmegaRule.LADDER, w),
-        "epsilon_predict_sigma": lambda w: standard_normal().epsilon_predict(TestOneOmegaRule.Z, sigma=w),
+        "modified_snr_ddim": lambda w: modified_snr_ddim(RULE_LADDER, 2, w),
+        "propagate_coefficients_ddim": lambda w: propagate_coefficients_ddim(RULE_LADDER, w, 2),
+        "closed_form_scalar_trajectory": lambda w: closed_form_scalar_trajectory("ddim", RULE_LADDER, w),
+        "epsilon_predict_sigma": lambda w: standard_normal().epsilon_predict(RULE_LATENT, sigma=w),
     }
     FIELD_SITES = {
         "ddim_step": SCALAR_SITES["ddim_step"],
