@@ -33,8 +33,10 @@ block runs the same operations in the same order as one pass over the
 whole latent would, and sums its moments over k straight into freshly
 allocated outputs, 64-byte aligned like the workspace, so a returned array
 never aliases the workspace and the next call cannot change it. Each call
-folds every component's constants once, log_const = log w - log(2 pi tv) / 2,
-half_prec = 0.5 / tv and inv_var = 1 / tv with tv = a^2 v + b^2, so a block
+folds every component's constants once, log_const = log w - log(tv) / 2,
+half_prec = 0.5 / tv and inv_var = 1 / tv with tv = a^2 v + b^2. The
+density's common -log(2 pi) / 2 is left out: every route shifts log_const,
+which cancels it, and 2 pi tv overflows once tv passes ~2.9e307. A block
 forms its exponents as log_const - diff^2 * half_prec (a square, a multiply
 and a subtract, log_const shifted as above), normalises the exponentials by
 one reciprocal of their sum per cell, and forms eps as
@@ -170,7 +172,7 @@ class GaussianMixture:
 
         Each cell gets the softmax route's operations in its order: diff =
         z - a*mu, exponentials exp(log_const - (diff * diff) * half_prec) from
-        the per-call (K, 1) constants log_const = log w - log(2 pi tv) / 2
+        the per-call (K, 1) constants log_const = log w - log(tv) / 2
         less its largest, half_prec = 0.5 / tv and inv_var = 1 / tv,
         normalised before the moment sums by multiplying with 1 / sum_k resp,
         pull = diff * inv_var when eps alone is wanted and diff / tv
@@ -215,7 +217,7 @@ class GaussianMixture:
         total_var = (a * a * self.variances + b * b)[:, None]
         inv_var = 1.0 / total_var
         with np.errstate(divide="ignore"):  # zero weights contribute -inf, i.e. no mass
-            log_const = np.log(self.weights)[:, None] - 0.5 * np.log(2.0 * np.pi * total_var)
+            log_const = np.log(self.weights)[:, None] - 0.5 * np.log(total_var)
         shifted_const = log_const - log_const.max()  # at most 0, so no exp below overflows
         half_prec = 0.5 / total_var
         centers = (a * self.means)[:, None]

@@ -375,6 +375,20 @@ class TestSampleCommand:
         final, step = read_snapshot(tmp_path / "out" / "seed2_omega0_final.bin")
         assert step == 6 and np.all(np.isfinite(final))
 
+    def test_euler_mixture_where_2_pi_tv_overflows(self, tmp_path):
+        # at sigma_max 1e154 a K = 3 posterior's tv is 1e308, finite, while 2 pi tv is not
+        data = sample_config(
+            tmp_path,
+            sampler={"kind": "euler", "steps": 5, "schedule": {"sigma_min": 1e150, "sigma_max": 1e154}},
+            oracle={"kind": "gaussian_mixture", "weights": [0.3, 0.4, 0.3], "means": [-1.5, 0.0, 1.5],
+                    "variances": [0.25, 0.5, 0.25]},
+        )
+        config = write_config(tmp_path, data)
+        assert main(["sample", "--config", str(config)]) == 0
+        assert read_manifest(tmp_path / "out")["status"] == "ok"
+        final, step = read_snapshot(tmp_path / "out" / "seed0_omega0_final.bin")
+        assert step == 5 and np.all(np.isfinite(final))
+
     def test_flow_sampler_runs(self, tmp_path):
         data = sample_config(
             tmp_path,

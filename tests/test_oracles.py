@@ -59,7 +59,7 @@ def unshifted_exponentials(mixture, z, a, b):
     flat = np.asarray(z, dtype=np.float64).reshape(1, -1)
     total_var = (a * a * mixture.variances + b * b)[:, None]
     with np.errstate(divide="ignore"):
-        log_const = np.log(mixture.weights)[:, None] - 0.5 * np.log(2.0 * np.pi * total_var)
+        log_const = np.log(mixture.weights)[:, None] - 0.5 * np.log(total_var)
     diff = flat - (a * mixture.means)[:, None]
     with np.errstate(over="ignore"):
         return np.exp(log_const - log_const.max() - diff * diff * (0.5 / total_var))
@@ -68,7 +68,7 @@ def unshifted_exponentials(mixture, z, a, b):
 def softmax_posterior(mixture, z, a, b, want_z0=True):
     """Scalar-mixture posterior by the package's softmax route, over freshly
     allocated (K, N) temporaries: the constants folded once per call,
-    log_const = log w - log(2 pi tv) / 2 and 0.5 / tv, and shifted by their
+    log_const = log w - log(tv) / 2 and 0.5 / tv, and shifted by their
     largest; exponentials exp(log_const - max log_const - diff^2 * (0.5 / tv))
     without a per-cell shift, normalised by the reciprocal of their sum; eps =
     (sum_k resp * pull) * b; every sum over k taken row by row and ended by
@@ -99,7 +99,7 @@ def softmax_posterior(mixture, z, a, b, want_z0=True):
 def shifted_softmax_posterior(mixture, z, a, b, want_z0=True):
     """Scalar-mixture posterior by the max-shifted softmax: both moments over
     freshly allocated (K, N) temporaries, with each component's constants
-    folded once: log responsibilities log w - log(2 pi tv) / 2 - diff^2 *
+    folded once: log responsibilities log w - log(tv) / 2 - diff^2 *
     (0.5 / tv), shifted by their per-cell maximum, normalised by the
     reciprocal of their sum, and eps = (sum_k resp * pull) * b, every sum over
     k numpy's axis-0 sum. With want_z0 false (the eps-only calls) pull is
@@ -110,7 +110,7 @@ def shifted_softmax_posterior(mixture, z, a, b, want_z0=True):
     centers = (a * mixture.means)[:, None]
     total_var = (a * a * mixture.variances + b * b)[:, None]
     with np.errstate(divide="ignore"):
-        log_const = np.log(mixture.weights)[:, None] - 0.5 * np.log(2.0 * np.pi * total_var)
+        log_const = np.log(mixture.weights)[:, None] - 0.5 * np.log(total_var)
     diff = flat - centers
     log_resp = log_const - diff * diff * (0.5 / total_var)
     log_resp -= log_resp.max(axis=0, keepdims=True)
@@ -339,6 +339,17 @@ def test_far_cells_near_the_float_limit_and_velocity():
     assert velocity[0] == pytest.approx(float(nearest.velocity_predict(z[2:3], 0.3)[0]), rel=1e-12)
     eps_ref, z0_ref = softmax_posterior(gm, z[3:], 0.7, 0.3)
     assert_bitwise(velocity[1:], eps_ref - z0_ref)
+
+
+def test_eps_at_a_noise_scale_where_2_pi_tv_overflows():
+    # tv = v + sigma^2 is about 3.6e307, so 2 pi tv would overflow; with the
+    # mass-weighted means at 0, eps is z / sigma to rounding
+    gm = GaussianMixture([0.3, 0.4, 0.3], [-1.5, 0.0, 1.5], [0.25, 0.5, 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps = gm.epsilon_predict(np.array([0.0, 1.0, -3.0]), sigma=6e153)
+    assert eps[0] == 0.0
+    assert eps[1:] == pytest.approx([1.0 / 6e153, -3.0 / 6e153], rel=1e-15)
 
 
 @pytest.mark.parametrize("name", ["k3", "k3_zero_weight", "k4_zero_weights"])
