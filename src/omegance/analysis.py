@@ -194,12 +194,18 @@ class SpectrumProfile:
 
     ``mean_power[b] * counts[b]`` summed over all bins equals the latent's
     total energy sum(z**2) (the FFT power is normalised by the cell count).
-    ``counts`` is read-only: profiles of one grid shape share it.
+    ``counts`` is read-only: profiles of one grid shape share it. Bins below
+    ``split_radius``, a positive finite number, form the low band.
     """
 
     mean_power: np.ndarray
     counts: np.ndarray
     split_radius: float
+
+    def __post_init__(self):
+        if isinstance(self.split_radius, np.ndarray) or not _is_positive_finite(self.split_radius):
+            raise ValueError(f"split_radius must be a positive finite number, not {self.split_radius!r}")
+        object.__setattr__(self, "split_radius", float(self.split_radius))
 
     def total_power(self) -> float:
         return float(np.sum(self.mean_power * self.counts))
@@ -258,15 +264,16 @@ def radial_spectrum(values, split_radius: float | None = None) -> SpectrumProfil
     mean_power = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     if split_radius is None:
         split_radius = min(height, width) / 4.0
-    if not split_radius > 0.0:
-        raise ValueError("split_radius must be positive")
-    return SpectrumProfile(mean_power, counts, float(split_radius))
+    return SpectrumProfile(mean_power, counts, split_radius)
 
 
 def band_energy(profile: SpectrumProfile, band: str) -> float:
-    """Total power in one band: bins strictly below the split radius are 'low'."""
+    """Total power in one band: bins strictly below the split radius are 'low'.
+
+    Bin b holds integer radius b, so the low bins are the first ceil(split_radius).
+    """
     if band not in ("low", "high"):
         raise ValueError("band must be 'low' or 'high'")
-    radii = np.arange(profile.mean_power.size)
-    selected = radii < profile.split_radius if band == "low" else radii >= profile.split_radius
-    return float(np.sum(profile.mean_power[selected] * profile.counts[selected]))
+    edge = math.ceil(profile.split_radius)
+    selected = slice(None, edge) if band == "low" else slice(edge, None)
+    return float(np.add.reduce(profile.mean_power[selected] * profile.counts[selected]))  # np.sum's own reduce

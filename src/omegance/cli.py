@@ -412,19 +412,15 @@ def cmd_spectrum(args, config: ExperimentConfig, written: list[str]) -> dict:
     n_seeds = len(config.seeds)
     # each omega's cell text, formed once rather than once per spectrum row
     omega_cells = [format_cell(omega) for omega in config.omegas]
-    spectrum_rows = []
+    spectrum_blocks = [SPECTRUM_HEADER]
     band_rows = []
     for (idx, step), (mean_power, low, high) in sorted(sums.items()):
         _check_power(low, high, step, cell={"omega_index": idx})
         averaged = mean_power / n_seeds
-        for bin_index, value in enumerate(averaged.tolist()):
-            spectrum_rows.append([idx, omega_cells[idx], step, bin_index, value])
+        spectrum_blocks.append(_spectrum_block(idx, omega_cells[idx], step, averaged.tolist()))
         band_rows.append([idx, omega_cells[idx], step, low / n_seeds, high / n_seeds])
-    write_csv(
-        out / "spectrum.csv",
-        ["omega_index", "omega", "step", "bin", "mean_power"],
-        spectrum_rows,
-    )
+    with _replacing(out / "spectrum.csv", "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(spectrum_blocks))
     written.append("spectrum.csv")
     write_csv(
         out / "bands.csv",
@@ -448,6 +444,19 @@ def cmd_spectrum(args, config: ExperimentConfig, written: list[str]) -> dict:
     verdict = "pass" if ordering_rows[-1][1] else "fail"
     print(f"high-band ordering at final snapshot: {verdict}")
     return {"high_band_ordering_final": verdict}
+
+
+# spectrum.csv is written as text: every cell is an int, a float's repr or a
+# format_cell(omega), none of which csv.writer would quote, so the text is
+# the bytes csv.writer writes for the same rows
+SPECTRUM_HEADER = "omega_index,omega,step,bin,mean_power\r\n"
+
+
+def _spectrum_block(idx: int, omega_cell: str, step: int, powers: list[float]) -> str:
+    """The spectrum.csv rows of one (omega index, step): ``idx,omega,step,bin,power``, one per bin."""
+    prefix = f"{idx},{omega_cell},{step},"
+    # join puts the prefix before every row: "" + prefix + row 0 + prefix + row 1 ...
+    return prefix.join(["", *(f"{bin_index},{value!r}\r\n" for bin_index, value in enumerate(powers))])
 
 
 def _check_power(low: float, high: float, step: int, cell=None) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import _frozen_array, _is_integer, _is_positive_finite
+from .schedules import _frozen_array, _is_integer, _is_positive_finite, _is_real
 
 __all__ = [
     "RescaleParams",
@@ -43,7 +43,7 @@ class RescaleParams:
 
     def __post_init__(self):
         values = (self.steepness, self.lower, self.upper)
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
+        if not all(_is_real(v) and math.isfinite(v) for v in values):
             raise ValueError("rescale parameters must be finite numbers")
         if self.steepness <= 0.0:
             raise ValueError("steepness must be positive")
@@ -62,7 +62,7 @@ def rescale(varpi: float, params: RescaleParams = DEFAULT_RESCALE) -> float:
     the defaults. Dial values within roughly [-10, 10] cover the visibly
     distinct range; far outside it the sigmoid saturates at the bounds.
     """
-    if not (isinstance(varpi, (int, float)) and math.isfinite(varpi)):
+    if not (_is_real(varpi) and math.isfinite(varpi)):
         raise ValueError("varpi must be a finite number")
     exponent = -params.steepness * varpi
     if exponent > 709.0:  # exp would overflow; the sigmoid has saturated

@@ -162,6 +162,8 @@ class GaussianMixture:
         with np.errstate(divide="ignore", over="ignore"):
             if np.any(variances <= 0.0) or not np.all(np.isfinite(1.0 / variances)):
                 raise ValueError("variances must be positive, with a finite reciprocal")
+        # the least and greatest variance bound every component's tv in _posterior
+        object.__setattr__(self, "_variance_range", (float(variances.min()), float(variances.max())))
 
     @property
     def num_components(self) -> int:
@@ -190,13 +192,14 @@ class GaussianMixture:
             raise ValueError("corruption scales must be non-negative with a positive sum")
         # tv = a^2 v + b^2 grows with v: the least variance has the largest 1 / tv
         # and the greatest variance the largest tv
-        least_tv = a * a * min(self.variances.tolist()) + b * b
+        least_var, greatest_var = self._variance_range
+        least_tv = a * a * least_var + b * b
         if least_tv == 0.0 or not math.isfinite(1.0 / least_tv):
             raise ValueError("corruption scales too small: 1 / (a^2 v + b^2) overflows float64")
-        if not math.isfinite(a * a * max(self.variances.tolist()) + b * b):
+        if not math.isfinite(a * a * greatest_var + b * b):
             raise ValueError("corruption scales too large: a^2 v + b^2 overflows float64")
         z = np.asarray(z, dtype=np.float64)
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise ValueError("latent contains non-finite values")
         shape = z.shape
         eps_mean = z0_mean = None

@@ -194,10 +194,11 @@ def flow_step(z, dt: float, v_pred, omega=1.0) -> np.ndarray:
         raise ValueError("dt must be finite and nonzero")
     _check_omega_field(omega, z.shape)
     update = np.multiply(v_pred, dt)
-    if np.all(omega == 1.0):
+    if (omega == 1.0) if isinstance(omega, float) else np.all(omega == 1.0):
         update += z
         return update
-    m = float(np.mean(update))
+    # np.mean's own sum and divide, without its Python-level wrapper
+    m = float(np.add.reduce(update, axis=None)) / update.size
     update -= m
     update *= omega
     update += m
@@ -324,7 +325,7 @@ def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool, on_snapsh
                 z = (flow_step if scaled else flow_step_reference)(z, config.schedule.dt(k), pred, *omega)
             # the next denoiser call and the snapshot sink need neither
             del pred, omega
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise NumericAbortError(k + 1, f"non-finite latent after step {k + 1}")
         if (k + 1) in wanted:
             keep(LatentState(z.copy(), k + 1))

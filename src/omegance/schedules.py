@@ -43,13 +43,18 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A real scalar that is not a bool: True is no number here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_positive_finite(value) -> bool:
     """The omega rule: a real non-bool scalar in (0, inf), or a non-empty array whose min and max both are."""
     if type(value) is float:  # the per-step case, kept cheap
         return 0.0 < value < math.inf
     if isinstance(value, np.ndarray):  # a NaN cell propagates through min and fails
         return value.size > 0 and _is_positive_finite(value.min()) and _is_positive_finite(value.max())
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < math.inf
+    return _is_real(value) and 0.0 < value < math.inf
 
 
 class SignalDivergenceError(ZeroDivisionError):
@@ -220,7 +225,7 @@ class SigmaSchedule:
             raise ValueError("sigmas must be strictly decreasing")
         if sig[-1] != 0.0:
             raise ValueError("sigmas must end at exactly 0")
-        if not (math.isfinite(self.churn) and self.churn >= 0.0):
+        if not (_is_real(self.churn) and math.isfinite(self.churn) and self.churn >= 0.0):
             raise ValueError("churn must be finite and >= 0")
         object.__setattr__(self, "sigmas", sig)
 

@@ -21,7 +21,7 @@ from omegance import (
     snr_trajectory,
     standard_normal,
 )
-from omegance.analysis import _radial_bins
+from omegance.analysis import SpectrumProfile, _radial_bins
 
 
 class TestCoefficientPropagation:
@@ -297,3 +297,38 @@ class TestRadialSpectrum:
         assert low == pytest.approx(
             float(np.sum(profile.mean_power[:2] * profile.counts[:2])), rel=1e-12
         )
+
+
+def mask_band_energy(profile, band: str) -> float:
+    """A band's power by the boolean mask of the bin radii: the route band_energy's slice replaced."""
+    radii = np.arange(profile.mean_power.size)
+    selected = radii < profile.split_radius if band == "low" else radii >= profile.split_radius
+    return float(np.sum(profile.mean_power[selected] * profile.counts[selected]))
+
+
+class TestSplitRadius:
+    @pytest.mark.parametrize("split", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, True, np.array(2.0)])
+    def test_profile_refuses_a_split_that_is_no_positive_finite_number(self, split):
+        profile = radial_spectrum(np.random.default_rng(5).standard_normal((8, 8)))
+        with pytest.raises(ValueError, match="split_radius must be a positive finite number"):
+            SpectrumProfile(profile.mean_power, profile.counts, split)
+        with pytest.raises(ValueError, match="split_radius must be a positive finite number"):
+            radial_spectrum(np.ones((8, 8)), split_radius=split)
+
+    def test_split_is_held_as_a_float(self):
+        profile = radial_spectrum(np.ones((8, 8)), split_radius=np.float32(1.5))
+        assert type(profile.split_radius) is float and profile.split_radius == 1.5
+        assert type(radial_spectrum(np.ones((8, 8)), split_radius=3).split_radius) is float
+
+    @pytest.mark.parametrize("shape", [(16, 16), (9, 7), (256, 256)])
+    def test_slice_equals_the_boolean_mask_bit_for_bit(self, shape):
+        image = np.random.default_rng(sum(shape)).standard_normal(shape)
+        bins = radial_spectrum(image).mean_power.size
+        # integral, half-integral, below 1, at the last bin, beyond it, and near the edges
+        splits = [1.0, 2.0, 3.5, 0.25, 0.5, 1e-300, float(bins - 1), bins - 0.5, float(bins), bins + 0.5, 1e300]
+        splits += [np.nextafter(4.0, 0.0), np.nextafter(4.0, 5.0), 5e-324]
+        for split in splits:
+            profile = radial_spectrum(image, split_radius=split)
+            for band in ("low", "high"):
+                got, want = band_energy(profile, band), mask_band_energy(profile, band)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (split, band)

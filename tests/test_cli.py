@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 from test_config import CONFIGS
 
 from omegance import cli, formats, load_config, oracles, reference_trajectory, run_sampler, standard_normal
-from omegance.analysis import SpectrumProfile
+from omegance.analysis import SpectrumProfile, radial_spectrum
 from omegance.cli import main
-from omegance.formats import read_pgm, read_snapshot, write_csv, write_pgm, write_snapshot
+from omegance.formats import format_cell, read_pgm, read_snapshot, write_csv, write_pgm, write_snapshot
 from omegance.oracles import GaussianMixture
 from omegance.samplers import NumericAbortError, SamplerConfig
 
@@ -930,6 +931,82 @@ class TestSpectrumCommand:
             sinks.clear()
             assert main([command, "--config", str(config)]) == 0
             assert len(sinks) == 4 and all(callable(sink) for sink in sinks)
+
+
+def csv_writer_text(rows) -> str:
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+# floats whose repr is an edge case: zeros, the least subnormal and the least
+# normal, integral values, and both sides of repr's switch to exponent form
+# below 1e-4 and at 1e16
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 2.0, 3.0e15, 1e16, 1e17, 1e308,
+    1e-4, float(np.nextafter(1e-4, 0.0)), float(np.nextafter(1e-4, 1.0)),
+    float(np.nextafter(1e16, 0.0)), float(np.nextafter(1e16, 1e17)), 0.1, 1 / 3,
+]
+
+
+class TestSpectrumText:
+    """spectrum.csv is formed as text, block by block; its bytes are csv.writer's."""
+
+    def test_header_is_csv_writers(self):
+        assert cli.SPECTRUM_HEADER == csv_writer_text([["omega_index", "omega", "step", "bin", "mean_power"]])
+
+    @given(
+        idx=st.integers(0, 10**6),
+        omega=st.one_of(st.floats(min_value=5e-324, max_value=1e308), st.sampled_from(EDGE_FLOATS[2:])),
+        step=st.integers(0, 10**6),
+        powers=st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)), max_size=40
+        ),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_block_is_csv_writers_bytes(self, idx, omega, step, powers):
+        block = cli._spectrum_block(idx, format_cell(omega), step, powers)
+        rows = [[idx, format_cell(omega), step, bin_index, value] for bin_index, value in enumerate(powers)]
+        assert block == csv_writer_text(rows)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_csv_parses_back_to_the_seed_mean_of_every_cells_spectrum(self, tmp_path, threads):
+        data = sample_config(
+            tmp_path,
+            sampler={"kind": "flow", "steps": 4, "snapshots": [0, 2, 4]},
+            omega={"values": [0.95, 1.0, 1.05]},
+            init={"kind": "gaussian_field", "exponent": -1.0},
+            latent={"shape": [12, 10]},
+            seeds=[3, 1, 4],
+        )
+        config_path = write_config(tmp_path, data)
+        assert main(["spectrum", "--config", str(config_path), "--threads", threads]) == 0
+        with open(tmp_path / "out" / "spectrum.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["omega_index", "omega", "step", "bin", "mean_power"]
+
+        # every cell's powers along the cell's own route, summed over the seeds
+        # in seed order from 0.0 and divided by the seed count
+        config = load_config(config_path)
+        draws = cli._SeedDraws(config)
+        expected = {}
+        for seed in config.seeds:
+            for idx, omega in enumerate(config.omegas):
+                powers = {}
+                cli._cell_trajectory(
+                    config, draws, seed, idx, config.sampler.snapshots,
+                    lambda state: powers.__setitem__(state.step, radial_spectrum(state.values).mean_power),
+                )
+                for step, power in powers.items():
+                    expected[(idx, step)] = expected.get((idx, step), 0.0) + power
+        want = [
+            [str(idx), format_cell(config.omegas[idx]), str(step), str(bin_index), value]
+            for (idx, step), total in sorted(expected.items())
+            for bin_index, value in enumerate((total / len(config.seeds)).tolist())
+        ]
+        assert len(rows) == len(want) == 3 * 3 * radial_spectrum(np.ones((12, 10))).mean_power.size
+        got = [[*row[:4], float(row[4])] for row in rows]
+        assert got == want
 
 
 # sha256 of preview schedule's schedule.csv at 17 steps for every kind and

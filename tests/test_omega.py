@@ -50,6 +50,11 @@ class TestRescale:
         with pytest.raises(ValueError):
             rescale(float("nan"))
 
+    @pytest.mark.parametrize("varpi", [True, False])
+    def test_rejects_a_bool(self, varpi):
+        with pytest.raises(ValueError, match="varpi must be a finite number"):
+            rescale(varpi)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -58,6 +63,10 @@ class TestRescale:
             {"lower": 0.0},
             {"lower": 1.1, "upper": 1.0},
             {"lower": float("nan")},
+            # a bool is no number, as at every omega entry point
+            {"steepness": True},
+            {"lower": False},
+            {"upper": True},
         ],
     )
     def test_rejects_bad_params(self, kwargs):

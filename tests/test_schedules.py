@@ -221,6 +221,11 @@ class TestKarras:
         with pytest.raises(ValueError):
             SigmaSchedule(np.array([3.0, 1.0, 0.0]), churn=-0.1)
 
+    @pytest.mark.parametrize("churn", [True, False, float("nan"), float("inf")])
+    def test_churn_refuses_a_bool_and_a_non_finite_value(self, churn):
+        with pytest.raises(ValueError, match="churn"):
+            SigmaSchedule([2.0, 1.0, 0.0], churn=churn)
+
 
 class TestFlowTimesteps:
     def test_single_step(self):
