@@ -991,14 +991,13 @@ class TestSpectrumText:
         draws = cli._SeedDraws(config)
         expected = {}
         for seed in config.seeds:
-            for idx, omega in enumerate(config.omegas):
-                powers = {}
-                cli._cell_trajectory(
-                    config, draws, seed, idx, config.sampler.snapshots,
-                    lambda state: powers.__setitem__(state.step, radial_spectrum(state.values).mean_power),
-                )
-                for step, power in powers.items():
-                    expected[(idx, step)] = expected.get((idx, step), 0.0) + power
+            for idx in range(len(config.omegas)):
+
+                def add(state, idx=idx):
+                    key = (idx, state.step)
+                    expected[key] = expected.get(key, 0.0) + radial_spectrum(state.values).mean_power
+
+                cli._cell_trajectory(config, draws, seed, idx, config.sampler.snapshots, add)
         want = [
             [str(idx), format_cell(config.omegas[idx]), str(step), str(bin_index), value]
             for (idx, step), total in sorted(expected.items())
