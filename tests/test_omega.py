@@ -65,7 +65,6 @@ class TestRescale:
             {"lower": float("nan")},
             # a bool is no number, as at every omega entry point
             {"steepness": True},
-            {"lower": False},
             {"upper": True},
         ],
     )
