@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import band_energy, radial_spectrum, snr_trajectory
-from .config import ConfigError, ExperimentConfig, _seeds, load_config
+from .config import ConfigError, ExperimentConfig, _output_dir, _seeds, load_config
 from .formats import _replacing, format_cell, write_csv, write_pgm, write_snapshot
 from .omega import mask_to_grayscale
 from .oracles import gaussian_field_2d
@@ -122,9 +122,9 @@ def main(argv=None) -> int:
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
     updates = {}
-    if args.out:
-        updates["output_dir"] = args.out
-    if args.seeds:
+    if args.out is not None:
+        updates["output_dir"] = _output_dir(args.out, "--out")
+    if args.seeds is not None:
         try:
             seeds = [int(s) for s in args.seeds.split(",")]
         except ValueError as exc:

@@ -117,6 +117,12 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _output_dir(value, name: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a non-empty string")
+    return value
+
+
 def _seeds(seeds, name: str) -> tuple[int, ...]:
     """The seeds of a config or of --seeds, checked: a non-empty list of distinct non-negative integers."""
     if not isinstance(seeds, list) or not seeds or not all(
@@ -161,7 +167,9 @@ def load_config(path) -> ExperimentConfig:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError: malformed JSON, bytes that are not UTF-8, an integer literal
+    # over the interpreter's digit limit; RecursionError: nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data, base_dir=path.parent)
 
@@ -204,9 +212,7 @@ def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
     field = _parse_init(top.get("init", {"kind": "white"}), latent_shape)
 
     seeds = _seeds(top["seeds"], "seeds")
-    output_dir = top.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir must be a non-empty string")
+    output_dir = _output_dir(top.get("output_dir", "out"), "output_dir")
     snapshot_format = top.get("snapshot_format", "binary")
     if snapshot_format not in ("binary", "csv"):
         raise ConfigError("snapshot_format must be 'binary' or 'csv'")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_config import CONFIGS
+from test_config import CONFIGS, UNDECODABLE_CONFIGS
 
 from omegance import cli, formats, load_config, oracles, reference_trajectory, run_sampler, standard_normal
 from omegance.analysis import SpectrumProfile, radial_spectrum
@@ -55,6 +55,12 @@ REJECTED_CONFIGS = {
     "snapshot_beyond_steps": ("sample", {"sampler": dict(ddim_sampler(), snapshots=[0, 6])}),
     "negative_snapshot": ("sample", {"sampler": dict(ddim_sampler(), snapshots=[-1, 5])}),
     "flow_non_uniform_schedule": ("sample", {"sampler": {"kind": "flow", "steps": 5, "schedule": {"kind": "karras"}}}),
+    # each latent cell takes a scalar prior: vector (K, d) mixture means are refused
+    "vector_mixture_means": (
+        "sample",
+        {"oracle": {"kind": "gaussian_mixture", "weights": [0.5, 0.5], "means": [[-1.0, 0.0], [1.0, 0.0]],
+                    "variances": [[0.5, 0.5], [0.5, 0.5]]}},
+    ),
     # a^2 v + b^2 overflows at the first level: the oracle's scale check, and
     # with churn the churn step's sigma_hat**2 too
     "euler_sigma_overflows_the_oracle": ("sample", {"sampler": euler_sampler(sigma_min=1e159, sigma_max=1e160)}),
@@ -261,7 +267,9 @@ class TestSampleCommand:
         assert any(low_cells[call] for call in range(len(low_cells)) if call % 10 < 9)
         assert all(count < 16 * 16 for count in low_cells)
         assert main(["sample", "--config", str(config), "--out", str(tmp_path / "two"), "--threads", "2"]) == 0
-        assert read_manifest(tmp_path / "one")["artifacts"] == read_manifest(tmp_path / "two")["artifacts"]
+        manifest = read_manifest(tmp_path / "one")
+        assert manifest["status"] == "ok" and len(manifest["artifacts"]) == 2 * 2 * 3
+        assert manifest["artifacts"] == read_manifest(tmp_path / "two")["artifacts"]
         with monkeypatch.context() as patch:
             patch.setattr(oracles, "UNDERFLOW_SUM", math.inf)
             assert main(["sample", "--config", str(config), "--out", str(tmp_path / "shifted")]) == 0
@@ -295,14 +303,25 @@ class TestSampleCommand:
         assert read_manifest(tmp_path / "out")["config"] == data
         out = tmp_path / "o2"
         assert main(["sample", "--config", str(config), "--seeds", "7,8", "--out", str(out)]) == 0
-        assert read_manifest(out)["config"] == {**data, "seeds": [7, 8], "output_dir": str(out)}
+        manifest = read_manifest(out)
+        assert manifest["status"] == "ok"
+        assert manifest["config"] == {**data, "seeds": [7, 8], "output_dir": str(out)}
+        assert sorted({name.split("_")[0] for name in manifest["artifacts"]}) == ["seed7", "seed8"]
 
-    @pytest.mark.parametrize("seeds", ["7,", "a", "1.5", "0x3"])
+    @pytest.mark.parametrize("seeds", ["7,", "a", "1.5", "0x3", ""])
     def test_unparsable_seeds_override(self, tmp_path, capsys, seeds):
         config = write_config(tmp_path, sample_config(tmp_path))
         assert main(["sample", "--config", str(config), "--seeds", seeds]) == 2
         assert capsys.readouterr().err == f"config error: bad --seeds value {seeds!r}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_empty_out_override(self, tmp_path, capsys, monkeypatch):
+        # an empty --out is refused like an empty output_dir, not taken as the working directory
+        config = write_config(tmp_path, sample_config(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", "--config", str(config), "--out", ""]) == 2
+        assert capsys.readouterr().err == "config error: --out must be a non-empty string\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
     def test_identity_omega_matches_reference_run_bytes(self, tmp_path):
         data = sample_config(tmp_path, omega={"values": [1.0]}, seeds=[3])
@@ -386,7 +405,8 @@ class TestSampleCommand:
         )
         config = write_config(tmp_path, data)
         assert main(["sample", "--config", str(config)]) == 0
-        assert read_manifest(tmp_path / "out")["status"] == "ok"
+        manifest = read_manifest(tmp_path / "out")
+        assert manifest["status"] == "ok" and len(manifest["artifacts"]) == 2 * 2
         final, step = read_snapshot(tmp_path / "out" / "seed0_omega0_final.bin")
         assert step == 5 and np.all(np.isfinite(final))
 
@@ -426,6 +446,10 @@ class TestSampleCommand:
         config = write_config(tmp_path, sample_config(tmp_path, bogus_key=1))
         assert main(["sample", "--config", str(config)]) == 2
         assert main(["sample", "--config", str(tmp_path / "missing.json")]) == 2
+        for text in UNDECODABLE_CONFIGS.values():
+            config.write_bytes(text)
+            assert main(["sample", "--config", str(config)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_unparsable_argv_returns_2_and_help_returns_0(self, tmp_path, capsys):
         # argparse's own exit becomes main's return code, for a library caller too
@@ -798,6 +822,7 @@ class TestSnrCommand:
         assert low.keys() == high.keys()
         assert all(low[t] < high[t] for t in low)
         manifest = read_manifest(tmp_path / "out")
+        assert manifest["status"] == "ok" and list(manifest["artifacts"]) == ["snr.csv"]
         assert manifest["max_relative_deviation"] <= 1e-9
 
     @pytest.mark.parametrize("omega", [1e200, 1e308])
@@ -1097,7 +1122,69 @@ def test_sample_artifact_bytes_are_pinned(tmp_path, kind):
     for threads in ("1", "2"):
         out = tmp_path / f"out{threads}"
         assert main(["sample", "--config", str(config), "--out", str(out), "--threads", threads]) == 0
-        assert read_manifest(out)["artifacts"] == SAMPLE_SHA256[kind]
+        manifest = read_manifest(out)
+        assert manifest["status"] == "ok" and manifest["artifacts"] == SAMPLE_SHA256[kind]
+
+
+FLOW_FIELD = {
+    "sampler": {"kind": "flow", "steps": 4, "snapshots": [2, 4]},
+    "init": {"kind": "gaussian_field", "exponent": -1.0},
+    "omega": {"values": [0.95, 1.05]},
+}
+SPECTRUM_FILES = ["bands.csv", "ordering.csv", "spectrum.csv"]
+# runs whose exit code, aborted cell and artifact names and sha256 do not
+# depend on the thread count: a flow spectrum of a gaussian field, the same
+# under a K = 3 mixture (both moments of its blocked softmax route; ddim's
+# eps-only route is test_underflow_fallback_mid_trajectory's), and a ddim
+# sweep whose omega = 1e300 cells abort after their step-0 snapshot while
+# the omega = 1 cells finish
+THREAD_RUNS = {
+    "flow_field_spectrum": ("spectrum", FLOW_FIELD, 0, None, SPECTRUM_FILES),
+    "mixture_spectrum": (
+        "spectrum",
+        {
+            **FLOW_FIELD,
+            "oracle": {"kind": "gaussian_mixture", "weights": [0.3, 0.4, 0.3], "means": [-1.5, 0.0, 1.5],
+                       "variances": [0.25, 0.5, 0.25]},
+        },
+        0,
+        None,
+        SPECTRUM_FILES,
+    ),
+    "overflow_abort": (
+        "sample",
+        {
+            "sampler": dict(ddim_sampler(num_steps=20), steps=4, snapshots=[0, 2]),
+            "omega": {"values": [1e300, 1.0]},
+            "latent": {"shape": [4, 4]},
+            "seeds": [0, 1, 2],
+        },
+        3,
+        {"seed": 0, "omega_index": 0},
+        sorted(
+            f"seed{seed}_omega{idx}_{end}.bin"
+            for seed in (0, 1, 2)
+            for idx, ends in ((0, ["step0000"]), (1, ["step0000", "step0002", "final"]))
+            for end in ends
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("command, overrides, code, aborted_cell, files", THREAD_RUNS.values(), ids=list(THREAD_RUNS))
+def test_thread_count_does_not_change_the_run(tmp_path, command, overrides, code, aborted_cell, files):
+    config = write_config(tmp_path, sample_config(tmp_path, **overrides))
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        assert main([command, "--config", str(config), "--out", str(out), "--threads", threads]) == code
+        manifest = read_manifest(out)
+        assert manifest["status"] == EXIT_STATUS[code]
+        assert manifest.get("aborted_cell") == aborted_cell
+        on_disk = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
+        assert sorted(manifest["artifacts"]) == on_disk == files
+        artifacts.append(manifest["artifacts"])
+    assert artifacts[0] == artifacts[1]
 
 
 class TestPreviewCommand:
@@ -1151,6 +1238,8 @@ class TestPreviewCommand:
         text = (tmp_path / "out" / "schedule.csv").read_bytes()
         assert hashlib.sha256(text).hexdigest() == digest
         assert len(text.splitlines()) == 17 + 1
+        manifest = read_manifest(tmp_path / "out")
+        assert manifest["status"] == "ok" and list(manifest["artifacts"]) == ["schedule.csv"]
 
     def test_mask_preview_uniform_ones(self, tmp_path):
         pgm = tmp_path / "mask.pgm"

@@ -33,6 +33,16 @@ def minimal(**overrides):
     return data
 
 
+# config files json cannot decode: not UTF-8, an integer literal over the
+# interpreter's digit limit (under an unknown key, so an interpreter without
+# the limit rejects it too), and arrays nested past the recursion limit
+UNDECODABLE_CONFIGS = {
+    "not_utf8": b"\xff\xfe{}",
+    "huge_integer": b'{"unknown": ' + b"9" * 5000 + b"}",
+    "deep_nesting": b"[" * 100000,
+}
+
+
 class TestParsing:
     def test_minimal_ddim(self):
         config = parse_config(minimal())
@@ -77,6 +87,10 @@ class TestParsing:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(bad)
+        for text in UNDECODABLE_CONFIGS.values():
+            bad.write_bytes(text)
+            with pytest.raises(ConfigError):
+                load_config(bad)
 
 
 class TestStrictness:

@@ -60,4 +60,5 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     assert sorted(omegance.__all__) == PUBLIC_NAMES
+    assert [name for name in omegance.__all__ if not hasattr(omegance, name)] == []
 
