@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schedules import AlphaBarSchedule, FlowTimesteps, SignalDivergenceError, _is_positive_finite, modified_snr_ddim
+from .samplers import _KINDS
+from .schedules import AlphaBarSchedule, SignalDivergenceError, _is_positive_finite, modified_snr_ddim
 
 __all__ = [
     "CoefficientState",
@@ -36,6 +37,16 @@ class CoefficientState(NamedTuple):
 
     z0_coeff: float
     eps_coeff: float
+
+
+def _ddim_row(schedule: AlphaBarSchedule, t: int) -> tuple[float, float, float]:
+    """(delta, zeta, gain) of the ddim step from ladder index t; see ``_step_table``."""
+    ab_t = schedule.alpha_bar(t)
+    ab_prev = schedule.alpha_bar(t - 1)
+    root_t = math.sqrt(ab_t)
+    delta = math.sqrt(ab_prev) / root_t
+    zeta = -math.sqrt(ab_prev) * math.sqrt(1.0 - ab_t) / root_t + math.sqrt(1.0 - ab_prev)
+    return delta, zeta, math.sqrt(1.0 - ab_t)
 
 
 def propagate_coefficients_ddim(
@@ -68,11 +79,7 @@ def propagate_coefficients_ddim(
     z0_coeff, eps_coeff = math.sqrt(ab), math.sqrt(1.0 - ab)
     out = [CoefficientState(z0_coeff, eps_coeff)]
     for t in range(from_t, from_t - steps, -1):
-        ab_t = schedule.alpha_bar(t)
-        ab_prev = schedule.alpha_bar(t - 1)
-        root_t = math.sqrt(ab_t)
-        delta = math.sqrt(ab_prev) / root_t
-        zeta = -math.sqrt(ab_prev) * math.sqrt(1.0 - ab_t) / root_t + math.sqrt(1.0 - ab_prev)
+        delta, zeta, _ = _ddim_row(schedule, t)
         z0_coeff = delta * z0_coeff
         eps_coeff = delta * eps_coeff + zeta * omega
         out.append(CoefficientState(z0_coeff, eps_coeff))
@@ -126,66 +133,57 @@ def snr_trajectory(schedule: AlphaBarSchedule, omega: float, mode: str = "analyt
 class ScalarTrajectory:
     """Per-step multipliers of a unit-normal-oracle trajectory.
 
-    The deviation multipliers apply elementwise. For flow matching the
-    latent mean evolves under its own multiplier (the mean-preserving step
-    scales only the zero-mean part), so both sequences are tracked; plain
-    deterministic stepping keeps the whole latent on one scalar and
-    ``mean_multipliers`` stays None.
+    The deviation from the latent mean scales by ``multipliers``, the mean by
+    ``mean_multipliers``: equal for ddim and euler, unscaled for recentred flow.
     """
 
     kind: str
     multipliers: np.ndarray
-    mean_multipliers: np.ndarray | None = None
+    mean_multipliers: np.ndarray
 
     def reconstruct(self, z_init) -> list[np.ndarray]:
         """States after 0..n steps for a concrete starting latent."""
         z0 = np.asarray(z_init, dtype=np.float64)
         deviation = np.concatenate(([1.0], np.cumprod(self.multipliers)))
-        if self.kind == "ddim":
-            return [c * z0 for c in deviation]
         mean_track = np.concatenate(([1.0], np.cumprod(self.mean_multipliers)))
         m0 = float(z0.mean())
         return [c * (z0 - m0) + mc * m0 for c, mc in zip(deviation, mean_track)]
 
 
-def closed_form_scalar_trajectory(kind: str, schedule, omega: float) -> ScalarTrajectory:
+def _step_table(kind: str, schedule) -> tuple:
+    """Per-step (delta, zeta, gain) of a kind's steps under the unit-normal oracle.
+
+    Step k maps z to delta*z + zeta*omega*pred, and the oracle predicts pred = gain*z:
+        ddim   sqrt(abar_prev) / sqrt(abar_t), sqrt(1-abar_prev) - delta * sqrt(1-abar_t), sqrt(1-abar_t)
+        euler  1, sigma_next - sigma_hat, sigma_hat / (1 + sigma_hat^2)
+        flow   1, dt, (2t - 1) / ((1-t)^2 + t^2)
+    """
+    if not isinstance(kind, str) or kind not in _KINDS or not isinstance(schedule, _KINDS[kind][0]):
+        raise ValueError(f"no closed-form trajectory for kind {kind!r} on a {type(schedule).__name__}")
+    if kind == "ddim":
+        return tuple(np.array([_ddim_row(schedule, t) for t in range(schedule.num_steps, 0, -1)]).T)
+    if kind == "euler":
+        if schedule.churn > 0.0:
+            raise ValueError("churned euler has no closed-form trajectory: its noise is drawn, not scaled")
+        sigma_hat = schedule.sigmas[:-1]
+        return 1.0, schedule.sigmas[1:] - sigma_hat, sigma_hat / (1.0 + sigma_hat**2)
+    t = schedule.times[:-1]
+    return 1.0, np.diff(schedule.times), (2.0 * t - 1.0) / ((1.0 - t) ** 2 + t**2)
+
+
+def closed_form_scalar_trajectory(kind: str, schedule, omega) -> ScalarTrajectory:
     """Exact per-step multipliers when the denoiser is the unit-normal oracle.
 
-    ddim (on the ladder actually stepped): the prediction sqrt(1-abar_t) * z
-    makes each step a pure scaling by
-
-        c_t = sqrt(abar_prev) * (1 - (1-abar_t) * omega) / sqrt(abar_t)
-              + sqrt(1-abar_prev) * sqrt(1-abar_t) * omega.
-
-    flow: the velocity (2t-1) / ((1-t)^2 + t^2) * z splits each step into a
-    deviation multiplier 1 + dt*s*omega and a mean multiplier 1 + dt*s.
+    Each step scales the deviation from the latent mean by delta + zeta*omega*gain
+    (``_step_table``; ddim walks every rung of ``schedule``), and the mean alike,
+    but for flow, whose recentred step scales it by delta + zeta*gain. ``omega`` is
+    a scalar or one value per step (base times ``OmegaSchedule.values``).
     """
-    if isinstance(omega, np.ndarray) or not _is_positive_finite(omega):
-        raise ValueError("omega must be a positive finite number")
-    if kind == "ddim":
-        if not isinstance(schedule, AlphaBarSchedule):
-            raise ValueError("ddim closed form needs an AlphaBarSchedule ladder")
-        multipliers = []
-        for t in range(schedule.num_steps, 0, -1):
-            ab_t = schedule.alpha_bar(t)
-            ab_prev = schedule.alpha_bar(t - 1)
-            c = math.sqrt(ab_prev) * (1.0 - (1.0 - ab_t) * omega) / math.sqrt(ab_t) + math.sqrt(
-                1.0 - ab_prev
-            ) * math.sqrt(1.0 - ab_t) * omega
-            multipliers.append(c)
-        return ScalarTrajectory("ddim", np.array(multipliers))
-    if kind == "flow":
-        if not isinstance(schedule, FlowTimesteps):
-            raise ValueError("flow closed form needs FlowTimesteps")
-        deviation, mean_track = [], []
-        for k in range(schedule.num_steps):
-            t = float(schedule.times[k])
-            dt = schedule.dt(k)
-            slope = (2.0 * t - 1.0) / ((1.0 - t) ** 2 + t**2)
-            deviation.append(1.0 + dt * slope * omega)
-            mean_track.append(1.0 + dt * slope)
-        return ScalarTrajectory("flow", np.array(deviation), np.array(mean_track))
-    raise ValueError(f"no closed-form trajectory for kind {kind!r}")
+    delta, zeta, gain = _step_table(kind, schedule)
+    if isinstance(omega, np.ndarray) and omega.shape != zeta.shape or not _is_positive_finite(omega):
+        raise ValueError(f"omega must be a positive finite number, or {zeta.size} of them, one per step")
+    mean_omega = 1.0 if kind == "flow" else omega
+    return ScalarTrajectory(kind, delta + zeta * omega * gain, delta + zeta * mean_omega * gain)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ included; ``snr`` takes no sampler step, so it
 records step 0 and the omega index, and its error names the ladder step),
 4 I/O error (an artifact that could not be written leaves a manifest with
 status "error" listing every file the run wrote; a manifest that could
-not be written leaves the previous one whole). Commands never modify their
+not be written leaves the previous one whole; an output directory that
+could not be made gets no manifest). Commands never modify their
 input files. ``--threads N``/``OMEGANCE_THREADS`` run independent (seed,
 omega) cells on the calling thread plus N - 1 helper threads; results do not
 depend on the thread count. Every cell runs at every thread count, an
@@ -107,6 +108,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if not Path(config.output_dir).is_dir():  # it could not be made, so a manifest has nowhere to go
+        return code
     try:
         _write_manifest(Path(config.output_dir), command, config, written, started, status, extra)
     except OSError as exc:

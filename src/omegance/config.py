@@ -70,6 +70,12 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 # snapshot term.
 MAX_LATENT_BYTES = 1 << 32
 
+# Longest sampler schedule a config may ask for, as ``sampler.steps`` or a
+# ladder's ``num_steps``: the schedule and the omega schedule each hold a few
+# tables of 8 bytes per step. A longer one is a config error, found before
+# any table is allocated.
+MAX_SCHEDULE_STEPS = 1 << 20
+
 # Each sampler kind's schedule kind, that schedule's config keys and its
 # builder, called with the sampler's step count and the keys the config gives.
 _SAMPLER_SCHEDULES = {
@@ -237,8 +243,8 @@ def _parse_sampler(data) -> tuple[str, int, dict, list]:
     if not isinstance(kind, str) or kind not in _SAMPLER_SCHEDULES:
         raise ConfigError(f"sampler.kind must be one of {', '.join(_SAMPLER_SCHEDULES)}")
     steps = _integer(sampler["steps"], "sampler.steps")
-    if steps < 1:
-        raise ConfigError("sampler.steps must be >= 1")
+    if not 1 <= steps <= MAX_SCHEDULE_STEPS:
+        raise ConfigError(f"sampler.steps must lie in [1, {MAX_SCHEDULE_STEPS}]")
 
     schedule_kind, keys, _ = _SAMPLER_SCHEDULES[kind]
     spec = _section(sampler.get("schedule", {}), "sampler.schedule", required=set(), optional={"kind", *keys})
@@ -247,6 +253,8 @@ def _parse_sampler(data) -> tuple[str, int, dict, list]:
     schedule_keys = {
         key: (_integer if key == "num_steps" else _number)(spec[key], f"schedule.{key}") for key in keys if key in spec
     }
+    if schedule_keys.get("num_steps", 0) > MAX_SCHEDULE_STEPS:
+        raise ConfigError(f"schedule.num_steps must be at most {MAX_SCHEDULE_STEPS}")
 
     snapshots = sampler.get("snapshots", [])
     if not isinstance(snapshots, list):
@@ -378,5 +386,8 @@ def _parse_init(data, latent_shape) -> GaussianFieldSpec | None:
     if kind == "gaussian_field":
         if len(latent_shape) != 2:
             raise ConfigError("gaussian_field init requires a 2-D latent")
-        return GaussianFieldSpec(*latent_shape, _number(sec.get("exponent", 0.0), "init.exponent"))
+        try:
+            return GaussianFieldSpec(*latent_shape, _number(sec.get("exponent", 0.0), "init.exponent"))
+        except ValueError as exc:
+            raise ConfigError(f"bad init: {exc}") from exc
     raise ConfigError(f"unknown init kind {kind!r}")

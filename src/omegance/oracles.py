@@ -365,6 +365,16 @@ class GaussianFieldSpec:
                 raise ValueError(f"{name} must be an integer >= 1")
         if not math.isfinite(self.spectral_exponent):
             raise ValueError("spectral_exponent must be finite")
+        # _field_amplitude normalises by the mean squared amplitude r**exponent, whose
+        # sum must stay finite or every draw is 0; the largest is at the largest radius
+        if self.spectral_exponent > 0.0:
+            h, w = self.height, self.width
+            try:
+                power = math.hypot(h // 2, w // 2) ** self.spectral_exponent * h * w
+            except OverflowError:
+                power = math.inf
+            if not math.isfinite(power):
+                raise ValueError(f"spectral_exponent {self.spectral_exponent} overflows a {h}x{w} grid")
 
 
 @functools.lru_cache(maxsize=8)

@@ -147,25 +147,22 @@ def test_criterion_7_closed_form_equivalence(bars):
         z0 = np.random.default_rng(123).standard_normal((64, 64))
         for steps in (10, 50, 200):
             snapshots = tuple(range(steps + 1))
-            for omega in (0.9, 1.0, 1.1):
-                cfg = SamplerConfig(
-                    "ddim", steps, bars, control=OmegaControl(base=omega), snapshots=snapshots
-                )
-                states = closed_form_scalar_trajectory(
-                    "ddim", bars.subsample(steps), omega
-                ).reconstruct(z0)
-                for state in run_sampler(gm, cfg, z0).states:
-                    rel = np.abs(state.values - states[state.step]) / np.abs(states[state.step])
-                    assert float(rel.max()) <= 1e-10
-
-                timesteps = flow_timesteps(steps)
-                cfg = SamplerConfig(
-                    "flow", steps, timesteps, control=OmegaControl(base=omega), snapshots=snapshots
-                )
-                states = closed_form_scalar_trajectory("flow", timesteps, omega).reconstruct(z0)
-                for state in run_sampler(gm, cfg, z0).states:
-                    rel = np.abs(state.values - states[state.step]) / np.abs(states[state.step])
-                    assert float(rel.max()) <= 1e-10
+            # (sampler schedule, ladder stepped): ddim walks `steps` rungs of the
+            # 1000-step ladder, euler (without churn) and flow every level
+            routes = {
+                "ddim": (bars, bars.subsample(steps)),
+                "euler": (karras_sigmas(steps),) * 2,
+                "flow": (flow_timesteps(steps),) * 2,
+            }
+            for kind, (schedule, stepped) in routes.items():
+                for omega in (0.9, 1.0, 1.1):
+                    cfg = SamplerConfig(
+                        kind, steps, schedule, control=OmegaControl(base=omega), snapshots=snapshots
+                    )
+                    states = closed_form_scalar_trajectory(kind, stepped, omega).reconstruct(z0)
+                    for state in run_sampler(gm, cfg, z0).states:
+                        rel = np.abs(state.values - states[state.step]) / np.abs(states[state.step])
+                        assert float(rel.max()) <= 1e-10
 
 
 def test_criterion_8_mask_locality(bars):

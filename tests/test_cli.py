@@ -51,6 +51,14 @@ REJECTED_CONFIGS = {
     "oversize_latent": ("sample", {"latent": {"shape": [10**30, 10**30]}}),
     "oversize_latent_spectrum": ("spectrum", {"latent": {"shape": [100000, 100000]}}),
     "ddim_steps_beyond_num_steps": ("sample", {"sampler": dict(ddim_sampler(), steps=51)}),
+    # schedules longer than MAX_SCHEDULE_STEPS, refused before any table is allocated
+    "flow_steps_beyond_max_schedule": ("sample", {"sampler": {"kind": "flow", "steps": 10**12}}),
+    "ddim_num_steps_beyond_max_schedule": ("sample", {"sampler": ddim_sampler(num_steps=10**11)}),
+    # its largest squared amplitude times the cell count overflows: every draw would be 0
+    "field_exponent_overflows": (
+        "sample",
+        {"init": {"kind": "gaussian_field", "exponent": 200}, "latent": {"shape": [64, 64]}},
+    ),
     "euler_one_step": ("sample", {"sampler": dict(euler_sampler(), steps=1)}),
     "snapshot_beyond_steps": ("sample", {"sampler": dict(ddim_sampler(), snapshots=[0, 6])}),
     "negative_snapshot": ("sample", {"sampler": dict(ddim_sampler(), snapshots=[-1, 5])}),
@@ -531,6 +539,16 @@ class TestSampleCommand:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 128 * 128 * 8
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["a_file", "under_a_file"])
+    def test_output_dir_that_cannot_be_made_exits_4_with_one_line(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_bytes(b"kept")
+        config = write_config(tmp_path, sample_config(tmp_path))
+        assert main(["sample", "--config", str(config), "--out", str(tmp_path / out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io error: ")
+        assert (tmp_path / "afile").read_bytes() == b"kept"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "config.json"]
 
     def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path, sample_config(tmp_path))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegance import ConfigError, load_config, parse_config, rescale
-from omegance.config import MAX_LATENT_BYTES
+from omegance.config import MAX_LATENT_BYTES, MAX_SCHEDULE_STEPS
 from omegance.formats import write_pgm
 from omegance.omega import SCHEDULE_PRESETS, omega_schedule
 from omegance.oracles import GaussianFieldSpec
@@ -148,6 +148,15 @@ class TestStrictness:
             parse_config(minimal(sampler=sampler, latent={"shape": [largest + 1]}))
         with pytest.raises(ConfigError, match="latent.shape"):
             parse_config(minimal(sampler={**sampler, "snapshots": [0, 1, 5, 10]}, latent={"shape": [largest]}))
+
+    def test_overlong_schedule_is_rejected_before_allocation(self):
+        flow = {"kind": "flow", "steps": MAX_SCHEDULE_STEPS}
+        assert parse_config(minimal(sampler=flow)).sampler.schedule.num_steps == MAX_SCHEDULE_STEPS
+        with pytest.raises(ConfigError, match="sampler.steps"):
+            parse_config(minimal(sampler={**flow, "steps": MAX_SCHEDULE_STEPS + 1}))
+        ladder = {"num_steps": MAX_SCHEDULE_STEPS + 1}
+        with pytest.raises(ConfigError, match="schedule.num_steps"):
+            parse_config(minimal(sampler={"kind": "ddim", "steps": 10, "schedule": ladder}))
 
 
 class TestOmegaSection:

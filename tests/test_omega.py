@@ -401,6 +401,7 @@ class TestOneOmegaRule:
         "OmegaControl.base": lambda w: OmegaControl(base=w),
         "modified_snr_ddim": lambda w: modified_snr_ddim(RULE_LADDER, 2, w),
         "propagate_coefficients_ddim": lambda w: propagate_coefficients_ddim(RULE_LADDER, w, 2),
+        # takes one omega per step too, but RULE_LADDER has 5 steps: the arrays below are refused
         "closed_form_scalar_trajectory": lambda w: closed_form_scalar_trajectory("ddim", RULE_LADDER, w),
         "epsilon_predict_sigma": lambda w: standard_normal().epsilon_predict(RULE_LATENT, sigma=w),
     }

@@ -837,6 +837,18 @@ class TestGaussianField:
         with pytest.raises(ValueError):
             GaussianFieldSpec(4, 4, float("inf"))
 
+    def test_exponent_whose_power_overflows_is_refused(self):
+        # at 64x64 the largest radius is hypot(32, 32): 4096 * 45.25**183 is
+        # finite and 4096 * 45.25**184 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = gaussian_field_2d(GaussianFieldSpec(64, 64, 183.0), 0)
+        assert np.all(np.isfinite(field)) and np.abs(field).max() > 0.1
+        for exponent in (184.0, 200.0, 1000.0):
+            with pytest.raises(ValueError, match="overflows"):
+                GaussianFieldSpec(64, 64, exponent)
+        GaussianFieldSpec(64, 64, -1000.0)  # its largest squared amplitude is 1, at radius 1
+
     @staticmethod
     def allocating_draw(spec, seed):
         """The draw as one out-of-place expression, amplitude formed per call."""
