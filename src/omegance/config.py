@@ -39,21 +39,15 @@ from pathlib import Path
 import numpy as np
 
 from .formats import read_pgm
-from .omega import (
-    SCHEDULE_KINDS,
-    OmegaControl,
-    OmegaSchedule,
-    RescaleParams,
-    mask_from_grayscale,
-    omega_schedule,
-    rescale,
-)
+from .omega import OmegaControl, OmegaSchedule, RescaleParams, mask_from_grayscale, omega_schedule, rescale
 from .oracles import GaussianFieldSpec, GaussianMixture, standard_normal
 from .samplers import SamplerConfig
 from .schedules import (
     AlphaBarSchedule,
     FlowTimesteps,
     SigmaSchedule,
+    _is_finite_real,
+    _is_integer,
     alpha_bar_from_betas,
     flow_timesteps,
     karras_sigmas,
@@ -106,19 +100,13 @@ def _section(data, name: str, required: set[str], optional: set[str] = frozenset
 
 
 def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number")
-    try:
-        number = float(value)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ConfigError(f"{name} must be a finite number") from exc
-    if not math.isfinite(number):  # json parses NaN and +-Infinity
+    if not _is_finite_real(value):  # json parses NaN and +-Infinity, and ints beyond the float range
         raise ConfigError(f"{name} must be a finite number")
-    return number
+    return float(value)
 
 
 def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise ConfigError(f"{name} must be an integer")
     return value
 
@@ -126,14 +114,14 @@ def _integer(value, name: str) -> int:
 def _output_dir(value, name: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{name} must be a non-empty string")
+    if "\0" in value:  # no path can hold one
+        raise ConfigError(f"{name} must not contain a NUL byte")
     return value
 
 
 def _seeds(seeds, name: str) -> tuple[int, ...]:
     """The seeds of a config or of --seeds, checked: a non-empty list of distinct non-negative integers."""
-    if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds
-    ):
+    if not isinstance(seeds, list) or not seeds or not all(_is_integer(s) and s >= 0 for s in seeds):
         raise ConfigError(f"{name} must be a non-empty list of non-negative integers")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{name} must be distinct")
@@ -191,24 +179,20 @@ def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
 
     latent = _section(top["latent"], "latent", required={"shape"})
     shape = latent["shape"]
-    if (
-        not isinstance(shape, list)
-        or not 1 <= len(shape) <= 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in shape)
-    ):
+    if not isinstance(shape, list) or not 1 <= len(shape) <= 2 or not all(_is_integer(v) and v >= 1 for v in shape):
         raise ConfigError("latent.shape must be a list of one or two positive integers")
     latent_shape = tuple(shape)
 
     kind, steps, schedule_keys, snapshots = _parse_sampler(top["sampler"])
     omegas, control = _parse_omega(top["omega"], steps, latent_shape, Path(base_dir))
     oracle = _parse_oracle(top["oracle"])
-    try:  # OverflowError: sigma_max ** (1 / rho) for a tiny rho
+    try:
         schedule = _SAMPLER_SCHEDULES[kind][2](steps, **schedule_keys)
         sampler = SamplerConfig(kind, steps, schedule, control, snapshots=tuple(snapshots))
         if kind == "euler":  # the oracle's own scale check at the largest level; only its ValueError counts
             with np.errstate(all="ignore"):
                 oracle.epsilon_given(np.zeros(1), 1.0, schedule.sigma_hat(0))
-    except (OverflowError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad sampler: {exc}") from exc
     if math.prod(latent_shape) * 8 * (len(sampler.snapshots) + 2) > MAX_LATENT_BYTES:
         raise ConfigError(
@@ -334,23 +318,12 @@ def _parse_omega(data, steps: int, latent_shape, base_dir: Path):
 
 
 def _parse_omega_schedule(data, steps: int) -> OmegaSchedule:
+    """omega_schedule owns the kinds, the presets and each kind's parameter names and values."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("omega.schedule must be an object with a 'kind'")
-    kind = data["kind"]
-    if kind == "preset":
-        names = ("name",)
-    elif isinstance(kind, str) and kind in SCHEDULE_KINDS:
-        names = SCHEDULE_KINDS[kind][0]
-    else:
-        raise ConfigError(f"unknown omega schedule kind {kind!r}")
+    params = dict(data)
     try:
-        sec = _section(data, "omega.schedule", required={"kind", *names})
-        if kind == "preset":  # omega_schedule rejects a name that is no preset's, a list say
-            return omega_schedule(kind, steps, name=sec["name"])
-        params = {
-            name: (_integer if name == "switch_step" else _number)(sec[name], f"schedule.{name}") for name in names
-        }
-        return omega_schedule(kind, steps, **params)
+        return omega_schedule(params.pop("kind"), steps, **params)
     except ValueError as exc:
         raise ConfigError(f"bad omega schedule: {exc}") from exc
 

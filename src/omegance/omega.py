@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import _frozen_array, _is_integer, _is_positive_finite, _is_real
+from .schedules import _frozen_array, _is_finite_real, _is_integer, _is_positive_finite
 
 __all__ = [
     "RescaleParams",
@@ -43,7 +43,7 @@ class RescaleParams:
 
     def __post_init__(self):
         values = (self.steepness, self.lower, self.upper)
-        if not all(_is_real(v) and math.isfinite(v) for v in values):
+        if not all(_is_finite_real(v) for v in values):
             raise ValueError("rescale parameters must be finite numbers")
         if self.steepness <= 0.0:
             raise ValueError("steepness must be positive")
@@ -62,7 +62,7 @@ def rescale(varpi: float, params: RescaleParams = DEFAULT_RESCALE) -> float:
     the defaults. Dial values within roughly [-10, 10] cover the visibly
     distinct range; far outside it the sigmoid saturates at the bounds.
     """
-    if not (_is_real(varpi) and math.isfinite(varpi)):
+    if not _is_finite_real(varpi):
         raise ValueError("varpi must be a finite number")
     exponent = -params.steepness * varpi
     if exponent > 709.0:  # exp would overflow; the sigmoid has saturated
@@ -112,7 +112,7 @@ def mask_from_grayscale(
     height, width = image.shape
     if height % factor or width % factor:
         raise ValueError(f"image dims {image.shape} not divisible by factor {factor}")
-    if not (_is_positive_finite(omega_low) and omega_low <= omega_high):
+    if not (_is_positive_finite(omega_low) and _is_finite_real(omega_high) and omega_low <= omega_high):
         raise ValueError("need 0 < omega_low <= omega_high")
     if mode == "average":
         pooled = image.reshape(height // factor, factor, width // factor, factor).mean(axis=(1, 3))
@@ -186,20 +186,27 @@ SCHEDULE_PRESETS: dict[str, dict] = {
 }
 
 
-def omega_schedule(kind: str, total_steps: int, **params) -> OmegaSchedule:
-    """The schedule of a SCHEDULE_KINDS kind and its parameters, or of kind "preset" and a preset name."""
+def omega_schedule(kind: str, total_steps: int, /, **params) -> OmegaSchedule:
+    """The schedule of a SCHEDULE_KINDS kind and its parameters, or of kind "preset" and a preset name.
+
+    The one check of a schedule's vocabulary: each parameter a finite number (switch_step an integer), no other keyword.
+    """
     if not _is_integer(total_steps) or total_steps < 1:
         raise ValueError("total_steps must be an integer >= 1")
     if kind == "preset":
         name = params.get("name")
         if set(params) != {"name"} or not isinstance(name, str) or name not in SCHEDULE_PRESETS:
             raise ValueError(f"a preset schedule takes the name of one of {', '.join(SCHEDULE_PRESETS)}, not {params}")
-        return omega_schedule(total_steps=total_steps, **SCHEDULE_PRESETS[name])
+        params = dict(SCHEDULE_PRESETS[name])
+        kind = params.pop("kind")
     if not isinstance(kind, str) or kind not in SCHEDULE_KINDS:
         raise ValueError(f"unknown omega schedule kind {kind!r}")
     names, formula = SCHEDULE_KINDS[kind]
     if set(params) != set(names):
-        raise ValueError(f"a {kind} schedule takes the parameters {', '.join(names)}")
+        raise ValueError(f"a {kind} schedule takes the parameters {', '.join(names)}, not {sorted(params)}")
+    for name, value in params.items():
+        if not _is_finite_real(value):
+            raise ValueError(f"schedule parameter {name} must be a finite number")
     if kind == "two_stage":
         switch = params["switch_step"]
         if not (_is_integer(switch) and 0 <= switch <= total_steps):

@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import _frozen_array, _is_integer, _is_positive_finite
+from .schedules import _frozen_array, _is_finite_real, _is_integer, _is_positive_finite
 
 __all__ = [
     "GaussianMixture",
@@ -363,8 +363,8 @@ class GaussianFieldSpec:
             value = getattr(self, name)
             if not _is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
-        if not math.isfinite(self.spectral_exponent):
-            raise ValueError("spectral_exponent must be finite")
+        if not _is_finite_real(self.spectral_exponent):
+            raise ValueError("spectral_exponent must be a finite number")
         # _field_amplitude normalises by the mean squared amplitude r**exponent, whose
         # sum must stay finite or every draw is 0; the largest is at the largest radius
         if self.spectral_exponent > 0.0:

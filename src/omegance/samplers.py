@@ -56,7 +56,7 @@ from typing import Protocol
 import numpy as np
 
 from .omega import IDENTITY_CONTROL, OmegaControl
-from .schedules import AlphaBarSchedule, FlowTimesteps, SigmaSchedule, _is_integer, _is_positive_finite
+from .schedules import AlphaBarSchedule, FlowTimesteps, SigmaSchedule, _is_finite_real, _is_integer, _is_positive_finite
 
 __all__ = [
     "NumericAbortError",
@@ -190,8 +190,8 @@ def flow_step(z, dt: float, v_pred, omega=1.0) -> np.ndarray:
     z, v_pred = _operands(z, v_pred, "v_pred")
     if z.size == 0:
         raise ValueError("empty latent")
-    if dt == 0.0 or not math.isfinite(dt):
-        raise ValueError("dt must be finite and nonzero")
+    if not _is_finite_real(dt) or dt == 0.0:
+        raise ValueError("dt must be a finite nonzero number")
     _check_omega_field(omega, z.shape)
     update = np.multiply(v_pred, dt)
     if (omega == 1.0) if isinstance(omega, float) else np.all(omega == 1.0):
@@ -211,8 +211,8 @@ def flow_step_reference(z, dt: float, v_pred) -> np.ndarray:
     z, v_pred = _operands(z, v_pred, "v_pred")
     if z.size == 0:
         raise ValueError("empty latent")
-    if dt == 0.0 or not math.isfinite(dt):
-        raise ValueError("dt must be finite and nonzero")
+    if not _is_finite_real(dt) or dt == 0.0:
+        raise ValueError("dt must be a finite nonzero number")
     update = dt * v_pred
     return z + update
 

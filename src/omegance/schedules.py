@@ -43,18 +43,23 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    """A real scalar that is not a bool: True is no number here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_finite_real(value) -> bool:
+    """The number rule: a real scalar that is not a bool and whose float is finite (no int beyond the float range)."""
+    if type(value) is float:  # the per-step case, kept cheap
+        return math.isfinite(value)
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _is_positive_finite(value) -> bool:
-    """The omega rule: a real non-bool scalar in (0, inf), or a non-empty array whose min and max both are."""
+    """The omega rule: a finite real in (0, inf), or a non-empty array whose min and max both are."""
     if type(value) is float:  # the per-step case, kept cheap
         return 0.0 < value < math.inf
     if isinstance(value, np.ndarray):  # a NaN cell propagates through min and fails
         return value.size > 0 and _is_positive_finite(value.min()) and _is_positive_finite(value.max())
-    return _is_real(value) and 0.0 < value < math.inf
+    return _is_finite_real(value) and value > 0.0
 
 
 class SignalDivergenceError(ZeroDivisionError):
@@ -64,7 +69,10 @@ class SignalDivergenceError(ZeroDivisionError):
 # A read-only float64 copy: non-empty, finite, of rank ndim. Its holders compare
 # and hash by identity (eq=False): a generated == over an array field would raise.
 def _frozen_array(values, name: str, ndim: int = 1) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(f"{name} must be finite") from exc
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty {ndim}-D array")
     if not np.all(np.isfinite(arr)):
@@ -84,10 +92,6 @@ class BetaSchedule:
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ValueError("every beta must lie strictly inside (0, 1)")
         object.__setattr__(self, "betas", betas)
-
-    @property
-    def num_steps(self) -> int:
-        return int(self.betas.size)
 
 
 def make_linear_beta(
@@ -225,7 +229,7 @@ class SigmaSchedule:
             raise ValueError("sigmas must be strictly decreasing")
         if sig[-1] != 0.0:
             raise ValueError("sigmas must end at exactly 0")
-        if not (_is_real(self.churn) and math.isfinite(self.churn) and self.churn >= 0.0):
+        if not (_is_finite_real(self.churn) and self.churn >= 0.0):
             raise ValueError("churn must be finite and >= 0")
         object.__setattr__(self, "sigmas", sig)
 
@@ -249,13 +253,21 @@ def karras_sigmas(
     """num_levels decreasing levels interpolated in sigma**(1/rho) space, plus a terminal 0."""
     if not _is_integer(num_levels) or num_levels < 2:
         raise ValueError("num_levels must be an integer >= 2")
+    if not all(_is_finite_real(v) for v in (sigma_min, sigma_max, rho)):
+        raise ValueError("sigma_min, sigma_max and rho must be finite numbers")
     if not (0.0 < sigma_min < sigma_max):
         raise ValueError("need 0 < sigma_min < sigma_max")
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     ramp = np.linspace(0.0, 1.0, num_levels)
     inv = 1.0 / rho
-    levels = (sigma_max**inv + ramp * (sigma_min**inv - sigma_max**inv)) ** rho
+    try:
+        top = sigma_max**inv
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):  # a tiny rho
+        raise ValueError(f"sigma_max ** (1 / rho) overflows at rho {rho!r}")
+    levels = (top + ramp * (sigma_min**inv - top)) ** rho
     return SigmaSchedule(np.concatenate((levels, [0.0])), churn=churn)
 
 

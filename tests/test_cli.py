@@ -35,13 +35,37 @@ def euler_sampler(**schedule):
     return {"kind": "euler", "steps": 5, "schedule": schedule}
 
 
-# configs that pass the key and type checks but that a constructor rejects
+# configs that exit 2 and write nothing: values of a wrong type or outside the
+# vocabulary, then values that pass the key and type checks but that a
+# constructor rejects
 REJECTED_CONFIGS = {
+    "snapshot_format_png": ("sample", {"snapshot_format": "png"}),
+    "sampler_kind_heun": ("sample", {"sampler": dict(ddim_sampler(), kind="heun")}),
+    "empty_omega_values": ("sample", {"omega": {"values": []}}),
+    "omega_schedule_as_string": ("sample", {"omega": {"values": [1.0], "schedule": "COS2"}}),
+    "oracle_as_string": ("sample", {"oracle": "standard_normal"}),
+    "mixture_weights_as_number": (
+        "sample",
+        {"oracle": {"kind": "gaussian_mixture", "weights": 1.0, "means": [0.0], "variances": [1.0]}},
+    ),
+    "init_kind_pink": ("sample", {"init": {"kind": "pink"}}),
+    # no path can hold a NUL byte: refused before mkdir sees it
+    "output_dir_with_nul_byte": ("sample", {"output_dir": "out\u0000dir"}),
+    # omega_schedule takes the schedule's own keys only, and finite non-bool numbers
+    "omega_schedule_with_total_steps": (
+        "sample",
+        {"omega": {"values": [1.0], "schedule": {"kind": "constant", "omega": 1.0, "total_steps": 5}}},
+    ),
+    "omega_schedule_bool_omega": (
+        "sample",
+        {"omega": {"values": [1.0], "schedule": {"kind": "constant", "omega": True}}},
+    ),
     "beta_start_above_beta_end": ("sample", {"sampler": ddim_sampler(beta_start=0.02, beta_end=0.01)}),
     "one_step_beta_schedule": ("sample", {"sampler": dict(ddim_sampler(num_steps=1), steps=1)}),
     "sigma_min_at_sigma_max": ("sample", {"sampler": euler_sampler(sigma_min=2.0, sigma_max=2.0)}),
     "rho_zero": ("sample", {"sampler": euler_sampler(rho=0.0)}),
     "rho_tiny": ("sample", {"sampler": euler_sampler(rho=1e-4)}),
+    "rho_subnormal": ("sample", {"sampler": euler_sampler(rho=5e-324)}),
     "negative_churn": ("sample", {"sampler": euler_sampler(churn=-0.1)}),
     "preset_name_as_list": ("sample", {"omega": {"values": [1.0], "schedule": {"kind": "preset", "name": ["COS2"]}}}),
     "mask_path_as_number": ("sample", {"omega": {"values": [1.0], "mask": {"path": 3}}}),
@@ -330,6 +354,23 @@ class TestSampleCommand:
         assert main(["sample", "--config", str(config), "--out", ""]) == 2
         assert capsys.readouterr().err == "config error: --out must be a non-empty string\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["sample", "spectrum"])
+    def test_out_with_a_nul_byte_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        config = write_config(tmp_path, sample_config(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", str(config), "--out", "a\x00b"]) == 2
+        assert capsys.readouterr().err == "config error: --out must not contain a NUL byte\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("flag, env", [(["--threads", "0"], None), ([], "0")], ids=["flag", "env"])
+    def test_zero_threads_exits_2(self, tmp_path, capsys, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("OMEGANCE_THREADS", env)
+        config = write_config(tmp_path, sample_config(tmp_path))
+        assert main(["sample", "--config", str(config), *flag]) == 2
+        assert capsys.readouterr().err == "config error: thread count must be >= 1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_identity_omega_matches_reference_run_bytes(self, tmp_path):
         data = sample_config(tmp_path, omega={"values": [1.0]}, seeds=[3])
@@ -825,6 +866,13 @@ class TestSnrCommand:
         with open(tmp_path / "out" / "snr.csv", newline="") as fh:
             return list(csv.DictReader(fh))
 
+    def test_snr_csv_bytes_are_pinned(self, tmp_path):
+        # both routes are Python float arithmetic on the linspace/cumprod
+        # ladder that the ddim snapshot pins rest on too
+        assert main(["snr", "--config", str(self.config(tmp_path, [0.95, 1.0, 1.05]))]) == 0
+        digest = hashlib.sha256((tmp_path / "out" / "snr.csv").read_bytes()).hexdigest()
+        assert digest == "ce6f28d86761bf4a59c1411be8947dee3e4ea6b5743f482abc29807d15250523"
+
     def test_unit_omega_deviation_is_tiny(self, tmp_path):
         assert main(["snr", "--config", str(self.config(tmp_path, [1.0]))]) == 0
         rows = self.read_rows(tmp_path)
@@ -1132,16 +1180,61 @@ SAMPLE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("kind", list(SAMPLE_CONFIGS))
-def test_sample_artifact_bytes_are_pinned(tmp_path, kind):
+# the same runs with snapshot_format "csv", whose rows hold each value's repr
+SAMPLE_CSV_SHA256 = {
+    "ddim": {
+        "seed0_omega0_final.csv": "b6099a0e1e0d62c36993acde5a6acf5b4e49fe040d9458d0c121ea52facbe70e",
+        "seed0_omega0_step0003.csv": "e2939286e625dc912b32f28b26c890accd4a05eb1e485fc9e21b38e6c478944e",
+        "seed0_omega1_final.csv": "1f6e6dd74cd85b0518189cf68f8421c9aafcf65bbabff98d8b523e4afed98179",
+        "seed0_omega1_step0003.csv": "abc51cab44fa9026ce0c24a52a2eca79e7f7efb4b7f83e4d8fbfc495ddb83804",
+        "seed1_omega0_final.csv": "3b4618badea187a75911585e9d3ec72c711c9633b16f0c6125ecca5b901506b2",
+        "seed1_omega0_step0003.csv": "ca910d8572aec16e2eb0a4e680444bf122c76e482a42fa410ab269ae78346b68",
+        "seed1_omega1_final.csv": "b0b2827656e92aa4776f7129f02441bd8eda04c90b7fa81c11942c65daae6e3f",
+        "seed1_omega1_step0003.csv": "5c722dbed6a702dc9fcca1fcace3c0c8164b154929a3c8dc5f7d4931a18ed5a4",
+    },
+    "euler": {
+        "seed0_omega0_final.csv": "e3c59252d2120f7acc0a88daf5e635b63dd557db03bcbd0430288482f7f24f9e",
+        "seed0_omega0_step0003.csv": "ca590fdecf08c92370ed8e796a4d8dd636128876dcfe80597bb34c219d99d013",
+        "seed0_omega1_final.csv": "2dba5362af5b7f80079d75fea1e134b4b41ce82e7f2c5098953997e794392cbb",
+        "seed0_omega1_step0003.csv": "8d6a01285cdb9f7cf8a7935166a039063467b7d624e79813a99e3d43d8f56cf2",
+        "seed1_omega0_final.csv": "7f233c7fd6a9538222814cdf2dcbf3b58d6e100bd6dc6ef2eb645b44b06e10a2",
+        "seed1_omega0_step0003.csv": "e2bf4a5f0e1f740f40f19d924a49e5527c75d7b4995bec1fa2bdf67bbdce0287",
+        "seed1_omega1_final.csv": "3dcbd24608eb98452edf4cee6ae716afcb44cba2c1fc2c75c04796f9970c1cf4",
+        "seed1_omega1_step0003.csv": "32c3ea0fdf54c30bcfb380d31f89bc5d170fe953af0660147a8a830a2d94c994",
+    },
+    "flow": {
+        "seed0_omega0_final.csv": "9a82b4d7f0d02016bf977313dbc1a256cbf5e1b7d5d21abdb666e13f336357b5",
+        "seed0_omega0_step0002.csv": "06aa281d14d82f4a7d824e04a12abdf66286fa0f2c826412a9996eec0e75a3fc",
+        "seed0_omega1_final.csv": "5f5b4ffbe8528b562494dcb7391bd0ea2ea926169dd0a1fdecb6e171c27bbe84",
+        "seed0_omega1_step0002.csv": "1fa517cfe9b8caf8a413ab2e1952e7bf7268b316bb3559c599f90431a35e36d6",
+        "seed1_omega0_final.csv": "e55fffc919191e8eebc8abcb8be541459954f31523b6c059623dae40156c5999",
+        "seed1_omega0_step0002.csv": "3c1a5742e2b477e2ec17329ba53aca988c61d3ed7c5fafd78f8f5787fae053e8",
+        "seed1_omega1_final.csv": "6ec24849b32b2ee4ca10dfbfe42c84bc286d1b1fd45bc26fd73a70115dae393e",
+        "seed1_omega1_step0002.csv": "e8b5dd5ea5c23aca772ee178b5af8a676ef082d67d6533bdaebdcb5ef31f5875",
+    },
+}
+
+
+def check_pinned_sample(tmp_path, kind, digests, **overrides):
     write_pgm(tmp_path / "mask.pgm", (np.arange(64).reshape(8, 8) * 4).astype(np.uint8))
     data = sample_config(tmp_path, init={"kind": "white"}, latent={"shape": [4, 4]}, **SAMPLE_CONFIGS[kind])
+    data.update(overrides)
     config = write_config(tmp_path, data)
     for threads in ("1", "2"):
         out = tmp_path / f"out{threads}"
         assert main(["sample", "--config", str(config), "--out", str(out), "--threads", threads]) == 0
         manifest = read_manifest(out)
-        assert manifest["status"] == "ok" and manifest["artifacts"] == SAMPLE_SHA256[kind]
+        assert manifest["status"] == "ok" and manifest["artifacts"] == digests
+
+
+@pytest.mark.parametrize("kind", list(SAMPLE_CONFIGS))
+def test_sample_artifact_bytes_are_pinned(tmp_path, kind):
+    check_pinned_sample(tmp_path, kind, SAMPLE_SHA256[kind])
+
+
+@pytest.mark.parametrize("kind", list(SAMPLE_CONFIGS))
+def test_csv_snapshot_bytes_are_pinned(tmp_path, kind):
+    check_pinned_sample(tmp_path, kind, SAMPLE_CSV_SHA256[kind], snapshot_format="csv")
 
 
 FLOW_FIELD = {

@@ -224,8 +224,9 @@ class TestOmegaSection:
         config = parse_config(
             minimal(omega={"values": [1.0], "schedule": {"kind": "preset", "name": "EXP2"}})
         )
-        exp2 = omega_schedule(total_steps=config.sampler.steps, **SCHEDULE_PRESETS["EXP2"])
-        assert SCHEDULE_PRESETS["EXP2"]["kind"] == "exp"
+        params = dict(SCHEDULE_PRESETS["EXP2"])
+        assert params.pop("kind") == "exp"
+        exp2 = omega_schedule("exp", config.sampler.steps, **params)
         assert config.sampler.control.schedule.values.tobytes() == exp2.values.tobytes()
         with pytest.raises(ConfigError):
             parse_config(minimal(omega={"values": [1.0], "schedule": {"kind": "linear"}}))

@@ -218,7 +218,8 @@ class TestSchedules:
     def test_preset_is_its_explicit_kind_bit_for_bit(self, name):
         for total in (1, 17, 50):
             preset = omega_schedule("preset", total, name=name)
-            explicit = omega_schedule(total_steps=total, **SCHEDULE_PRESETS[name])
+            params = dict(SCHEDULE_PRESETS[name])
+            explicit = omega_schedule(params.pop("kind"), total, **params)
             assert preset.values.tobytes() == explicit.values.tobytes()
 
     @pytest.mark.parametrize(
@@ -420,6 +421,7 @@ class TestOneOmegaRule:
         "-inf": -math.inf,
         "0.0": 0.0,
         "-1.0": -1.0,
+        "int_beyond_float": 10**400,
     }
     BAD_CELLS = {"nan": math.nan, "inf": math.inf, "0.0": 0.0}
 

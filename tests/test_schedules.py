@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,16 +9,26 @@ from hypothesis import strategies as st
 
 from omegance import (
     AlphaBarSchedule,
+    BetaSchedule,
+    FlowTimesteps,
     GaussianFieldSpec,
+    GaussianMixture,
+    OmegaMask,
+    OmegaSchedule,
+    RescaleParams,
     SigmaSchedule,
     SignalDivergenceError,
     alpha_bar_from_betas,
+    flow_step,
+    flow_step_reference,
     flow_timesteps,
     karras_sigmas,
     make_linear_beta,
     mask_from_grayscale,
     modified_snr_ddim,
+    omega_schedule,
     propagate_coefficients_ddim,
+    rescale,
     snr,
 )
 
@@ -38,6 +49,49 @@ BOOL_COUNTS = {
 def test_a_bool_is_no_count(build):
     with pytest.raises(ValueError, match="integer"):
         build()
+
+
+# every other number the package takes follows one rule too: a real scalar
+# that is not a bool and whose float is finite, so an int beyond the float
+# range is refused with ValueError, not an OverflowError from float()
+NUMBER_SITES = {
+    "RescaleParams.steepness": lambda x: RescaleParams(steepness=x),
+    "RescaleParams.lower": lambda x: RescaleParams(lower=x),
+    "RescaleParams.upper": lambda x: RescaleParams(upper=x),
+    "rescale": rescale,
+    "karras_sigmas.sigma_min": lambda x: karras_sigmas(3, sigma_min=x),
+    "karras_sigmas.sigma_max": lambda x: karras_sigmas(3, sigma_max=x),
+    "karras_sigmas.rho": lambda x: karras_sigmas(3, rho=x),
+    "karras_sigmas.churn": lambda x: karras_sigmas(3, churn=x),
+    "GaussianFieldSpec.exponent": lambda x: GaussianFieldSpec(8, 8, x),
+    "flow_step.dt": lambda x: flow_step(np.ones(4), x, np.ones(4)),
+    "flow_step_reference.dt": lambda x: flow_step_reference(np.ones(4), x, np.ones(4)),
+    "mask_from_grayscale.omega_high": lambda x: mask_from_grayscale(np.zeros((2, 2)), 1, 0.9, x),
+    "omega_schedule.omega": lambda x: omega_schedule("constant", 4, omega=x),
+    "omega_schedule.amplitude": lambda x: omega_schedule("exp", 4, amplitude=x, decay=1.0, offset=0.0),
+}
+# the read-only arrays convert their cells to float64, in which True is 1.0
+ARRAY_SITES = {
+    "BetaSchedule": lambda x: BetaSchedule([0.1, x]),
+    "AlphaBarSchedule": lambda x: AlphaBarSchedule([1.0, x]),
+    "SigmaSchedule.sigmas": lambda x: SigmaSchedule([x, 0.0]),
+    "FlowTimesteps": lambda x: FlowTimesteps([1.0, x, 0.0]),
+    "GaussianMixture.means": lambda x: GaussianMixture([1.0], [x], [1.0]),
+    "OmegaMask": lambda x: OmegaMask([[1.0, x]]),
+    "OmegaSchedule": lambda x: OmegaSchedule([1.0, x]),
+}
+BAD_NUMBERS = {"True": True, "nan": math.nan, "inf": math.inf, "int_beyond_float": 10**400}
+
+
+@pytest.mark.parametrize(
+    "site, number",
+    [(site, number) for site in NUMBER_SITES for number in BAD_NUMBERS]
+    + [(site, number) for site in ARRAY_SITES for number in BAD_NUMBERS if number != "True"],
+)
+def test_one_number_rule(site, number):
+    build = NUMBER_SITES.get(site) or ARRAY_SITES[site]
+    with pytest.raises(ValueError):
+        build(BAD_NUMBERS[number])
 
 
 class TestLinearBeta:
@@ -207,6 +261,15 @@ class TestKarras:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             karras_sigmas(10, 5.0, 1.0)
+
+    @pytest.mark.parametrize("rho", [1e-4, 5e-324])
+    def test_rho_so_small_that_the_top_level_overflows_is_refused(self, rho):
+        # sigma_max ** (1 / rho) overflows at 1e-4; at 5e-324 1 / rho is inf,
+        # and the levels would be inf - inf, a NaN with a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rho"):
+                karras_sigmas(10, rho=rho)
 
     def test_sigma_hat_with_churn(self):
         sig = karras_sigmas(4, 1.0, 8.0, rho=1.0, churn=0.5)
