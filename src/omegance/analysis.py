@@ -12,121 +12,20 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .samplers import _KINDS
-from .schedules import AlphaBarSchedule, SignalDivergenceError, _is_positive_finite, modified_snr_ddim
+from .schedules import AlphaBarSchedule, _checked_snr, _is_positive_finite, _scalar_omega
 
 __all__ = [
-    "CoefficientState",
     "propagate_coefficients_ddim",
-    "SnrTrajectory",
-    "snr_trajectory",
     "ScalarTrajectory",
     "closed_form_scalar_trajectory",
     "SpectrumProfile",
     "radial_spectrum",
     "band_energy",
 ]
-
-
-class CoefficientState(NamedTuple):
-    """Latent decomposition z = z0_coeff * z0 + eps_coeff * eps."""
-
-    z0_coeff: float
-    eps_coeff: float
-
-
-def _ddim_row(schedule: AlphaBarSchedule, t: int) -> tuple[float, float, float]:
-    """(delta, zeta, gain) of the ddim step from ladder index t; see ``_step_table``."""
-    ab_t = schedule.alpha_bar(t)
-    ab_prev = schedule.alpha_bar(t - 1)
-    root_t = math.sqrt(ab_t)
-    delta = math.sqrt(ab_prev) / root_t
-    zeta = -math.sqrt(ab_prev) * math.sqrt(1.0 - ab_t) / root_t + math.sqrt(1.0 - ab_prev)
-    return delta, zeta, math.sqrt(1.0 - ab_t)
-
-
-def propagate_coefficients_ddim(
-    schedule: AlphaBarSchedule,
-    omega: float,
-    from_t: int,
-    steps: int = 1,
-) -> list[CoefficientState]:
-    """Track (z0_coeff, eps_coeff) across omega-scaled steps.
-
-    Each step assumes the prediction equals the noise component of the
-    current decomposition, so the pair evolves by the generic-step recurrence
-
-        z0_coeff' = delta * z0_coeff
-        eps_coeff' = delta * eps_coeff + zeta * omega.
-
-    The walk starts from the forward-process decomposition at ``from_t``,
-    (sqrt(abar), sqrt(1 - abar)); one step from there lands on
-    z0_coeff = sqrt(abar_prev), and the squared coefficient ratio equals
-    modified_snr_ddim(schedule, from_t, omega). The two routes share no
-    arithmetic, which is what makes the comparison a real check.
-    """
-    if not 1 <= from_t <= schedule.num_steps:
-        raise ValueError(f"from_t {from_t} outside [1, {schedule.num_steps}]")
-    if not 1 <= steps <= from_t:
-        raise ValueError(f"steps must lie in [1, {from_t}] to stay on the ladder")
-    if isinstance(omega, np.ndarray) or not _is_positive_finite(omega):
-        raise ValueError("omega must be a positive finite number")
-    ab = schedule.alpha_bar(from_t)
-    z0_coeff, eps_coeff = math.sqrt(ab), math.sqrt(1.0 - ab)
-    out = [CoefficientState(z0_coeff, eps_coeff)]
-    for t in range(from_t, from_t - steps, -1):
-        delta, zeta, _ = _ddim_row(schedule, t)
-        z0_coeff = delta * z0_coeff
-        eps_coeff = delta * eps_coeff + zeta * omega
-        out.append(CoefficientState(z0_coeff, eps_coeff))
-    return out
-
-
-@dataclass(frozen=True)
-class SnrTrajectory:
-    """Post-step SNR values over the interior steps of a schedule."""
-
-    steps: np.ndarray
-    values: np.ndarray
-    provenance: str
-
-    def __post_init__(self):
-        if self.steps.shape != self.values.shape:
-            raise ValueError("steps and values must align")
-        if np.any(self.values <= 0.0):
-            raise ValueError("SNR values must be positive")
-
-
-def snr_trajectory(schedule: AlphaBarSchedule, omega: float, mode: str = "analytic") -> SnrTrajectory:
-    """Per-step post-step SNR, by closed form or by coefficient propagation.
-
-    Steps run from t = 2 to T: the step from t = 1 references the exact
-    pre-corruption anchor, where the unscaled ratio has no finite value.
-    A ratio the route cannot form -- a squared bracket or noise coefficient
-    that is zero, or one that over- or underflows so the ratio is zero or
-    infinite -- raises SignalDivergenceError naming the step.
-    """
-    if mode not in ("analytic", "propagated"):
-        raise ValueError("mode must be 'analytic' or 'propagated'")
-    ts = np.arange(2, schedule.num_steps + 1)
-    values = np.empty(ts.size)
-    for idx, t in enumerate(ts.tolist()):
-        try:
-            if mode == "analytic":
-                value = modified_snr_ddim(schedule, t, omega)
-            else:
-                z0_coeff, eps_coeff = propagate_coefficients_ddim(schedule, omega, t, steps=1)[-1]
-                value = (z0_coeff * z0_coeff) / (eps_coeff * eps_coeff)
-        except ZeroDivisionError as exc:
-            raise SignalDivergenceError(f"{mode} SNR at t={t}: {exc}") from exc
-        if not (0.0 < value < math.inf):
-            raise SignalDivergenceError(f"{mode} SNR at t={t} is {value!r} for omega={omega!r}")
-        values[idx] = value
-    return SnrTrajectory(ts, values, mode)
 
 
 @dataclass(frozen=True)
@@ -161,7 +60,12 @@ def _step_table(kind: str, schedule) -> tuple:
     if not isinstance(kind, str) or kind not in _KINDS or not isinstance(schedule, _KINDS[kind][0]):
         raise ValueError(f"no closed-form trajectory for kind {kind!r} on a {type(schedule).__name__}")
     if kind == "ddim":
-        return tuple(np.array([_ddim_row(schedule, t) for t in range(schedule.num_steps, 0, -1)]).T)
+        bars = schedule.alpha_bars[::-1]  # t = T..1 against t - 1
+        ab_t, ab_prev = bars[:-1], bars[1:]
+        root_t = np.sqrt(ab_t)
+        delta = np.sqrt(ab_prev) / root_t
+        zeta = -np.sqrt(ab_prev) * np.sqrt(1.0 - ab_t) / root_t + np.sqrt(1.0 - ab_prev)
+        return delta, zeta, np.sqrt(1.0 - ab_t)
     if kind == "euler":
         if schedule.churn > 0.0:
             raise ValueError("churned euler has no closed-form trajectory: its noise is drawn, not scaled")
@@ -169,6 +73,34 @@ def _step_table(kind: str, schedule) -> tuple:
         return 1.0, schedule.sigmas[1:] - sigma_hat, sigma_hat / (1.0 + sigma_hat**2)
     t = schedule.times[:-1]
     return 1.0, np.diff(schedule.times), (2.0 * t - 1.0) / ((1.0 - t) ** 2 + t**2)
+
+
+def propagate_coefficients_ddim(schedule: AlphaBarSchedule, omega: float) -> np.ndarray:
+    """Post-step SNR of each step from t = 2..T, by propagating the latent's coefficients.
+
+    Each step starts from the forward-process decomposition at t,
+    z = sqrt(abar_t) * z0 + sqrt(1 - abar_t) * eps, and assumes the prediction
+    equals its noise component, so the step's (delta, zeta) from ``_step_table``
+    leave the coefficients
+
+        z0_coeff' = delta * sqrt(abar_t)
+        eps_coeff' = delta * sqrt(1 - abar_t) + zeta * omega
+
+    and the value for t is z0_coeff'^2 / eps_coeff'^2. z0_coeff' lands on
+    sqrt(abar_prev), and the ratio equals modified_snr_ddim's bracket form;
+    the two routes share no arithmetic, which is what makes the comparison a
+    real check. A ratio that is zero or not finite raises
+    SignalDivergenceError naming the first such t.
+    """
+    omega = _scalar_omega(omega)
+    # the table runs t = T..1; its rows for t = 2..T, ascending
+    delta, zeta, _ = (column[-2::-1] for column in _step_table("ddim", schedule))
+    ab_t = schedule.alpha_bars[2:]
+    with np.errstate(all="ignore"):
+        z0_coeff = delta * np.sqrt(ab_t)
+        eps_coeff = delta * np.sqrt(1.0 - ab_t) + zeta * omega
+        values = (z0_coeff * z0_coeff) / (eps_coeff * eps_coeff)
+    return _checked_snr(values, "propagated", omega)
 
 
 def closed_form_scalar_trajectory(kind: str, schedule, omega) -> ScalarTrajectory:

@@ -41,12 +41,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import band_energy, radial_spectrum, snr_trajectory
+from .analysis import band_energy, propagate_coefficients_ddim, radial_spectrum
 from .config import ConfigError, ExperimentConfig, _output_dir, _seeds, load_config
 from .formats import _replacing, format_cell, write_csv, write_pgm, write_snapshot
 from .omega import mask_to_grayscale
 from .oracles import gaussian_field_2d
 from .samplers import NumericAbortError, run_sampler
+from .schedules import SignalDivergenceError, modified_snr_ddim
 
 __all__ = ["main"]
 
@@ -68,7 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sample, threads=True)
     p_sample.set_defaults(func=cmd_sample)
 
-    p_snr = sub.add_parser("snr", help="emit analytic and propagated SNR trajectories")
+    snr_help = (
+        "analytic and propagated post-step SNR on every rung of the full ddim ladder, each omega held"
+        " constant (sampler.steps and the omega mask and schedule are not read)"
+    )
+    p_snr = sub.add_parser("snr", help=snr_help, description=snr_help)
     common(p_snr, threads=False)
     p_snr.set_defaults(func=cmd_snr)
 
@@ -353,18 +358,16 @@ def cmd_snr(args, config: ExperimentConfig, written: list[str]) -> dict:
     max_deviation = 0.0
     for idx, omega in enumerate(config.omegas):
         try:
-            analytic = snr_trajectory(schedule, omega, "analytic")
-            propagated = snr_trajectory(schedule, omega, "propagated")
-        except ZeroDivisionError as exc:
+            analytic = modified_snr_ddim(schedule, omega)
+            propagated = propagate_coefficients_ddim(schedule, omega)
+        except SignalDivergenceError as exc:
             abort = NumericAbortError(0, str(exc))
             abort.cell = {"omega_index": idx}
             raise abort from exc
-        deviations = np.abs(analytic.values - propagated.values) / analytic.values
+        deviations = np.abs(analytic - propagated) / analytic
         max_deviation = max(max_deviation, float(deviations.max()))
-        for t, a_val, p_val, dev in zip(
-            analytic.steps, analytic.values, propagated.values, deviations
-        ):
-            rows.append([idx, omega, int(t), a_val, p_val, dev])
+        for t, a_val, p_val, dev in zip(range(2, schedule.num_steps + 1), analytic, propagated, deviations):
+            rows.append([idx, omega, t, a_val, p_val, dev])
     write_csv(
         out / "snr.csv",
         ["omega_index", "omega", "t", "snr_analytic", "snr_propagated", "rel_deviation"],

@@ -156,6 +156,8 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Parse a config file; relative mask paths resolve against its directory."""
+    if "\0" in str(path):  # no path can hold one
+        raise ConfigError(f"config path {str(path)!r} must not contain a NUL byte")
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))

@@ -187,8 +187,10 @@ class GaussianMixture:
         turns -0.0 into +0.0, before the b multiply; the softmax is skipped.
         Raises ValueError when some component's tv or 1 / tv is not finite.
         """
+        if not (_is_finite_real(signal_scale) and _is_finite_real(noise_scale)):
+            raise ValueError("corruption scales must be finite numbers")
         a, b = float(signal_scale), float(noise_scale)
-        if not (math.isfinite(a) and math.isfinite(b)) or a < 0.0 or b < 0.0 or a + b == 0.0:
+        if a < 0.0 or b < 0.0 or a + b == 0.0:
             raise ValueError("corruption scales must be non-negative with a positive sum")
         # tv = a^2 v + b^2 grows with v: the least variance has the largest 1 / tv
         # and the greatest variance the largest tv
@@ -338,8 +340,8 @@ class GaussianMixture:
 
     def velocity_predict(self, z, t: float) -> np.ndarray:
         """Posterior-mean velocity E[eps - z0 | z] under z = (1-t) z0 + t eps."""
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("flow time must lie in [0, 1]")
+        if not (_is_finite_real(t) and 0.0 <= t <= 1.0):
+            raise ValueError("flow time must be a number in [0, 1]")
         eps_mean, z0_mean = self._posterior(z, 1.0 - float(t), float(t))
         eps_mean -= z0_mean  # a fresh array of this call's own
         return eps_mean

@@ -132,8 +132,8 @@ def ddim_step(z, schedule: AlphaBarSchedule, t: int, eps_pred, omega=1.0) -> np.
     """One deterministic step from ladder index t with the prediction scaled by omega.
 
     Per cell: z' = delta * (z - sqrt(1-abar_t) * eps * omega) + sqrt(1-abar_prev) * eps * omega,
-    with delta = sqrt(abar_prev) / sqrt(abar_t), the multiplier that
-    analysis.propagate_coefficients_ddim also uses.
+    with delta = sqrt(abar_prev) / sqrt(abar_t), the multiplier of the ddim
+    rows of analysis._step_table, which analysis.propagate_coefficients_ddim reads.
     """
     z, eps_pred = _operands(z, eps_pred, "eps_pred")
     if t < 1:

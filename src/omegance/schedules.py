@@ -11,9 +11,10 @@ queries against an entry equal to 1 are rejected as divergent rather than
 assigned a value.
 
 Scaling the noise-prediction term of a deterministic denoise step by a factor
-``omega`` shifts the post-step signal-to-noise ratio; :func:`modified_snr_ddim`
-gives the closed form and ``analysis.propagate_coefficients_ddim`` provides
-the independent arithmetic route used to verify it.
+``omega`` shifts the post-step signal-to-noise ratio. :func:`modified_snr_ddim`
+gives it in closed form for every step of a ladder at once, and
+``analysis.propagate_coefficients_ddim`` reaches the same values along the
+independent arithmetic route used to verify it.
 """
 
 from __future__ import annotations
@@ -180,11 +181,26 @@ def snr(schedule: AlphaBarSchedule, t: int) -> float:
     return ab / (1.0 - ab)
 
 
-def modified_snr_ddim(schedule: AlphaBarSchedule, t: int, omega: float) -> float:
-    """Post-step SNR when the noise prediction is scaled by omega.
+def _scalar_omega(omega) -> float:
+    """A scalar omega under the omega rule, as a float; an array is refused."""
+    if isinstance(omega, np.ndarray) or not _is_positive_finite(omega):
+        raise ValueError("omega must be a positive finite number")
+    return float(omega)
+
+
+def _checked_snr(values: np.ndarray, route: str, omega: float) -> np.ndarray:
+    """A route's SNR over t = 2..T, or SignalDivergenceError naming the first t whose value is not in (0, inf)."""
+    bad = np.flatnonzero(~((values > 0.0) & (values < math.inf)))
+    if bad.size:
+        raise SignalDivergenceError(f"{route} SNR at t={bad[0] + 2} is {float(values[bad[0]])!r} for omega={omega!r}")
+    return values
+
+
+def modified_snr_ddim(schedule: AlphaBarSchedule, omega: float) -> np.ndarray:
+    """Post-step SNR of each step from t = 2..T when the noise prediction is scaled by omega.
 
     One deterministic step from t leaves the latent decomposed as
-    A*z0 + B*eps with A = sqrt(abar_prev); the returned value is A^2/B^2 in
+    A*z0 + B*eps with A = sqrt(abar_prev); the value for t is A^2/B^2 in
     the direct bracket form
 
         abar_prev / [ sqrt(abar_prev)*sqrt(1-abar_t)/sqrt(abar_t)
@@ -193,21 +209,21 @@ def modified_snr_ddim(schedule: AlphaBarSchedule, t: int, omega: float) -> float
 
     At omega = 1 this equals snr(schedule, t-1). The parenthesised difference
     is negative for every strictly decreasing schedule, so the ratio grows
-    with omega until the bracket crosses zero (rejected as divergent).
+    with omega until the bracket crosses zero. The step from t = 1 is left
+    out: it references the exact anchor, where the unscaled ratio has no
+    finite value. A ratio that is zero or not finite -- a zero bracket, or
+    one whose square over- or underflows -- raises SignalDivergenceError
+    naming the first such t.
     """
-    if not 1 <= t <= schedule.num_steps:
-        raise ValueError(f"step index {t} outside [1, {schedule.num_steps}]")
-    if isinstance(omega, np.ndarray) or not _is_positive_finite(omega):
-        raise ValueError("omega must be a positive finite number")
-    ab_prev = schedule.alpha_bar(t - 1)
-    ab_t = schedule.alpha_bar(t)
-    root_t = math.sqrt(ab_t)
-    keep = math.sqrt(ab_prev) * math.sqrt(1.0 - ab_t) / root_t
-    swing = (root_t * math.sqrt(1.0 - ab_prev) - math.sqrt(ab_prev) * math.sqrt(1.0 - ab_t)) / root_t
-    bracket = keep + omega * swing
-    if bracket == 0.0:
-        raise SignalDivergenceError(f"omega={omega} zeroes the denoising bracket at t={t}")
-    return ab_prev / (bracket * bracket)
+    omega = _scalar_omega(omega)
+    ab_prev, ab_t = schedule.alpha_bars[1:-1], schedule.alpha_bars[2:]
+    with np.errstate(all="ignore"):
+        root_t = np.sqrt(ab_t)
+        keep = np.sqrt(ab_prev) * np.sqrt(1.0 - ab_t) / root_t
+        swing = (root_t * np.sqrt(1.0 - ab_prev) - np.sqrt(ab_prev) * np.sqrt(1.0 - ab_t)) / root_t
+        bracket = keep + omega * swing
+        values = ab_prev / (bracket * bracket)
+    return _checked_snr(values, "analytic", omega)
 
 
 @dataclass(frozen=True, eq=False)

@@ -82,19 +82,19 @@ def test_criterion_2_modified_snr_against_coefficients(bars):
     """
     with criterion(2, "coefficient route matches bracket form to 1e-9", 1.0):
         for omega in (0.8, 0.9, 1.0, 1.1, 1.2):
-            for t in range(2, 1001):
-                bracket = modified_snr_ddim(bars, t, omega)
-                a, b = propagate_coefficients_ddim(bars, omega, t, steps=1)[-1]
-                assert abs(a * a / (b * b) - bracket) <= 1e-9 * bracket
+            bracket = modified_snr_ddim(bars, omega)
+            ratio = propagate_coefficients_ddim(bars, omega)
+            assert bracket.shape == ratio.shape == (999,)
+            assert np.all(np.abs(ratio - bracket) <= 1e-9 * bracket)
 
 
 def test_criterion_3_snr_monotone_in_omega(bars):
     """Post-step SNR strictly increases over a 20-point omega grid in [0.8, 1.2]."""
     with criterion(3, "modified SNR strictly increasing in omega", 1.0):
         grid = np.linspace(0.8, 1.2, 20)
-        for t in range(2, 1001):
-            values = [modified_snr_ddim(bars, t, float(w)) for w in grid]
-            assert all(b > a for a, b in zip(values, values[1:]))
+        values = np.array([modified_snr_ddim(bars, float(w)) for w in grid])  # one row per omega, t = 2..1000
+        assert values.shape == (20, 999)
+        assert np.all(np.diff(values, axis=0) > 0.0)
 
 
 def test_criterion_4_negative_swing_lemma():

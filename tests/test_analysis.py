@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from omegance import (
     AlphaBarSchedule,
-    CoefficientState,
     OmegaControl,
     SamplerConfig,
     SignalDivergenceError,
@@ -22,90 +21,103 @@ from omegance import (
     radial_spectrum,
     run_sampler,
     snr,
-    snr_trajectory,
     standard_normal,
 )
-from omegance.analysis import SpectrumProfile, _radial_bins
+from omegance.analysis import SpectrumProfile, _radial_bins, _step_table
+
+
+def one_step_coefficients(bars, omega):
+    """(z0_coeff', eps_coeff') one omega-scaled step leaves from the forward form, for t = T..1."""
+    delta, zeta, _ = _step_table("ddim", bars)
+    ab_t = bars.alpha_bars[:0:-1]
+    return delta * np.sqrt(ab_t), delta * np.sqrt(1.0 - ab_t) + zeta * omega
+
+
+# the two SNR routes over t = 2..T, under the names their errors give them
+SNR_ROUTES = {"analytic": modified_snr_ddim, "propagated": propagate_coefficients_ddim}
 
 
 class TestCoefficientPropagation:
     def test_unit_omega_relands_on_forward_form(self, linear_bars):
+        z0_coeffs, eps_coeffs = one_step_coefficients(linear_bars, 1.0)
         for t in (2, 500, 1000):
-            state = propagate_coefficients_ddim(linear_bars, 1.0, t, steps=1)[-1]
             ab_prev = linear_bars.alpha_bar(t - 1)
-            assert state.z0_coeff == pytest.approx(math.sqrt(ab_prev), rel=1e-12)
-            assert state.eps_coeff == pytest.approx(math.sqrt(1.0 - ab_prev), rel=1e-12)
-
-    def test_default_start_is_forward_decomposition(self, linear_bars):
-        states = propagate_coefficients_ddim(linear_bars, 0.9, 700, steps=3)
-        ab = linear_bars.alpha_bar(700)
-        assert states[0] == CoefficientState(math.sqrt(ab), math.sqrt(1.0 - ab))
-        assert len(states) == 4
+            assert z0_coeffs[1000 - t] == pytest.approx(math.sqrt(ab_prev), rel=1e-12)
+            assert eps_coeffs[1000 - t] == pytest.approx(math.sqrt(1.0 - ab_prev), rel=1e-12)
 
     def test_squared_ratio_matches_bracket_form(self, linear_bars):
         # the two routes share no arithmetic; this is the frozen halfway case
-        state = propagate_coefficients_ddim(linear_bars, 0.9, 500, steps=1)[-1]
-        ratio = state.z0_coeff**2 / state.eps_coeff**2
+        ratio = propagate_coefficients_ddim(linear_bars, 0.9)[500 - 2]
         assert ratio == pytest.approx(0.08613487636148472, rel=1e-12)
-        assert ratio == pytest.approx(modified_snr_ddim(linear_bars, 500, 0.9), rel=1e-9)
+        assert ratio == pytest.approx(modified_snr_ddim(linear_bars, 0.9)[500 - 2], rel=1e-9)
 
     def test_coefficient_bounds(self, linear_bars):
-        # schedule-following run: the clean coefficient climbs through [0, 1]
-        # and the noise coefficient stays positive all the way down
-        states = propagate_coefficients_ddim(linear_bars, 1.0, 1000, steps=999)
-        z0_coeffs = np.array([s.z0_coeff for s in states])
-        eps_coeffs = np.array([s.eps_coeff for s in states])
+        # unit-omega steps from t = T..2 follow the schedule: the clean
+        # coefficient climbs through [0, 1] and the noise coefficient stays
+        # positive all the way down
+        z0_coeffs, eps_coeffs = (c[:-1] for c in one_step_coefficients(linear_bars, 1.0))
         assert np.all((z0_coeffs >= 0.0) & (z0_coeffs <= 1.0))
         assert np.all(eps_coeffs > 0.0)
         assert np.all(np.diff(z0_coeffs) > 0.0)  # signal grows as noise is removed
-        # single scaled steps from the forward form keep the noise coefficient
+        # scaled steps from the forward form keep the noise coefficient
         # positive across the whole working omega range
         for omega in (0.8, 0.9, 1.1, 1.2):
-            for t in (2, 500, 1000):
-                state = propagate_coefficients_ddim(linear_bars, omega, t, steps=1)[-1]
-                assert state.eps_coeff > 0.0
-                assert 0.0 <= state.z0_coeff <= 1.0
-
-    def test_range_validation(self, linear_bars):
-        with pytest.raises(ValueError):
-            propagate_coefficients_ddim(linear_bars, 1.0, 0, steps=1)
-        with pytest.raises(ValueError):
-            propagate_coefficients_ddim(linear_bars, 1.0, 5, steps=6)
-        with pytest.raises(ValueError):
-            propagate_coefficients_ddim(linear_bars, -1.0, 5, steps=1)
+            z0_coeffs, eps_coeffs = (c[:-1] for c in one_step_coefficients(linear_bars, omega))
+            assert np.all(eps_coeffs > 0.0)
+            assert np.all((z0_coeffs >= 0.0) & (z0_coeffs <= 1.0))
 
 
 class TestSnrTrajectory:
     def test_unit_omega_matches_plain_snr(self, linear_bars):
-        trajectory = snr_trajectory(linear_bars, 1.0, "analytic")
-        for t, value in zip(trajectory.steps, trajectory.values):
-            assert value == pytest.approx(snr(linear_bars, int(t) - 1), rel=1e-12)
+        for route in SNR_ROUTES.values():
+            values = route(linear_bars, 1.0)
+            assert values.shape == (linear_bars.num_steps - 1,)  # t = 2..T
+            for t, value in enumerate(values, start=2):
+                assert value == pytest.approx(snr(linear_bars, t - 1), rel=1e-12)
 
     def test_modes_agree(self, linear_bars):
-        analytic = snr_trajectory(linear_bars, 1.1, "analytic")
-        propagated = snr_trajectory(linear_bars, 1.1, "propagated")
-        assert analytic.provenance == "analytic"
-        assert propagated.provenance == "propagated"
-        assert np.array_equal(analytic.steps, propagated.steps)
-        rel = np.abs(analytic.values - propagated.values) / analytic.values
+        analytic = modified_snr_ddim(linear_bars, 1.1)
+        propagated = propagate_coefficients_ddim(linear_bars, 1.1)
+        rel = np.abs(analytic - propagated) / analytic
         assert float(rel.max()) <= 1e-9
 
+    @pytest.mark.parametrize("omega", [0.8, 1.2])
+    def test_routes_follow_the_scalar_formulas_bit_for_bit(self, linear_bars, omega):
+        # each route is array arithmetic in the scalar order of operations
+        # written out here per step
+        ladder = linear_bars.subsample(37)
+        analytic, propagated = modified_snr_ddim(ladder, omega), propagate_coefficients_ddim(ladder, omega)
+        for t in range(2, 38):
+            ab_t, ab_prev = ladder.alpha_bar(t), ladder.alpha_bar(t - 1)
+            root_t = math.sqrt(ab_t)
+            keep = math.sqrt(ab_prev) * math.sqrt(1.0 - ab_t) / root_t
+            swing = (root_t * math.sqrt(1.0 - ab_prev) - math.sqrt(ab_prev) * math.sqrt(1.0 - ab_t)) / root_t
+            bracket = keep + omega * swing
+            assert analytic[t - 2] == ab_prev / (bracket * bracket)
+            delta = math.sqrt(ab_prev) / root_t
+            zeta = -math.sqrt(ab_prev) * math.sqrt(1.0 - ab_t) / root_t + math.sqrt(1.0 - ab_prev)
+            z0_coeff = delta * root_t
+            eps_coeff = delta * math.sqrt(1.0 - ab_t) + zeta * omega
+            assert propagated[t - 2] == (z0_coeff * z0_coeff) / (eps_coeff * eps_coeff)
+
     def test_smaller_omega_is_pointwise_below(self, linear_bars):
-        low = snr_trajectory(linear_bars, 0.9, "analytic")
-        unit = snr_trajectory(linear_bars, 1.0, "analytic")
-        assert np.all(low.values < unit.values)
+        assert np.all(modified_snr_ddim(linear_bars, 0.9) < modified_snr_ddim(linear_bars, 1.0))
 
-    def test_unknown_mode(self, linear_bars):
-        with pytest.raises(ValueError):
-            snr_trajectory(linear_bars, 1.0, "empirical")
-
-    @pytest.mark.parametrize("mode", ["analytic", "propagated"])
+    @pytest.mark.parametrize("mode", SNR_ROUTES)
     def test_unformable_ratio_names_its_step(self, mode):
         # the squared bracket (or noise coefficient) overflows, so the ratio
         # would round to 0, which is no SNR at all
         bars = AlphaBarSchedule([1.0, 0.9, 0.5])
         with pytest.raises(SignalDivergenceError, match=f"{mode} SNR at t=2 is 0.0"):
-            snr_trajectory(bars, 1e200, mode)
+            SNR_ROUTES[mode](bars, 1e200)
+
+    @pytest.mark.parametrize("mode", SNR_ROUTES)
+    def test_names_the_first_unformable_step(self, mode):
+        # omega = 1.5 zeroes the t = 3 bracket, and the noise coefficient,
+        # exactly; at t = 2 the bracket is negative, and its square finite
+        bars = AlphaBarSchedule([1.0, 0.99, 0.9, 0.5])
+        with pytest.raises(SignalDivergenceError, match=f"{mode} SNR at t=3 is inf for omega=1.5"):
+            SNR_ROUTES[mode](bars, 1.5)
 
 
 class TestClosedFormTrajectory:
@@ -117,6 +129,19 @@ class TestClosedFormTrajectory:
         assert float(trajectory.multipliers[0]) == pytest.approx(expected_first, rel=1e-12)
         assert trajectory.multipliers.shape == (2,)
         assert np.array_equal(trajectory.mean_multipliers, trajectory.multipliers)
+
+    def test_ddim_rows_follow_the_scalar_formula_bit_for_bit(self, linear_bars):
+        # the table is built in array arithmetic; each row keeps the scalar
+        # order of operations, so ddim_step's multipliers and the snr.csv
+        # pins see the same bits
+        ladder = linear_bars.subsample(37)
+        rows = zip(*_step_table("ddim", ladder))
+        for t, row in zip(range(37, 0, -1), rows, strict=True):
+            ab_t, ab_prev = ladder.alpha_bar(t), ladder.alpha_bar(t - 1)
+            root_t = math.sqrt(ab_t)
+            delta = math.sqrt(ab_prev) / root_t
+            zeta = -math.sqrt(ab_prev) * math.sqrt(1.0 - ab_t) / root_t + math.sqrt(1.0 - ab_prev)
+            assert row == (delta, zeta, math.sqrt(1.0 - ab_t))
 
     def test_ddim_matches_sampler(self, linear_bars):
         gm = standard_normal()

@@ -363,6 +363,15 @@ class TestSampleCommand:
         assert capsys.readouterr().err == "config error: --out must not contain a NUL byte\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("command", ["sample", "snr", "spectrum"])
+    def test_config_path_with_a_nul_byte_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # the path is named by the rule it breaks, and printed with repr, so
+        # no NUL byte reaches stderr
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", "a\x00b"]) == 2
+        assert capsys.readouterr().err == "config error: config path 'a\\x00b' must not contain a NUL byte\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag, env", [(["--threads", "0"], None), ([], "0")], ids=["flag", "env"])
     def test_zero_threads_exits_2(self, tmp_path, capsys, monkeypatch, flag, env):
         if env is not None:
@@ -872,6 +881,24 @@ class TestSnrCommand:
         assert main(["snr", "--config", str(self.config(tmp_path, [0.95, 1.0, 1.05]))]) == 0
         digest = hashlib.sha256((tmp_path / "out" / "snr.csv").read_bytes()).hexdigest()
         assert digest == "ce6f28d86761bf4a59c1411be8947dee3e4ea6b5743f482abc29807d15250523"
+
+    def test_snr_csv_bytes_are_pinned_on_a_short_steep_ladder(self, tmp_path):
+        # 20 rungs up to beta 0.3: the ladder falls fast, so the first rungs
+        # carry ratios near 900 and the last ones ratios far below 1
+        config = write_config(
+            tmp_path,
+            {
+                "sampler": {"kind": "ddim", "steps": 5, "schedule": {"num_steps": 20, "beta_end": 0.3}},
+                "omega": {"values": [0.8, 1.2]},
+                "oracle": {"kind": "standard_normal"},
+                "latent": {"shape": [4, 4]},
+                "seeds": [0],
+                "output_dir": str(tmp_path / "out"),
+            },
+        )
+        assert main(["snr", "--config", str(config)]) == 0
+        digest = hashlib.sha256((tmp_path / "out" / "snr.csv").read_bytes()).hexdigest()
+        assert digest == "f6d4906015f7817d452f405ebccd8e295f9c50cc3055e222b7431ca2140fe408"
 
     def test_unit_omega_deviation_is_tiny(self, tmp_path):
         assert main(["snr", "--config", str(self.config(tmp_path, [1.0]))]) == 0

@@ -400,8 +400,8 @@ class TestOneOmegaRule:
         "euler_step": lambda w: euler_step(RULE_LATENT, karras_sigmas(4), 0, RULE_PRED, w),
         "flow_step": lambda w: flow_step(RULE_LATENT, -0.25, RULE_PRED, w),
         "OmegaControl.base": lambda w: OmegaControl(base=w),
-        "modified_snr_ddim": lambda w: modified_snr_ddim(RULE_LADDER, 2, w),
-        "propagate_coefficients_ddim": lambda w: propagate_coefficients_ddim(RULE_LADDER, w, 2),
+        "modified_snr_ddim": lambda w: modified_snr_ddim(RULE_LADDER, w),
+        "propagate_coefficients_ddim": lambda w: propagate_coefficients_ddim(RULE_LADDER, w),
         # takes one omega per step too, but RULE_LADDER has 5 steps: the arrays below are refused
         "closed_form_scalar_trajectory": lambda w: closed_form_scalar_trajectory("ddim", RULE_LADDER, w),
         "epsilon_predict_sigma": lambda w: standard_normal().epsilon_predict(RULE_LATENT, sigma=w),

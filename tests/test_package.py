@@ -6,7 +6,6 @@ import omegance
 PUBLIC_NAMES = [
     "AlphaBarSchedule",
     "BetaSchedule",
-    "CoefficientState",
     "ConfigError",
     "DEFAULT_RESCALE",
     "Denoiser",
@@ -25,7 +24,6 @@ PUBLIC_NAMES = [
     "ScalarTrajectory",
     "SigmaSchedule",
     "SignalDivergenceError",
-    "SnrTrajectory",
     "SpectrumProfile",
     "Trajectory",
     "alpha_bar_from_betas",
@@ -53,7 +51,6 @@ PUBLIC_NAMES = [
     "rescale",
     "run_sampler",
     "snr",
-    "snr_trajectory",
     "standard_normal",
 ]
 

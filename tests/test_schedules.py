@@ -27,10 +27,11 @@ from omegance import (
     mask_from_grayscale,
     modified_snr_ddim,
     omega_schedule,
-    propagate_coefficients_ddim,
     rescale,
     snr,
+    standard_normal,
 )
+from omegance.analysis import _step_table
 
 
 # every count the package takes follows one integer rule, in which a bool is
@@ -69,6 +70,10 @@ NUMBER_SITES = {
     "mask_from_grayscale.omega_high": lambda x: mask_from_grayscale(np.zeros((2, 2)), 1, 0.9, x),
     "omega_schedule.omega": lambda x: omega_schedule("constant", 4, omega=x),
     "omega_schedule.amplitude": lambda x: omega_schedule("exp", 4, amplitude=x, decay=1.0, offset=0.0),
+    "epsilon_given.signal_scale": lambda x: standard_normal().epsilon_given(np.ones(4), x, 1.0),
+    "epsilon_given.noise_scale": lambda x: standard_normal().epsilon_given(np.ones(4), 1.0, x),
+    "posterior_z0.noise_scale": lambda x: standard_normal().posterior_z0(np.ones(4), 1.0, x),
+    "velocity_predict.t": lambda x: standard_normal().velocity_predict(np.ones(4), x),
 }
 # the read-only arrays convert their cells to float64, in which True is 1.0
 ARRAY_SITES = {
@@ -199,30 +204,28 @@ class TestSnr:
 
 class TestModifiedSnr:
     def test_unit_omega_recovers_previous_snr(self, linear_bars):
-        for t in range(2, linear_bars.num_steps + 1):
-            assert modified_snr_ddim(linear_bars, t, 1.0) == pytest.approx(
-                snr(linear_bars, t - 1), rel=1e-12
-            )
+        values = modified_snr_ddim(linear_bars, 1.0)
+        assert values.shape == (linear_bars.num_steps - 1,)  # t = 2..T
+        for t, value in enumerate(values, start=2):
+            assert value == pytest.approx(snr(linear_bars, t - 1), rel=1e-12)
 
     def test_larger_omega_is_strictly_larger(self, linear_bars):
-        for t in (2, 117, 500, 999, 1000):
-            assert modified_snr_ddim(linear_bars, t, 1.1) > modified_snr_ddim(linear_bars, t, 1.0)
+        assert np.all(modified_snr_ddim(linear_bars, 1.1) > modified_snr_ddim(linear_bars, 1.0))
 
     def test_frozen_value_halfway(self, linear_bars):
         # cross-checked against the coefficient-propagation route in test_analysis
-        assert modified_snr_ddim(linear_bars, 500, 0.9) == pytest.approx(
-            0.08613487636148472, rel=1e-12
-        )
+        assert modified_snr_ddim(linear_bars, 0.9)[500 - 2] == pytest.approx(0.08613487636148472, rel=1e-12)
 
-    def test_zero_bracket_is_divergent(self, linear_bars):
-        # stepping from t=1 references the exact anchor, where omega=1 zeroes the bracket
-        with pytest.raises(SignalDivergenceError):
-            modified_snr_ddim(linear_bars, 1, 1.0)
+    def test_zero_bracket_is_divergent(self):
+        # on this ladder sqrt(0.9) = 3 sqrt(0.1), so omega = 1.5 zeroes the
+        # t = 2 bracket exactly, in float64 too
+        with pytest.raises(SignalDivergenceError, match="analytic SNR at t=2 is inf for omega=1.5"):
+            modified_snr_ddim(AlphaBarSchedule([1.0, 0.9, 0.5]), 1.5)
 
     @pytest.mark.parametrize("omega", [0.0, -0.5, float("nan"), float("inf")])
     def test_rejects_bad_omega(self, linear_bars, omega):
         with pytest.raises(ValueError):
-            modified_snr_ddim(linear_bars, 10, omega)
+            modified_snr_ddim(linear_bars, omega)
 
     @given(
         num_steps=st.integers(2, 80),
@@ -321,7 +324,7 @@ class TestStepCoefficients:
         # one unit-omega step of delta * z_t + zeta * eps from a forward-form
         # latent must re-land on the forward form at t-1
         ab_prev = ab_t + gap
-        state = propagate_coefficients_ddim(AlphaBarSchedule([ab_prev, ab_t]), 1.0, 1)[-1]
-        stepped = state.z0_coeff * z0 + state.eps_coeff * eps
+        (delta,), (zeta,), _ = _step_table("ddim", AlphaBarSchedule([ab_prev, ab_t]))
+        stepped = delta * math.sqrt(ab_t) * z0 + (delta * math.sqrt(1 - ab_t) + zeta) * eps
         expected = math.sqrt(ab_prev) * z0 + math.sqrt(1 - ab_prev) * eps
         assert stepped == pytest.approx(expected, rel=1e-12, abs=1e-12)
