@@ -304,6 +304,7 @@ class _LatentRows:
         self._flat = values.reshape(-1)
 
     def __len__(self) -> int:
+        """The row count; write_csv does not read it, but bench/spans.py counts the rows written with it."""
         return self._flat.size
 
     def __iter__(self):

@@ -9,7 +9,7 @@ Parsing builds the run's objects once: the sampler section, the omega mask
 and the omega schedule become one validated ``SamplerConfig`` (its schedule
 built, its control at base 1.0), and a gaussian_field init becomes a
 ``GaussianFieldSpec``. Defaults a config leaves out are those of the
-schedule builders' signatures and of ``RescaleParams``. The constructors'
+schedule builders' signatures and of ``rescale``. The constructors'
 own checks (steps against the schedule length, each cell's least omega, ...)
 are the config's checks; their ValueError becomes ConfigError.
 
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .formats import read_pgm
-from .omega import OmegaControl, OmegaSchedule, RescaleParams, mask_from_grayscale, omega_schedule, rescale
+from .omega import OmegaControl, OmegaSchedule, mask_from_grayscale, omega_schedule, rescale
 from .oracles import GaussianFieldSpec, GaussianMixture, standard_normal
 from .samplers import SamplerConfig
 from .schedules import (
@@ -48,10 +48,9 @@ from .schedules import (
     SigmaSchedule,
     _is_finite_real,
     _is_integer,
-    alpha_bar_from_betas,
     flow_timesteps,
     karras_sigmas,
-    make_linear_beta,
+    linear_beta_ladder,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
@@ -73,11 +72,7 @@ MAX_SCHEDULE_STEPS = 1 << 20
 # Each sampler kind's schedule kind, that schedule's config keys and its
 # builder, called with the sampler's step count and the keys the config gives.
 _SAMPLER_SCHEDULES = {
-    "ddim": (
-        "linear_beta",
-        ("num_steps", "beta_start", "beta_end"),
-        lambda steps, **keys: alpha_bar_from_betas(make_linear_beta(**keys)),
-    ),
+    "ddim": ("linear_beta", ("num_steps", "beta_start", "beta_end"), lambda steps, **keys: linear_beta_ladder(**keys)),
     "euler": ("karras", ("sigma_min", "sigma_max", "rho", "churn"), karras_sigmas),
     "flow": ("uniform", (), flow_timesteps),
 }
@@ -150,7 +145,11 @@ class ExperimentConfig:
     raw: dict
 
     def make_schedule(self) -> AlphaBarSchedule | SigmaSchedule | FlowTimesteps:
-        """The sampler schedule, built once when the config was parsed."""
+        """The sampler schedule, built once when the config was parsed.
+
+        bench/run.py's setup probe calls this, and bench/spans.py times it by
+        its name, so it stays although ``sampler.schedule`` holds the same object.
+        """
         return self.sampler.schedule
 
 
@@ -271,11 +270,12 @@ def _parse_omega(data, steps: int, latent_shape, base_dir: Path):
         sec = _section(
             omega.get("rescale", {}), "omega.rescale", required=set(), optional={"steepness", "lower", "upper"}
         )
+        params = {key: _number(value, f"rescale.{key}") for key, value in sec.items()}
+        varpis = _as_list(omega["varpi"], "omega.varpi")
         try:
-            params = RescaleParams(**{key: _number(value, f"rescale.{key}") for key, value in sec.items()})
+            omegas = [rescale(v, **params) for v in varpis]
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        omegas = [rescale(v, params) for v in _as_list(omega["varpi"], "omega.varpi")]
     if len(set(omegas)) != len(omegas):
         raise ConfigError("omega values must be distinct")
 

@@ -20,8 +20,6 @@ import numpy as np
 from .schedules import _frozen_array, _is_finite_real, _is_integer, _is_positive_finite
 
 __all__ = [
-    "RescaleParams",
-    "DEFAULT_RESCALE",
     "rescale",
     "OmegaMask",
     "mask_from_grayscale",
@@ -33,28 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RescaleParams:
-    """Sigmoid mapping of the unbounded dial onto the open interval (lower, upper)."""
-
-    steepness: float = 0.1
-    lower: float = 0.95
-    upper: float = 1.05
-
-    def __post_init__(self):
-        values = (self.steepness, self.lower, self.upper)
-        if not all(_is_finite_real(v) for v in values):
-            raise ValueError("rescale parameters must be finite numbers")
-        if self.steepness <= 0.0:
-            raise ValueError("steepness must be positive")
-        if not 0.0 < self.lower < self.upper:
-            raise ValueError("need 0 < lower < upper")
-
-
-DEFAULT_RESCALE = RescaleParams()
-
-
-def rescale(varpi: float, params: RescaleParams = DEFAULT_RESCALE) -> float:
+def rescale(varpi: float, *, steepness: float = 0.1, lower: float = 0.95, upper: float = 1.05) -> float:
     """Map the unbounded dial varpi to lower + (upper - lower) / (1 + exp(-steepness * varpi)).
 
     Strictly increasing in varpi and bounded in (lower, upper); at varpi = 0
@@ -62,12 +39,18 @@ def rescale(varpi: float, params: RescaleParams = DEFAULT_RESCALE) -> float:
     the defaults. Dial values within roughly [-10, 10] cover the visibly
     distinct range; far outside it the sigmoid saturates at the bounds.
     """
+    if not all(_is_finite_real(v) for v in (steepness, lower, upper)):
+        raise ValueError("rescale parameters must be finite numbers")
+    if steepness <= 0.0:
+        raise ValueError("steepness must be positive")
+    if not 0.0 < lower < upper:
+        raise ValueError("need 0 < lower < upper")
     if not _is_finite_real(varpi):
         raise ValueError("varpi must be a finite number")
-    exponent = -params.steepness * varpi
+    exponent = -steepness * varpi
     if exponent > 709.0:  # exp would overflow; the sigmoid has saturated
-        return params.lower
-    return params.lower + (params.upper - params.lower) / (1.0 + math.exp(exponent))
+        return lower
+    return lower + (upper - lower) / (1.0 + math.exp(exponent))
 
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity: == on an array field would raise

@@ -5,10 +5,10 @@ The discrete corruption used throughout is
     z_t = sqrt(abar_t) * z0 + sqrt(1 - abar_t) * eps
 
 with ``abar_t`` the running product of ``(1 - beta_i)``. An
-:class:`AlphaBarSchedule` stores that ladder with a leading entry of exactly
-1.0: the pre-corruption anchor that the final denoising step lands on. SNR
-queries against an entry equal to 1 are rejected as divergent rather than
-assigned a value.
+:class:`AlphaBarSchedule` stores that ladder; :func:`linear_beta_ladder`
+builds it with a leading entry of exactly 1.0, the pre-corruption anchor
+that the final denoising step lands on. SNR queries against an entry equal
+to 1 are rejected as divergent rather than assigned a value.
 
 Scaling the noise-prediction term of a deterministic denoise step by a factor
 ``omega`` shifts the post-step signal-to-noise ratio. :func:`modified_snr_ddim`
@@ -27,12 +27,10 @@ import numpy as np
 
 __all__ = [
     "SignalDivergenceError",
-    "BetaSchedule",
     "AlphaBarSchedule",
     "SigmaSchedule",
     "FlowTimesteps",
-    "make_linear_beta",
-    "alpha_bar_from_betas",
+    "linear_beta_ladder",
     "snr",
     "modified_snr_ddim",
     "karras_sigmas",
@@ -83,40 +81,14 @@ def _frozen_array(values, name: str, ndim: int = 1) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class BetaSchedule:
-    """Per-step corruption variances beta_t, each strictly inside (0, 1)."""
-
-    betas: np.ndarray
-
-    def __post_init__(self):
-        betas = _frozen_array(self.betas, "betas")
-        if np.any(betas <= 0.0) or np.any(betas >= 1.0):
-            raise ValueError("every beta must lie strictly inside (0, 1)")
-        object.__setattr__(self, "betas", betas)
-
-
-def make_linear_beta(
-    num_steps: int = 1000, beta_start: float = 1e-4, beta_end: float = 0.02
-) -> BetaSchedule:
-    """Linearly interpolated beta schedule from beta_start to beta_end.
-
-    Defaults follow the common discrete-diffusion convention (1000 steps over
-    [1e-4, 0.02]); both endpoints and the length are configurable.
-    """
-    if not _is_integer(num_steps) or num_steps < 2:
-        raise ValueError("num_steps must be an integer >= 2")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError("need 0 < beta_start <= beta_end < 1")
-    return BetaSchedule(np.linspace(beta_start, beta_end, num_steps))
-
-
-@dataclass(frozen=True, eq=False)
 class AlphaBarSchedule:
-    """Cumulative signal coefficients with a leading exact-1.0 anchor.
+    """Cumulative signal coefficients, indexed by corruption step.
 
     ``alpha_bars[t]`` is the squared signal fraction after ``t`` corruption
-    steps; index 0 holds the pre-corruption anchor that the final denoising
-    step references. Entries are strictly decreasing and lie in (0, 1].
+    steps. Entries are strictly decreasing and lie in (0, 1]; any such table
+    is accepted. :func:`linear_beta_ladder` puts the pre-corruption anchor,
+    exactly 1.0, at index 0 and :meth:`subsample` keeps it; a ddim run's
+    last step lands on whatever index 0 holds.
     """
 
     alpha_bars: np.ndarray
@@ -141,29 +113,40 @@ class AlphaBarSchedule:
         return float(self.alpha_bars[t])
 
     def subsample(self, num_steps: int) -> "AlphaBarSchedule":
-        """Ladder visiting num_steps evenly spaced entries plus the anchor.
+        """Ladder visiting num_steps evenly spaced entries behind index 0.
 
         This is the schedule a num_steps-step deterministic run actually
         walks: indices are spread over [1, T] with both ends included, and
-        the anchor keeps the final step landing on the clean estimate.
+        index 0 is kept, so the final step lands where this ladder's does.
         """
         total = self.num_steps
-        if not 1 <= num_steps <= total:
-            raise ValueError(f"num_steps must lie in [1, {total}]")
+        if not (_is_integer(num_steps) and 1 <= num_steps <= total):
+            raise ValueError(f"num_steps must be an integer in [1, {total}]")
+        # the pick spacing (total - 1) / (num_steps - 1) is at least 1, so
+        # the rounded picks strictly decrease
         picks = np.rint(np.linspace(total, 1, num_steps)).astype(int)
-        if num_steps > 1 and not np.all(np.diff(picks) < 0):
-            raise ValueError("subsampled indices are not strictly decreasing")
         sub = np.concatenate(([self.alpha_bars[0]], self.alpha_bars[picks[::-1]]))
         return AlphaBarSchedule(sub)
 
 
-def alpha_bar_from_betas(schedule: BetaSchedule) -> AlphaBarSchedule:
-    """Running product of (1 - beta_t), prefixed with the exact-1.0 anchor.
+def linear_beta_ladder(
+    num_steps: int = 1000, beta_start: float = 1e-4, beta_end: float = 0.02
+) -> AlphaBarSchedule:
+    """The ladder of a linear beta schedule, behind the exact-1.0 anchor.
 
-    The product is accumulated left to right in float64 so rebuilding a
-    schedule reproduces identical bits.
+    The betas run linearly from beta_start to beta_end over num_steps
+    steps; the defaults follow the common discrete-diffusion convention
+    (1000 steps over [1e-4, 0.02]). Entry t is the running product of
+    (1 - beta) over the first t betas, accumulated left to right in float64
+    so rebuilding a ladder reproduces identical bits.
     """
-    prods = np.cumprod(1.0 - schedule.betas)
+    if not _is_integer(num_steps) or num_steps < 2:
+        raise ValueError("num_steps must be an integer >= 2")
+    if not (_is_finite_real(beta_start) and _is_finite_real(beta_end)):
+        raise ValueError("beta_start and beta_end must be finite numbers")
+    if not (0.0 < beta_start <= beta_end < 1.0):
+        raise ValueError("need 0 < beta_start <= beta_end < 1")
+    prods = np.cumprod(1.0 - np.linspace(beta_start, beta_end, num_steps, dtype=np.float64))
     if prods[-1] <= 0.0:
         raise ValueError("cumulative product underflowed to zero signal")
     return AlphaBarSchedule(np.concatenate(([1.0], prods)))

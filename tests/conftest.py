@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from omegance import alpha_bar_from_betas, make_linear_beta
+from omegance import linear_beta_ladder
 
 
 @pytest.fixture(scope="session")
 def linear_bars():
     """The default 1000-step linear-beta ladder shared across test modules."""
-    return alpha_bar_from_betas(make_linear_beta(1000, 1e-4, 0.02))
+    return linear_beta_ladder(1000, 1e-4, 0.02)
 
 
 def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:

@@ -17,13 +17,12 @@ from omegance import (
     OmegaControl,
     OmegaMask,
     SamplerConfig,
-    alpha_bar_from_betas,
     band_energy,
     closed_form_scalar_trajectory,
     flow_step,
     flow_timesteps,
     karras_sigmas,
-    make_linear_beta,
+    linear_beta_ladder,
     modified_snr_ddim,
     propagate_coefficients_ddim,
     radial_spectrum,
@@ -50,7 +49,7 @@ def criterion(number, description, budget_s):
 
 @pytest.fixture(scope="module")
 def bars():
-    return alpha_bar_from_betas(make_linear_beta(1000, 1e-4, 0.02))
+    return linear_beta_ladder(1000, 1e-4, 0.02)
 
 
 def test_criterion_1_identity_recovery(bars):
@@ -108,7 +107,7 @@ def test_criterion_4_negative_swing_lemma():
             (50, 0.01, 0.01),
         ]
         for num_steps, start, end in parameterisations:
-            ladder = alpha_bar_from_betas(make_linear_beta(num_steps, start, end)).alpha_bars
+            ladder = linear_beta_ladder(num_steps, start, end).alpha_bars
             prev, cur = ladder[:-1], ladder[1:]
             swing = np.sqrt(cur) * np.sqrt(1.0 - prev) - np.sqrt(prev) * np.sqrt(1.0 - cur)
             assert np.all(swing < 0.0)

@@ -387,9 +387,9 @@ class TestSampleCommand:
         assert main(["sample", "--config", str(config)]) == 0
         written, step = read_snapshot(tmp_path / "out" / "seed3_omega0_final.bin")
 
-        from omegance import alpha_bar_from_betas, make_linear_beta
+        from omegance import linear_beta_ladder
 
-        schedule = alpha_bar_from_betas(make_linear_beta(50))
+        schedule = linear_beta_ladder(50)
         init = np.random.default_rng(np.random.SeedSequence(3).spawn(2)[0]).standard_normal((8, 8))
         cfg = SamplerConfig("ddim", 5, schedule, seed=3)
         reference = reference_trajectory(standard_normal(), cfg, init)

@@ -15,9 +15,8 @@ from omegance.schedules import (
     AlphaBarSchedule,
     FlowTimesteps,
     SigmaSchedule,
-    alpha_bar_from_betas,
     karras_sigmas,
-    make_linear_beta,
+    linear_beta_ladder,
 )
 
 
@@ -67,7 +66,7 @@ class TestParsing:
 
     def test_defaults_applied(self):
         config = parse_config(minimal(sampler={"kind": "ddim", "steps": 10}))
-        default = alpha_bar_from_betas(make_linear_beta(1000, 1e-4, 0.02))
+        default = linear_beta_ladder(1000, 1e-4, 0.02)
         assert config.sampler.schedule.alpha_bars.tobytes() == default.alpha_bars.tobytes()
         config = parse_config(minimal(sampler={"kind": "euler", "steps": 10}))
         default = karras_sigmas(10, 0.0292, 14.6146, 7.0, 0.0)

@@ -11,14 +11,12 @@ from omegance import (
     OmegaControl,
     OmegaMask,
     OmegaSchedule,
-    RescaleParams,
-    alpha_bar_from_betas,
     closed_form_scalar_trajectory,
     ddim_step,
     euler_step,
     flow_step,
     karras_sigmas,
-    make_linear_beta,
+    linear_beta_ladder,
     mask_from_grayscale,
     mask_to_grayscale,
     modified_snr_ddim,
@@ -70,7 +68,7 @@ class TestRescale:
     )
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
-            RescaleParams(**kwargs)
+            rescale(0.0, **kwargs)
 
     @given(
         steepness=st.floats(0.01, 1.0),
@@ -79,12 +77,12 @@ class TestRescale:
     )
     @settings(deadline=None)
     def test_monotone_and_bounded(self, steepness, lower, width):
-        params = RescaleParams(steepness, lower, lower + width)
+        upper = lower + width
         grid = np.linspace(-10.0, 10.0, 1000)
-        values = np.array([rescale(float(v), params) for v in grid])
+        values = np.array([rescale(float(v), steepness=steepness, lower=lower, upper=upper) for v in grid])
         assert np.all(np.diff(values) > 0.0)
-        assert np.all(values > params.lower)
-        assert np.all(values < params.upper)
+        assert np.all(values > lower)
+        assert np.all(values < upper)
 
 
 class TestMask:
@@ -383,7 +381,7 @@ class TestControl:
 
 
 # the operands every omega entry point below is called with
-RULE_LADDER = alpha_bar_from_betas(make_linear_beta(20)).subsample(5)
+RULE_LADDER = linear_beta_ladder(20).subsample(5)
 RULE_LATENT = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
 RULE_PRED = np.full((2, 3), 0.5)
 

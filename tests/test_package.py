@@ -5,9 +5,7 @@ import omegance
 # Submodules are reached as attributes (omegance.formats) but not exported.
 PUBLIC_NAMES = [
     "AlphaBarSchedule",
-    "BetaSchedule",
     "ConfigError",
-    "DEFAULT_RESCALE",
     "Denoiser",
     "ExperimentConfig",
     "FlowTimesteps",
@@ -19,14 +17,12 @@ PUBLIC_NAMES = [
     "OmegaControl",
     "OmegaMask",
     "OmegaSchedule",
-    "RescaleParams",
     "SamplerConfig",
     "ScalarTrajectory",
     "SigmaSchedule",
     "SignalDivergenceError",
     "SpectrumProfile",
     "Trajectory",
-    "alpha_bar_from_betas",
     "band_energy",
     "closed_form_scalar_trajectory",
     "ddim_step",
@@ -38,8 +34,8 @@ PUBLIC_NAMES = [
     "flow_timesteps",
     "gaussian_field_2d",
     "karras_sigmas",
+    "linear_beta_ladder",
     "load_config",
-    "make_linear_beta",
     "mask_from_grayscale",
     "mask_to_grayscale",
     "modified_snr_ddim",

@@ -18,7 +18,6 @@ from omegance import (
     OmegaMask,
     SamplerConfig,
     SigmaSchedule,
-    alpha_bar_from_betas,
     band_energy,
     ddim_step,
     ddim_step_reference,
@@ -29,7 +28,7 @@ from omegance import (
     flow_timesteps,
     gaussian_field_2d,
     karras_sigmas,
-    make_linear_beta,
+    linear_beta_ladder,
     omega_schedule,
     radial_spectrum,
     reference_trajectory,
@@ -250,7 +249,7 @@ def test_folded_ddim_step_within_rounding_of_the_predicted_z0_form(linear_bars):
 
 # each sampler kind's schedule builder, called with a step count
 SCHEDULE_BUILDERS = {
-    "ddim": lambda n: alpha_bar_from_betas(make_linear_beta(n, 1e-4, 0.02)),
+    "ddim": lambda n: linear_beta_ladder(n, 1e-4, 0.02),
     "euler": karras_sigmas,
     "flow": flow_timesteps,
 }

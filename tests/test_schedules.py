@@ -9,21 +9,18 @@ from hypothesis import strategies as st
 
 from omegance import (
     AlphaBarSchedule,
-    BetaSchedule,
     FlowTimesteps,
     GaussianFieldSpec,
     GaussianMixture,
     OmegaMask,
     OmegaSchedule,
-    RescaleParams,
     SigmaSchedule,
     SignalDivergenceError,
-    alpha_bar_from_betas,
     flow_step,
     flow_step_reference,
     flow_timesteps,
     karras_sigmas,
-    make_linear_beta,
+    linear_beta_ladder,
     mask_from_grayscale,
     modified_snr_ddim,
     omega_schedule,
@@ -37,7 +34,8 @@ from omegance.analysis import _step_table
 # every count the package takes follows one integer rule, in which a bool is
 # no integer, even where its value, 1, would be a valid count
 BOOL_COUNTS = {
-    "make_linear_beta": lambda: make_linear_beta(True),
+    "linear_beta_ladder": lambda: linear_beta_ladder(True),
+    "subsample": lambda: linear_beta_ladder(20).subsample(True),
     "karras_sigmas": lambda: karras_sigmas(True),
     "flow_timesteps": lambda: flow_timesteps(True),
     "field_height": lambda: GaussianFieldSpec(True, 4),
@@ -56,9 +54,11 @@ def test_a_bool_is_no_count(build):
 # that is not a bool and whose float is finite, so an int beyond the float
 # range is refused with ValueError, not an OverflowError from float()
 NUMBER_SITES = {
-    "RescaleParams.steepness": lambda x: RescaleParams(steepness=x),
-    "RescaleParams.lower": lambda x: RescaleParams(lower=x),
-    "RescaleParams.upper": lambda x: RescaleParams(upper=x),
+    "linear_beta_ladder.beta_start": lambda x: linear_beta_ladder(10, beta_start=x),
+    "linear_beta_ladder.beta_end": lambda x: linear_beta_ladder(10, beta_end=x),
+    "rescale.steepness": lambda x: rescale(0.0, steepness=x),
+    "rescale.lower": lambda x: rescale(0.0, lower=x),
+    "rescale.upper": lambda x: rescale(0.0, upper=x),
     "rescale": rescale,
     "karras_sigmas.sigma_min": lambda x: karras_sigmas(3, sigma_min=x),
     "karras_sigmas.sigma_max": lambda x: karras_sigmas(3, sigma_max=x),
@@ -77,7 +77,6 @@ NUMBER_SITES = {
 }
 # the read-only arrays convert their cells to float64, in which True is 1.0
 ARRAY_SITES = {
-    "BetaSchedule": lambda x: BetaSchedule([0.1, x]),
     "AlphaBarSchedule": lambda x: AlphaBarSchedule([1.0, x]),
     "SigmaSchedule.sigmas": lambda x: SigmaSchedule([x, 0.0]),
     "FlowTimesteps": lambda x: FlowTimesteps([1.0, x, 0.0]),
@@ -101,27 +100,38 @@ def test_one_number_rule(site, number):
 
 class TestLinearBeta:
     def test_two_step_endpoints(self):
-        betas = make_linear_beta(2, 0.1, 0.3)
-        assert betas.betas.tolist() == [0.1, 0.3]
+        bars = linear_beta_ladder(2, 0.1, 0.3)
+        assert bars.alpha_bars.tolist() == [1.0, 1.0 - 0.1, (1.0 - 0.1) * (1.0 - 0.3)]
 
     def test_degenerate_constant(self):
-        betas = make_linear_beta(3, 0.2, 0.2)
-        assert betas.betas.tolist() == [0.2, 0.2, 0.2]
+        bars = linear_beta_ladder(3, 0.2, 0.2)
+        keep = 1.0 - 0.2
+        assert bars.alpha_bars.tolist() == [1.0, keep, keep * keep, keep * keep * keep]
 
-    def test_midpoint_matches_exact_interpolation(self):
-        # oracle: exact rational interpolation beta_start + i/(T-1) * (beta_end - beta_start)
-        betas = make_linear_beta(1000, 1e-4, 0.02)
+    def test_midpoint_matches_exact_interpolation(self, linear_bars):
+        # oracle: exact rational interpolation beta_start + i/(T-1) * (beta_end - beta_start),
+        # read back from the ladder as beta_i = 1 - abar_{i+1} / abar_i
+        beta = 1.0 - float(linear_bars.alpha_bars[501] / linear_bars.alpha_bars[500])
         exact = Fraction(1e-4) + Fraction(500, 999) * (Fraction(0.02) - Fraction(1e-4))
-        assert float(betas.betas[500]) == pytest.approx(float(exact), rel=1e-13)
-        assert float(betas.betas[500]) == pytest.approx(0.01005995995995996, rel=1e-13)
+        assert beta == pytest.approx(float(exact), rel=1e-13)
+        assert beta == pytest.approx(0.01005995995995996, rel=1e-13)
 
     @pytest.mark.parametrize(
         "args",
-        [(1, 0.1, 0.2), (0, 0.1, 0.2), (10, 0.0, 0.2), (10, 0.3, 0.2), (10, 0.1, 1.0), (10, -0.1, 0.2)],
+        [
+            (1, 0.1, 0.2),
+            (0, 0.1, 0.2),
+            (10, 0.0, 0.2),
+            (10, 0.3, 0.2),
+            (10, 0.1, 1.0),
+            (10, -0.1, 0.2),
+            (10, "0.1", 0.2),
+            (10, 0.1, None),
+        ],
     )
     def test_rejects_bad_arguments(self, args):
         with pytest.raises(ValueError):
-            make_linear_beta(*args)
+            linear_beta_ladder(*args)
 
     @given(
         num_steps=st.integers(2, 200),
@@ -129,14 +139,20 @@ class TestLinearBeta:
         width=st.floats(0.0, 0.4),
     )
     def test_bounds_and_monotonicity(self, num_steps, start, width):
-        betas = make_linear_beta(num_steps, start, start + width).betas
-        assert np.all(betas >= start - 1e-15) and np.all(betas <= start + width + 1e-15)
-        assert np.all(np.diff(betas) >= -1e-15)
+        # each step keeps 1 - beta_t of the signal, and the betas rise from start to start + width
+        bars = linear_beta_ladder(num_steps, start, start + width).alpha_bars
+        keeps = bars[1:] / bars[:-1]
+        assert np.all(keeps >= 1.0 - (start + width) - 1e-15) and np.all(keeps <= 1.0 - start + 1e-15)
+        assert np.all(np.diff(keeps) <= 1e-15)
+
+    def test_underflow_is_refused(self):
+        with pytest.raises(ValueError, match="underflowed to zero signal"):
+            linear_beta_ladder(2000, 0.5, 0.5)
 
 
 class TestAlphaBar:
     def test_single_product_term(self):
-        bars = alpha_bar_from_betas(make_linear_beta(2, 0.5, 0.5))
+        bars = linear_beta_ladder(2, 0.5, 0.5)
         assert bars.alpha_bar(0) == 1.0
         assert bars.alpha_bar(1) == 0.5
 
@@ -145,21 +161,20 @@ class TestAlphaBar:
         assert bars.alpha_bar(2) == pytest.approx(0.81, rel=1e-12)
 
     def test_long_tail_against_exact_product(self, linear_bars):
-        # oracle: exact rational cumulative product, converted to float at the end
-        betas = make_linear_beta(1000, 1e-4, 0.02)
+        # oracle: exact rational cumulative product of the exactly interpolated
+        # betas, converted to float at the end
+        low, high = Fraction(1e-4), Fraction(0.02)
         product = Fraction(1)
-        for beta in betas.betas:
-            product *= 1 - Fraction(float(beta))
+        for i in range(1000):
+            product *= 1 - (low + Fraction(i, 999) * (high - low))
         tail = linear_bars.alpha_bar(1000)
         assert tail == pytest.approx(float(product), rel=1e-12)
         assert tail == pytest.approx(4.035829765375676e-05, rel=1e-12)
         assert tail > 0.0
 
-    @given(st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=300))
-    def test_strictly_decreasing_and_positive(self, beta_values):
-        from omegance import BetaSchedule
-
-        bars = alpha_bar_from_betas(BetaSchedule(np.array(beta_values)))
+    @given(num_steps=st.integers(2, 300), start=st.floats(1e-4, 0.5), width=st.floats(0.0, 0.4))
+    def test_strictly_decreasing_and_positive(self, num_steps, start, width):
+        bars = linear_beta_ladder(num_steps, start, start + width)
         assert np.all(bars.alpha_bars > 0.0)
         assert np.all(np.diff(bars.alpha_bars) < 0.0)
 
@@ -177,6 +192,22 @@ class TestAlphaBar:
     def test_subsample_rejects_overlong(self, linear_bars):
         with pytest.raises(ValueError):
             linear_bars.subsample(1001)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3"])
+    def test_subsample_refuses_a_count_that_is_no_integer(self, linear_bars, count):
+        with pytest.raises(ValueError, match="integer"):
+            linear_bars.subsample(count)
+
+    @given(data=st.data(), total=st.integers(1, 3000))
+    @settings(deadline=None)
+    def test_subsample_walks_n_strictly_decreasing_rungs(self, data, total):
+        ladder = AlphaBarSchedule(np.linspace(1.0, 0.5, total + 1))
+        n = data.draw(st.integers(1, total), label="n")
+        sub = ladder.subsample(n).alpha_bars
+        assert sub.size == n + 1
+        assert sub[0] == ladder.alpha_bars[0] and sub[-1] == ladder.alpha_bars[-1]
+        assert sub[1] == ladder.alpha_bars[1] or n == 1
+        assert np.all(np.diff(sub) < 0.0)
 
     @pytest.mark.parametrize(
         "values",
@@ -234,7 +265,7 @@ class TestModifiedSnr:
     )
     @settings(deadline=None)
     def test_negative_swing_term(self, num_steps, start, width):
-        bars = alpha_bar_from_betas(make_linear_beta(num_steps, start, start + width))
+        bars = linear_beta_ladder(num_steps, start, start + width)
         for t in range(1, num_steps + 1):
             ab_prev, ab_t = bars.alpha_bar(t - 1), bars.alpha_bar(t)
             swing = math.sqrt(ab_t) * math.sqrt(1 - ab_prev) - math.sqrt(ab_prev) * math.sqrt(1 - ab_t)
