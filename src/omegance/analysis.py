@@ -185,9 +185,11 @@ def radial_spectrum(values, split_radius: float | None = None) -> SpectrumProfil
     # rfft2's two passes in its order, the second in the first's buffer
     spectrum = np.fft.rfft(arr, axis=-1)
     np.fft.fft(spectrum, axis=0, out=spectrum)
-    power = np.abs(spectrum)
-    del spectrum
-    np.square(power, out=power)
+    # |X|^2 = re^2 + im^2: square the buffer's float64 view in place, then add its halves
+    parts = spectrum.view(np.float64)
+    np.square(parts, out=parts)
+    power = np.add(parts[:, 0::2], parts[:, 1::2])
+    del spectrum, parts
     power /= arr.size
     power *= weights
     sums = np.bincount(bins, weights=power.ravel())

@@ -11,10 +11,15 @@ dt * v is not zero-mean, and scaling it directly would drift the latent mean
 (visible as a colour shift once such latents are decoded). Only the
 deviation from the mean is scaled,
 
-    m  = mean(dt * v)
-    z' = z + (dt * v - m) * omega + m
+    m  = mean(v)
+    z' = (v - m) * (dt * omega) + dt * m + z
 
-so mean(z') matches the unscaled step for every scalar omega.
+so mean(z') matches the unscaled step for every scalar omega. At a scalar
+omega that is five passes over the latent (the mean, a subtract, a
+multiply and two adds); an omega field scales by omega and then by dt,
+(v - m) * omega * dt, one pass more but no field-sized temporary. The older
+form z + (dt * v - mean(dt * v)) * omega + mean(dt * v) took six passes at
+either and differs from these only by rounding.
 
 The scaled kernels build their result in one or two fresh arrays with
 in-place operations, in the order of the formulas above; the only change of
@@ -50,12 +55,14 @@ share a stream.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
 from .omega import IDENTITY_CONTROL, OmegaControl
+from .oracles import _FINITE_LATENT_TWINS
 from .schedules import AlphaBarSchedule, FlowTimesteps, SigmaSchedule, _is_finite_real, _is_integer, _is_positive_finite
 
 __all__ = [
@@ -193,15 +200,19 @@ def flow_step(z, dt: float, v_pred, omega=1.0) -> np.ndarray:
     if not _is_finite_real(dt) or dt == 0.0:
         raise ValueError("dt must be a finite nonzero number")
     _check_omega_field(omega, z.shape)
-    update = np.multiply(v_pred, dt)
     if (omega == 1.0) if isinstance(omega, float) else np.all(omega == 1.0):
+        update = np.multiply(v_pred, dt)
         update += z
         return update
     # np.mean's own sum and divide, without its Python-level wrapper
-    m = float(np.add.reduce(update, axis=None)) / update.size
-    update -= m
-    update *= omega
-    update += m
+    m = float(np.add.reduce(v_pred, axis=None)) / v_pred.size
+    update = np.subtract(v_pred, m)
+    if isinstance(omega, np.ndarray):  # dt * omega would be one more latent-sized array
+        update *= omega
+        update *= dt
+    else:
+        update *= dt * omega
+    update += dt * m
     update += z
     return update
 
@@ -268,10 +279,19 @@ def _prepare_latent(z_init) -> np.ndarray:
     return z
 
 
-def _check_capability(denoiser, kind: str) -> None:
+def _predictor(denoiser, kind: str):
+    """The denoiser's prediction method for kind, as the loop calls it.
+
+    A GaussianMixture's own method becomes its twin that skips the latent's
+    finiteness check, since the loop checks every latent it passes. Any other
+    denoiser, or a mixture whose method was replaced, gets its public method.
+    """
     needed = _KINDS[kind][1]
-    if not callable(getattr(denoiser, needed, None)):
+    method = getattr(denoiser, needed, None)
+    if not callable(method):
         raise TypeError(f"denoiser lacks the {needed} capability required by {kind!r}")
+    twin = _FINITE_LATENT_TWINS.get(method.__func__) if isinstance(method, types.MethodType) else None
+    return method if twin is None else types.MethodType(twin, denoiser)
 
 
 def _churn_rng(seed: int) -> np.random.Generator:
@@ -285,10 +305,13 @@ def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool, on_snapsh
     ``euler_step`` or ``flow_step`` with the control's omega, reference runs
     call the ``*_step_reference`` twin and never read the control. Kernels are
     looked up by module-global name at every step so that wrappers installed
-    on those names see every call. Requested snapshots go to ``on_snapshot``
-    when one is given, else into the returned ``states``.
+    on those names see every call; the denoiser's method is looked up once,
+    by ``_predictor``. Every latent is checked for finiteness once per step,
+    after the step, which covers the next prediction's input. Requested
+    snapshots go to ``on_snapshot`` when one is given, else into the returned
+    ``states``.
     """
-    _check_capability(denoiser, config.kind)
+    predict = _predictor(denoiser, config.kind)
     z = _prepare_latent(z_init)
     wanted = set(config.snapshots)
     states: list[LatentState] = []
@@ -309,7 +332,7 @@ def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool, on_snapsh
             omega = (config.control.resolve_field(z.shape, k),) if scaled else ()
             if config.kind == "ddim":
                 t = config.steps - k
-                pred = denoiser.epsilon_predict(z, alpha_bar=ladder.alpha_bar(t))
+                pred = predict(z, alpha_bar=ladder.alpha_bar(t))
                 z = (ddim_step if scaled else ddim_step_reference)(z, ladder, t, pred, *omega)
             elif config.kind == "euler":
                 sched = config.schedule
@@ -318,10 +341,10 @@ def _trajectory(denoiser, config: SamplerConfig, z_init, scaled: bool, on_snapsh
                     sigma_hat = sched.sigma_hat(k)
                     z = z + math.sqrt(sigma_hat**2 - sigma**2) * rng.standard_normal(z.shape)
                     sigma = sigma_hat
-                pred = denoiser.epsilon_predict(z, sigma=sigma)
+                pred = predict(z, sigma=sigma)
                 z = (euler_step if scaled else euler_step_reference)(z, sched, k, pred, *omega)
             else:
-                pred = denoiser.velocity_predict(z, float(config.schedule.times[k]))
+                pred = predict(z, float(config.schedule.times[k]))
                 z = (flow_step if scaled else flow_step_reference)(z, config.schedule.dt(k), pred, *omega)
             # the next denoiser call and the snapshot sink need neither
             del pred, omega

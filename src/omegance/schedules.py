@@ -108,8 +108,8 @@ class AlphaBarSchedule:
         return int(self.alpha_bars.size - 1)
 
     def alpha_bar(self, t: int) -> float:
-        if not 0 <= t <= self.num_steps:
-            raise ValueError(f"step index {t} outside [0, {self.num_steps}]")
+        if not (_is_integer(t) and 0 <= t <= self.num_steps):
+            raise ValueError(f"step index {t!r} must be an integer in [0, {self.num_steps}]")
         return float(self.alpha_bars[t])
 
     def subsample(self, num_steps: int) -> "AlphaBarSchedule":
@@ -237,8 +237,8 @@ class SigmaSchedule:
         return int(self.sigmas.size - 1)
 
     def sigma_hat(self, i: int) -> float:
-        if not 0 <= i < self.num_steps:
-            raise ValueError(f"level index {i} outside [0, {self.num_steps})")
+        if not (_is_integer(i) and 0 <= i < self.num_steps):
+            raise ValueError(f"level index {i!r} must be an integer in [0, {self.num_steps})")
         return float(self.sigmas[i]) * (self.churn + 1.0)
 
 
@@ -291,8 +291,8 @@ class FlowTimesteps:
         return int(self.times.size - 1)
 
     def dt(self, k: int) -> float:
-        if not 0 <= k < self.num_steps:
-            raise ValueError(f"step index {k} outside [0, {self.num_steps})")
+        if not (_is_integer(k) and 0 <= k < self.num_steps):
+            raise ValueError(f"step index {k!r} must be an integer in [0, {self.num_steps})")
         return float(self.times[k + 1] - self.times[k])
 
 

@@ -281,10 +281,10 @@ class TestHalfPlaneSpectrum:
 
 
 def rfft2_profile(image: np.ndarray) -> np.ndarray:
-    """The mean power radial_spectrum formed with one np.fft.rfft2 call."""
+    """The mean power radial_spectrum formed with one np.fft.rfft2 call, its power as re^2 + im^2."""
     bins, weights, counts = _radial_bins(*image.shape)
-    power = np.abs(np.fft.rfft2(image))
-    np.square(power, out=power)
+    spectrum = np.fft.rfft2(image)
+    power = spectrum.real**2 + spectrum.imag**2
     power /= image.size
     power *= weights
     sums = np.bincount(bins, weights=power.ravel())

@@ -1157,7 +1157,11 @@ PREVIEW_SCHEDULE_SHA256 = {
 # and 1: ddim, euler with churn, a pgm mask and a two-stage schedule, and
 # flow. With K = 1 and no FFT these bytes rest only on IEEE arithmetic and
 # numpy's random streams; they were taken from the tree before the config
-# held its built SamplerConfig.
+# held its built SamplerConfig. The flow digests were taken again when the
+# K = 1 velocity became one multiply of the latent and the recentred step
+# took the mean of v; the flow arithmetic's independent checks are the
+# closed-form trajectory match (tests/test_analysis.py) and acceptance
+# criteria 6 and 7.
 SAMPLE_CONFIGS = {
     "ddim": {
         "sampler": {"kind": "ddim", "steps": 6, "schedule": {"num_steps": 40}, "snapshots": [3]},
@@ -1195,14 +1199,14 @@ SAMPLE_SHA256 = {
         "seed1_omega1_step0003.bin": "9c7ad9a5692a9032a6175b1c86897b2de0e0254e5657c95ecee2a77c82b7fc73",
     },
     "flow": {
-        "seed0_omega0_final.bin": "402c310a3859e344e4edf436c68ddcd6b7b6377443d02115903db574c4ffc17f",
-        "seed0_omega0_step0002.bin": "8fd6a9d5f23f6f937bcd25ccf29434aa69029557b3e297ba982143f0261a2d16",
-        "seed0_omega1_final.bin": "a719f469953374d8aa54f9a9b4ff9d6413ccaf96403c9f95ef21b33997e0e7d2",
-        "seed0_omega1_step0002.bin": "2aad23217035a4efb9411c21a50b6456f89251df3f5af74852df99bb550c5c85",
-        "seed1_omega0_final.bin": "29cc75f2305c25ac0fb270eef208922cb23e16af88a560fa2495ad2999a9daaf",
-        "seed1_omega0_step0002.bin": "e7dc92bd032d524943c8e74b419362d587c803cf744b0381bda0d8699773d98f",
-        "seed1_omega1_final.bin": "bbe349b8c1d76214e5125fa34cad1d7128667fb17f006131b579682e9453ad0f",
-        "seed1_omega1_step0002.bin": "1583154c98793b89b144dca17c7a1fc1363b6e57d021720eea1c65c7ac23e1f9",
+        "seed0_omega0_final.bin": "00d90de6254c41e7402b19c1b69891ff6b6744370f2ff076e9038c94dfb18726",
+        "seed0_omega0_step0002.bin": "468b9d3a7a71bebea627c90c0416866f95591bc93fa2a63a8bc36bb6bb9b0787",
+        "seed0_omega1_final.bin": "62c5036d9105205b0c281ca64834dca71aa102da519726164f2f3a335aa5b546",
+        "seed0_omega1_step0002.bin": "4898208570e4bdcd2fa717857dca26fe14e8b59c3a8891ac2710d52336e74694",
+        "seed1_omega0_final.bin": "6dc699d76ee33fb86b5526bfb0a34bb4a52c7ebfef6c78190752c83bdd0b8891",
+        "seed1_omega0_step0002.bin": "7764c07431b866c9e03e37cf1c4283fd40a91080137fa450ddac4fdb4ab6aca9",
+        "seed1_omega1_final.bin": "42a18d2c69dd33c3788df824b6048fcb5a5c029662bfcb254ffd4dfb79cadf52",
+        "seed1_omega1_step0002.bin": "63eb6277ba06a11857a591d5e168ac73e4b955a517b4afaa4044d7233aeef793",
     },
 }
 
@@ -1230,14 +1234,14 @@ SAMPLE_CSV_SHA256 = {
         "seed1_omega1_step0003.csv": "32c3ea0fdf54c30bcfb380d31f89bc5d170fe953af0660147a8a830a2d94c994",
     },
     "flow": {
-        "seed0_omega0_final.csv": "9a82b4d7f0d02016bf977313dbc1a256cbf5e1b7d5d21abdb666e13f336357b5",
-        "seed0_omega0_step0002.csv": "06aa281d14d82f4a7d824e04a12abdf66286fa0f2c826412a9996eec0e75a3fc",
-        "seed0_omega1_final.csv": "5f5b4ffbe8528b562494dcb7391bd0ea2ea926169dd0a1fdecb6e171c27bbe84",
-        "seed0_omega1_step0002.csv": "1fa517cfe9b8caf8a413ab2e1952e7bf7268b316bb3559c599f90431a35e36d6",
-        "seed1_omega0_final.csv": "e55fffc919191e8eebc8abcb8be541459954f31523b6c059623dae40156c5999",
-        "seed1_omega0_step0002.csv": "3c1a5742e2b477e2ec17329ba53aca988c61d3ed7c5fafd78f8f5787fae053e8",
-        "seed1_omega1_final.csv": "6ec24849b32b2ee4ca10dfbfe42c84bc286d1b1fd45bc26fd73a70115dae393e",
-        "seed1_omega1_step0002.csv": "e8b5dd5ea5c23aca772ee178b5af8a676ef082d67d6533bdaebdcb5ef31f5875",
+        "seed0_omega0_final.csv": "5e9ce5153629b79d1862865cd7ffa8c1f12c03002ba83618a4747faf5bdc2e80",
+        "seed0_omega0_step0002.csv": "028cb44e104a4d78e3968787ed41c2842e41c8741ff90330735bf6bf1c9220c5",
+        "seed0_omega1_final.csv": "7bc80adb5e415683c7bb1f44e3df1649dc1bb8fa1548c42d0eb2587cc602ca93",
+        "seed0_omega1_step0002.csv": "e261d0ddda17be40f1146a8554a70323e3eab7745755a7e816508eb6ed669324",
+        "seed1_omega0_final.csv": "57436b48228d9fbb58894e94e3085da452c14a4ad508962c57b199e89b8e76a9",
+        "seed1_omega0_step0002.csv": "b4598e54e2497adf8b9f4efc724cbe4470541976f61a8f3592686ccbea08cc3f",
+        "seed1_omega1_final.csv": "3ba675168fba2145b866e87d6b1ea316b408e710a617ece7c30f4d92a0b4c8c3",
+        "seed1_omega1_step0002.csv": "dee177b0e7bb2f79d55c6386a0139bd5a44ff05c851beb9efb8fe5154c175ea8",
     },
 }
 

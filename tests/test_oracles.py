@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegance import (
     GaussianFieldSpec,
@@ -128,6 +130,44 @@ def assert_bitwise(actual, expected):
     assert np.array_equal(np.signbit(actual), np.signbit(expected))  # array_equal has -0.0 == 0.0
 
 
+def tweedie_velocity(mixture, z, t):
+    """The K = 1 velocity as the package forms it: (z - a*mu) * ((b - a*v) / tv) - mu, a = 1 - t, b = t."""
+    a, b = 1.0 - t, t
+    mean, var = float(mixture.means[0]), float(mixture.variances[0])
+    return (z - a * mean) * ((b - a * var) / (a * a * var + b * b)) - mean
+
+
+def velocity_term_scale(mixture, z, t):
+    """|b * pull| + |mu| + |a*v * pull| for K = 1, pull = (z - a*mu) / tv: the magnitudes eps - z0 adds.
+
+    The moment scale of z0 taken term by term; |mu + a*v*pull| alone would
+    hide the cancellation inside z0, which the two routes round differently.
+    """
+    a, b = 1.0 - t, t
+    mean, var = float(mixture.means[0]), float(mixture.variances[0])
+    pull = (np.asarray(z) - a * mean) / (a * a * var + b * b)
+    return np.abs(b * pull) + abs(mean) + np.abs(a * var * pull)
+
+
+# the K = 1 velocity's deviation from eps - z0, as a fraction of
+# velocity_term_scale: at most 6.5e-16 over 60,000 draws of mu, v, t and the
+# latent scale (256 cells each), 2.6e-16 on the bitwise latents
+K1_VELOCITY_BOUND = 1e-15
+
+
+def assert_velocity(mixture, z, t):
+    """K > 1: the velocity is the softmax eps - z0 bit for bit. K = 1: it is
+    tweedie_velocity bit for bit, within K1_VELOCITY_BOUND of eps - z0."""
+    eps_mean, z0_mean = softmax_posterior(mixture, z, 1.0 - t, t)
+    actual = mixture.velocity_predict(z, t)
+    if mixture.num_components > 1:
+        assert_bitwise(actual, eps_mean - z0_mean)
+        return
+    assert_bitwise(actual, tweedie_velocity(mixture, z, t))
+    deviation = np.abs(actual - (eps_mean - z0_mean))
+    assert np.all(deviation <= K1_VELOCITY_BOUND * velocity_term_scale(mixture, z, t))
+
+
 BITWISE_MIXTURES = {
     "standard_normal": standard_normal(),
     "k1_shifted": GaussianMixture(np.array([1.0]), np.array([-1.25]), np.array([0.3])),
@@ -180,14 +220,13 @@ class TestPosteriorBitwise:
     def test_velocity_predict(self, name):
         gm = BITWISE_MIXTURES[name]
         for t in (0.0, 0.3, 1.0):
-            z = bitwise_latent(gm, 1.0 - t)
-            eps_mean, z0_mean = softmax_posterior(gm, z, 1.0 - t, t)
-            assert_bitwise(gm.velocity_predict(z, t), eps_mean - z0_mean)
+            assert_velocity(gm, bitwise_latent(gm, 1.0 - t), t)
 
     def test_zero_dimensional_latent(self, name):
         gm = BITWISE_MIXTURES[name]
         z = np.array(-37.5)
         assert_bitwise(gm.epsilon_given(z, 0.6, 0.8), softmax_posterior(gm, z, 0.6, 0.8, want_z0=False)[0])
+        assert_velocity(gm, z, 0.4)
 
     @pytest.mark.parametrize("size", sorted(BLOCK_SIZES))
     def test_latents_spanning_blocks(self, name, size):
@@ -202,8 +241,7 @@ class TestPosteriorBitwise:
             assert_bitwise(gm.posterior_z0(z, a, b), z0_ref)
             for actual, reference in zip(gm._posterior(z, a, b), (eps_ref, z0_ref)):
                 assert_bitwise(actual, reference)
-            eps_ref, z0_ref = softmax_posterior(gm, z, 1.0 - 0.3, 0.3)
-            assert_bitwise(gm.velocity_predict(z, 0.3), eps_ref - z0_ref)
+            assert_velocity(gm, z, 0.3)
 
 
 def unfolded_posterior(mixture, z, a, b):
@@ -263,6 +301,57 @@ def test_folded_constants_within_rounding_of_the_unfolded_formula(name):
             else:
                 actual, expected, scale = gm.velocity_predict(z, b), eps_mean - z0_mean, eps_scale + z0_scale
             assert np.all(np.abs(actual - expected) <= 1e-13 * scale), (moment, a, b)
+
+
+@given(
+    mean=st.just(0.0) | st.floats(-20.0, 20.0),
+    log_variance=st.floats(-6.0, 6.0),
+    t=st.floats(0.0, 1.0, exclude_max=True),
+    log_scale=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None, max_examples=100)
+def test_k1_velocity_within_rounding_of_unfolded_eps_minus_z0(mean, log_variance, t, log_scale, seed):
+    # the one-pass velocity and the unfolded formula's two moments share no
+    # operation after the diff: an independent check of the K = 1 route
+    gm = GaussianMixture(np.array([1.0]), np.array([mean]), np.array([10.0**log_variance]))
+    a, b = 1.0 - t, t
+    z = a * mean + 10.0**log_scale * np.random.default_rng(seed).standard_normal(256)
+    eps_mean, z0_mean, _, _ = unfolded_posterior(gm, z, a, b)
+    deviation = np.abs(gm.velocity_predict(z, t) - (eps_mean - z0_mean))
+    assert np.all(deviation <= K1_VELOCITY_BOUND * velocity_term_scale(gm, z, t))
+
+
+@pytest.mark.parametrize("variance", [1.0, 0.3])
+def test_k1_velocity_at_zero_mean_keeps_the_full_formulas_bits(variance):
+    # at mu = +0.0 the subtractions of a*mu and mu are exact identities, so
+    # the velocity skips them; signed zeros, subnormal and huge cells keep the
+    # full formula's bits (at t = 0.5 with v = 1 the multiplier is 0, so every
+    # cell is a signed zero). At mu = -0.0 they are no identities, -0.0 - -0.0
+    # being +0.0, and that mixture takes the full formula
+    z = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, -3.5, 1e300, -1e300])
+    for mean in (0.0, -0.0):
+        gm = GaussianMixture(np.array([1.0]), np.array([mean]), np.array([variance]))
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            assert_bitwise(gm.velocity_predict(z, t), tweedie_velocity(gm, z, t))
+            assert_bitwise(gm.velocity_predict(z.reshape(2, 5), t), tweedie_velocity(gm, z, t).reshape(2, 5))
+
+
+@pytest.mark.parametrize("name", ["standard_normal", "k1_shifted"])
+def test_k1_velocity_allocates_one_latent(name):
+    # numpy reports its buffers to tracemalloc: the 256x256 latent is 0.5 MiB,
+    # and the K = 1 velocity is formed in the one array it returns
+    gm = BITWISE_MIXTURES[name]
+    z = np.random.default_rng(4).standard_normal((256, 256))
+    gm.velocity_predict(z, 0.37)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gm.velocity_predict(z, 0.37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 0.6 * 2**20
 
 
 @pytest.mark.parametrize("name", sorted(BITWISE_MIXTURES))

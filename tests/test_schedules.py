@@ -50,6 +50,27 @@ def test_a_bool_is_no_count(build):
         build()
 
 
+# the step-index accessors, which every sampling step reads, follow the same rule
+STEP_INDEX_READS = {
+    "alpha_bar": lambda i: linear_beta_ladder(10).alpha_bar(i),
+    "snr": lambda i: snr(linear_beta_ladder(10), i),
+    "sigma_hat": lambda i: karras_sigmas(4).sigma_hat(i),
+    "dt": lambda i: flow_timesteps(4).dt(i),
+}
+
+
+@pytest.mark.parametrize("index", [2.5, True], ids=["fraction", "bool"])
+@pytest.mark.parametrize("read", STEP_INDEX_READS.values(), ids=list(STEP_INDEX_READS))
+def test_a_step_index_that_is_no_integer_is_refused(read, index):
+    with pytest.raises(ValueError, match="integer"):
+        read(index)
+
+
+@pytest.mark.parametrize("read", STEP_INDEX_READS.values(), ids=list(STEP_INDEX_READS))
+def test_a_numpy_integer_step_index_is_an_integer(read):
+    assert read(np.int64(2)) == read(2)
+
+
 # every other number the package takes follows one rule too: a real scalar
 # that is not a bool and whose float is finite, so an int beyond the float
 # range is refused with ValueError, not an OverflowError from float()
