@@ -19,8 +19,9 @@ cell's mass. Below it the largest term may itself have lost its digits, or
 every term may be 0. Only cells many standard deviations from every centre
 fall below, so the per-cell max pass runs for those alone.
 
-A mixture forms only the moments its caller asks for: eps for
-epsilon_predict, z0 for posterior_z0, both for a K > 1 velocity_predict.
+Every call forms one moment, eps for epsilon_predict, z0 for posterior_z0
+and the velocity eps - z0 for velocity_predict, as one responsibility-weighted
+sum over the components of a term affine in diff = z - a*mu.
 The public methods refuse a latent with a non-finite cell; the sampling
 loop, which checks every latent after each step, calls their twins in
 _FINITE_LATENT_TWINS, which do not check it again. With K > 1
@@ -28,13 +29,12 @@ components it walks the flattened latent in blocks of BLOCK_CELLS cells, so
 that its (K, block) temporaries stay in a core's cache instead of being
 allocated, faulted in and freed on every call. Each thread keeps one
 workspace (a ``threading.local``, keyed by (K, block width)) of two (K,
-width) buffers, for the differences and the log responsibilities, and one
-(1, width) row for the per-cell total; a third (K, width) buffer
-for the eps term joins them only once a call asks for both moments. Each
-buffer starts on a 64-byte boundary, which malloc leaves to chance. Every
+width) buffers, for the terms and the log responsibilities, and one
+(1, width) row for the per-cell total. Each buffer starts on a 64-byte
+boundary, which malloc leaves to chance. Every
 block runs the same operations in the same order as one pass over the
-whole latent would, and sums its moments over k straight into freshly
-allocated outputs, 64-byte aligned like the workspace, so a returned array
+whole latent would, and sums its moment over k straight into one freshly
+allocated output, 64-byte aligned like the workspace, so a returned array
 never aliases the workspace and the next call cannot change it. Each call
 folds every component's constants once, log_const = log w - log(tv) / 2,
 half_prec = 0.5 / tv and inv_var = 1 / tv with tv = a^2 v + b^2. The
@@ -45,17 +45,20 @@ and a subtract, log_const shifted as above), normalises the exponentials by
 one reciprocal of their sum per cell, and forms eps as
 (sum_k resp * pull) * b, with b applied to the summed row. Every sum over k
 is taken row by row, ((r_0 + r_1) + r_2) + ..., and a moment sum ends by
-adding +0.0: the bits of numpy's axis-0 sum, which starts from +0.0. A call
-that wants eps alone takes pull = diff * inv_var, a multiply where a divide
-costs about three; a call that wants z0 keeps pull = diff / tv, because with
-the rounded reciprocal
+adding +0.0: the bits of numpy's axis-0 sum, which starts from +0.0. eps
+takes pull = diff * inv_var, a multiply where a divide costs about three;
+z0 keeps pull = diff / tv, because with the rounded reciprocal
 z0 = mu + (a*v) * pull no longer cancels to the cell's value at b = 0 (2.5e-13
-of the moment scale for one test mixture). Scales so small that some 1 / tv
-overflows, or so large that some tv does, are rejected. Against the unfolded formula,
+of the moment scale for one test mixture). The velocity's term is
+diff * ((b - a*v) / tv) - mu, its multiplier folded once per call. Scales
+so small that some 1 / tv overflows, or so large that some tv does, are
+rejected. Against the unfolded formula,
 log w - (diff^2 / tv + log(2 pi tv)) / 2 and eps = sum_k resp * (b * pull),
-K > 1 outputs differ only in their last digits: at most 5.3e-14 of a cell's
-moment scale (sum_k resp * |term_k|) over the test grids, 1.0e-15 for the
-bench mixture. A single component has responsibility exactly 1.0, so K = 1
+K > 1 outputs differ only in their last digits: at most 6.4e-15 of a cell's
+moment scale (sum_k resp * |term_k|, the velocity's terms as
+|b * pull| + |mu| + |a*v * pull|, z0's taken term by term) over the test
+grids; for the bench mixture 1.0e-15 for eps and z0, 3.7e-15 for the
+velocity. A single component has responsibility exactly 1.0, so K = 1
 skips the softmax and takes the linear Tweedie form
 eps = (z - a*mu) * (1 / (a^2 v + b^2)) * b, z0 = mu + (a*v) * (z - a*mu) / (a^2 v + b^2);
 its eps lies within 4.3e-16 of the moment scale of the divided form, and
@@ -64,13 +67,13 @@ operations of the max-shifted softmax route in the same order, so their
 outputs are bitwise identical to it, signed zeros included (an eps that is
 zero because b = 0 or b * pull underflows takes pull's sign), for every cell
 whose squared distance to some component centre is finite. The K = 1
-velocity folds the two into one multiplier,
-eps - z0 = (z - a*mu) * ((b - a*v) / (a^2 v + b^2)) - mu, in one fresh array; at
-mu = +0.0 both subtractions are exact identities and are skipped, which
-leaves one multiply. It lies within 6.5e-16 of |b * pull| + |mu| + |a*v * pull|,
-the magnitudes that eps - z0 adds up, of eps - z0 by the divided form, over 60,000
-draws of mu, v, t and the latent scale, and within 1.4e-15 of the RMS on a
-256x256 unit-normal draw at t = 0.37.
+velocity is its one term, (z - a*mu) * ((b - a*v) / (a^2 v + b^2)) - mu, in
+one fresh array and without the sum's +0.0; at mu = +0.0 both subtractions
+are exact identities and are skipped, which leaves one multiply. At every K
+the velocity lies within 8.1e-16 of that velocity scale of eps - z0 formed
+with the same responsibilities, over 250,000 draws of one to three
+components, t and the latent scale; at K = 1, within 6.5e-16 of eps - z0 by
+the divided form.
 A cell farther than about 1.3e154 from every centre, where every exponential
 is 0 and the max-shifted route would give NaN, has its log responsibilities
 shifted by the nearest component's instead, which keeps them finite;
@@ -132,21 +135,17 @@ def _aligned_empty(rows: int, width: int) -> np.ndarray:
     return raw[skip : skip + count].reshape(rows, width)
 
 
-def _scalar_workspace(components: int, width: int, term: bool) -> list:
-    """This thread's [diff, log_resp, row, term] buffers for one (K, width); term is None until asked for."""
+def _scalar_workspace(components: int, width: int) -> list:
+    """This thread's [diff, log_resp, row] buffers for one (K, width)."""
     key = (components, width)
     if getattr(_workspace, "key", None) != key:
         _workspace.buffers = [
             _aligned_empty(components, width),
             _aligned_empty(components, width),
             _aligned_empty(1, width),
-            None,
         ]
         _workspace.key = key
-    buffers = _workspace.buffers
-    if term and buffers[3] is None:
-        buffers[3] = _aligned_empty(components, width)
-    return buffers
+    return _workspace.buffers
 
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity: == on an array field would raise
@@ -201,44 +200,49 @@ class GaussianMixture:
             raise ValueError("corruption scales too large: a^2 v + b^2 overflows float64")
         return a, b, least_tv
 
-    def _posterior(self, z, signal_scale: float, noise_scale: float, *, want_eps=True, want_z0=True):
-        """Cellwise posterior means (E[eps | z], E[z0 | z]) under z = a*z0 + b*eps; unwanted ones are None.
+    def _posterior(self, z, signal_scale: float, noise_scale: float, moment: str) -> np.ndarray:
+        """Cellwise posterior mean of one moment under z = a*z0 + b*eps: "eps", "z0" or "velocity" (eps - z0).
 
         z must be finite: the public methods check it, and the sampling loop
-        checks every latent it passes. Each cell gets the softmax route's
-        operations in its order: diff =
-        z - a*mu, exponentials exp(log_const - (diff * diff) * half_prec) from
-        the per-call (K, 1) constants log_const = log w - log(tv) / 2
-        less its largest, half_prec = 0.5 / tv and inv_var = 1 / tv,
-        normalised before the moment sums by multiplying with 1 / sum_k resp,
-        pull = diff * inv_var when eps alone is wanted and diff / tv
-        otherwise, eps = (sum_k resp * pull) * b and z0 = sum_k resp *
-        (mu + (a*v) * pull), with the moment sums over k row by row and then
-        + 0.0. A cell whose sum of exponentials is below UNDERFLOW_SUM takes
-        the max-shifted exponentials of _shifted_exponentials instead, before
-        the same normalisation. For K = 1 the responsibility is exactly 1.0,
-        as after the max shift, so the sum reduces to adding +0.0, which only
-        turns -0.0 into +0.0, before the b multiply; the softmax is skipped.
+        checks every latent it passes. Each moment is sum_k resp_k * term_k
+        with diff = z - a*mu: exponentials exp(log_const - (diff * diff) *
+        half_prec) from the per-call (K, 1) constants log_const = log w -
+        log(tv) / 2 less its largest, half_prec = 0.5 / tv and inv_var =
+        1 / tv, normalised before the moment sum by multiplying with
+        1 / sum_k resp; then eps = (sum_k resp * (diff * inv_var)) * b,
+        z0 = sum_k resp * (mu + (a*v) * (diff / tv)) and velocity =
+        sum_k resp * (diff * ((b - a*v) / tv) - mu), every sum over k row by
+        row and then + 0.0. A cell whose sum of exponentials is below
+        UNDERFLOW_SUM takes the max-shifted exponentials of
+        _shifted_exponentials instead, before the same normalisation. For
+        K = 1 the responsibility is exactly 1.0, as after the max shift, so
+        the softmax is skipped: eps and z0 keep the sum's + 0.0, which only
+        turns -0.0 into +0.0 (before eps's b multiply), and the velocity,
+        formed in the one array it returns, skips it and, at mu = +0.0, both
+        subtractions, which are exact identities there.
         Raises ValueError when the scales break _corruption's rule.
         """
         a, b, least_tv = self._corruption(signal_scale, noise_scale)
         z = np.asarray(z, dtype=np.float64)
         shape = z.shape
-        eps_mean = z0_mean = None
         if self.num_components == 1:
             mean, var = float(self.means[0]), float(self.variances[0])
-            pull = z.reshape(-1) - a * mean
-            if not want_z0:  # least_tv is the one component's tv
-                pull *= 1.0 / least_tv
+            flat = z.reshape(-1)  # a 0-d operand would give a numpy scalar, not an array
+            if moment == "velocity" and mean == 0.0 and math.copysign(1.0, mean) > 0.0:  # z - a*0.0, x - 0.0 are x
+                return np.multiply(flat, (b - a * var) / least_tv).reshape(shape)
+            out = np.subtract(flat, a * mean)  # least_tv is the one component's tv
+            if moment == "velocity":
+                out *= (b - a * var) / least_tv
+                out -= mean
+            elif moment == "eps":
+                out *= 1.0 / least_tv
+                out += 0.0
+                out *= b
             else:  # z0 keeps the divide: a reciprocal leaves mu + a*v*pull 2.5e-13 off at b = 0
-                pull /= least_tv
-                z0_mean = np.multiply(pull, a * var).reshape(shape)
-                z0_mean += mean + 0.0
-            if want_eps:
-                pull += 0.0
-                pull *= b
-                eps_mean = pull.reshape(shape)
-            return eps_mean, z0_mean
+                out /= least_tv
+                out *= a * var
+                out += mean + 0.0
+            return out.reshape(shape)
         total_var = (a * a * self.variances + b * b)[:, None]
         inv_var = 1.0 / total_var
         with np.errstate(divide="ignore"):  # zero weights contribute -inf, i.e. no mass
@@ -246,49 +250,45 @@ class GaussianMixture:
         shifted_const = log_const - log_const.max()  # at most 0, so no exp below overflows
         half_prec = 0.5 / total_var
         centers = (a * self.means)[:, None]
+        means = self.means[:, None]
         z0_scale = (a * self.variances)[:, None]
+        velocity_scale = (b - a * self.variances)[:, None] / total_var
         flat = z.reshape(1, -1)
         size = flat.shape[1]
         width = max(1, min(size, BLOCK_CELLS))
-        diff_buf, resp_buf, row_buf, term_buf = _scalar_workspace(self.num_components, width, want_eps and want_z0)
-        eps_flat = _aligned_empty(1, size)[0] if want_eps else None
-        z0_flat = _aligned_empty(1, size)[0] if want_z0 else None
+        diff_buf, resp_buf, row_buf = _scalar_workspace(self.num_components, width)
+        out = _aligned_empty(1, size)[0]
         for start in range(0, size, width):
             stop = min(start + width, size)
             n = stop - start
-            pull, resp, total = diff_buf[:, :n], resp_buf[:, :n], row_buf[0, :n]
-            np.subtract(flat[:, start:stop], centers, out=pull)
+            term, resp, total = diff_buf[:, :n], resp_buf[:, :n], row_buf[0, :n]
+            np.subtract(flat[:, start:stop], centers, out=term)
             with np.errstate(over="ignore"):  # a square beyond the float range gives no mass
-                np.multiply(pull, pull, out=resp)  # exponents until the exp
+                np.multiply(term, term, out=resp)  # exponents until the exp
                 resp *= half_prec
             np.subtract(shifted_const, resp, out=resp)
             np.exp(resp, out=resp)
             _fold_rows(np.add, resp, total)
             if total.min() < UNDERFLOW_SUM:  # these cells take the max-shifted route
                 low = np.flatnonzero(total < UNDERFLOW_SUM)
-                resp[:, low], total[low] = self._shifted_exponentials(pull[:, low], total_var, log_const, half_prec)
+                resp[:, low], total[low] = self._shifted_exponentials(term[:, low], total_var, log_const, half_prec)
             np.divide(1.0, total, out=total)
             resp *= total
-            if not want_z0:
-                pull *= inv_var
+            if moment == "velocity":
+                term *= velocity_scale
+                term -= means
+            elif moment == "eps":
+                term *= inv_var
             else:  # z0 keeps the divide: a reciprocal leaves mu + a*v*pull 2.5e-13 off at b = 0
-                pull /= total_var
-            if want_eps:
-                term = np.multiply(pull, resp, out=term_buf[:, :n] if want_z0 else pull)
-                eps_row = _fold_rows(np.add, term, eps_flat[start:stop])
-                eps_row += 0.0  # the +0.0 start of a sum: an all -0.0 column sums to +0.0
-                eps_row *= b
-            if want_z0:
-                pull *= z0_scale
-                pull += self.means[:, None]
-                pull *= resp
-                z0_row = _fold_rows(np.add, pull, z0_flat[start:stop])
-                z0_row += 0.0
-        if want_eps:
-            eps_mean = eps_flat.reshape(shape)
-        if want_z0:
-            z0_mean = z0_flat.reshape(shape)
-        return eps_mean, z0_mean
+                term /= total_var
+                term *= z0_scale
+                term += means
+            term *= resp
+            row = _fold_rows(np.add, term, out[start:stop])
+            row += 0.0  # the +0.0 start of a sum: an all -0.0 column sums to +0.0
+            if moment == "eps":
+                row *= b
+        return out.reshape(shape)
 
     def _shifted_exponentials(self, diff, total_var, log_const, half_prec):
         """Exponentials of max-shifted log responsibilities, and their sum over k, for the (K, m) diffs of m cells.
@@ -336,11 +336,11 @@ class GaussianMixture:
 
     def epsilon_given(self, z, signal_scale: float, noise_scale: float) -> np.ndarray:
         """Posterior-mean noise E[eps | a*z0 + b*eps = z]."""
-        return self._posterior(_finite_latent(z), signal_scale, noise_scale, want_z0=False)[0]
+        return self._posterior(_finite_latent(z), signal_scale, noise_scale, "eps")
 
     def posterior_z0(self, z, signal_scale: float, noise_scale: float) -> np.ndarray:
         """Posterior-mean clean latent E[z0 | a*z0 + b*eps = z]."""
-        return self._posterior(_finite_latent(z), signal_scale, noise_scale, want_eps=False)[1]
+        return self._posterior(_finite_latent(z), signal_scale, noise_scale, "z0")
 
     def epsilon_predict(self, z, *, alpha_bar: float | None = None, sigma: float | None = None):
         """Exact noise prediction for one of the two standard corruptions.
@@ -353,9 +353,10 @@ class GaussianMixture:
     def velocity_predict(self, z, t: float) -> np.ndarray:
         """Posterior-mean velocity E[eps - z0 | z] under z = (1-t) z0 + t eps.
 
-        With K = 1 it is the linear Tweedie form (z - a*mu) * ((b - a*v) / tv) - mu,
-        a = 1 - t, b = t, tv = a^2 v + b^2, formed in the one array it returns;
-        the module docstring gives its deviation from eps - z0.
+        One moment: sum_k resp_k * ((z - a*mu_k) * ((b - a*v_k) / tv_k) - mu_k),
+        a = 1 - t, b = t, tv_k = a^2 v_k + b^2, within 1e-15 of
+        sum_k resp_k * (|b * pull_k| + |mu_k| + |a*v_k * pull_k|) of eps - z0
+        (pull_k = (z - a*mu_k) / tv_k); the module docstring gives the measurements.
         """
         return self._finite_velocity_predict(_finite_latent(z), t)
 
@@ -364,32 +365,18 @@ class GaussianMixture:
         if (alpha_bar is None) == (sigma is None):
             raise TypeError("pass exactly one of alpha_bar and sigma")
         if alpha_bar is not None:
-            if not 0.0 < alpha_bar < 1.0:
-                raise ValueError("alpha_bar must lie strictly inside (0, 1)")
-            return self._posterior(z, math.sqrt(alpha_bar), math.sqrt(1.0 - alpha_bar), want_z0=False)[0]
+            if not (_is_finite_real(alpha_bar) and 0.0 < alpha_bar < 1.0):
+                raise ValueError("alpha_bar must be a number strictly inside (0, 1)")
+            return self._posterior(z, math.sqrt(alpha_bar), math.sqrt(1.0 - alpha_bar), "eps")
         if isinstance(sigma, np.ndarray) or not _is_positive_finite(sigma):
             raise ValueError("sigma must be positive and finite")
-        return self._posterior(z, 1.0, float(sigma), want_z0=False)[0]
+        return self._posterior(z, 1.0, float(sigma), "eps")
 
     def _finite_velocity_predict(self, z, t):
         """velocity_predict on a float64 latent already known to be finite."""
         if not (_is_finite_real(t) and 0.0 <= t <= 1.0):
             raise ValueError("flow time must be a number in [0, 1]")
-        if self.num_components > 1:
-            eps_mean, z0_mean = self._posterior(z, 1.0 - float(t), float(t))
-            eps_mean -= z0_mean  # a fresh array of this call's own
-            return eps_mean
-        a, b, total_var = self._corruption(1.0 - float(t), float(t))
-        mean, var = float(self.means[0]), float(self.variances[0])
-        scale = (b - a * var) / total_var
-        flat = z.reshape(-1)  # a 0-d operand would give a numpy scalar, not an array
-        if mean == 0.0 and math.copysign(1.0, mean) > 0.0:  # z - a*0.0 and x - 0.0 are x itself
-            velocity = np.multiply(flat, scale)
-        else:
-            velocity = np.subtract(flat, a * mean)
-            velocity *= scale
-            velocity -= mean
-        return velocity.reshape(z.shape)
+        return self._posterior(z, 1.0 - float(t), float(t), "velocity")
 
 
 # each public prediction method of a GaussianMixture and its twin for a latent

@@ -1276,7 +1276,7 @@ FLOW_FIELD = {
 SPECTRUM_FILES = ["bands.csv", "ordering.csv", "spectrum.csv"]
 # runs whose exit code, aborted cell and artifact names and sha256 do not
 # depend on the thread count: a flow spectrum of a gaussian field, the same
-# under a K = 3 mixture (both moments of its blocked softmax route; ddim's
+# under a K = 3 mixture (the velocity of its blocked softmax route; ddim's
 # eps-only route is test_underflow_fallback_mid_trajectory's), and a ddim
 # sweep whose omega = 1e300 cells abort after their step-0 snapshot while
 # the omega = 1 cells finish

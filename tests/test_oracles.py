@@ -67,61 +67,75 @@ def unshifted_exponentials(mixture, z, a, b):
         return np.exp(log_const - log_const.max() - diff * diff * (0.5 / total_var))
 
 
-def softmax_posterior(mixture, z, a, b, want_z0=True):
-    """Scalar-mixture posterior by the package's softmax route, over freshly
+MOMENTS = ("eps", "z0", "velocity")
+
+
+def moment_terms(mixture, diff, a, b, moment):
+    """(K, N) terms of one moment from diff = z - a*mu, as the package forms them: eps diff * (1 / tv), its b
+    applied after the sum; z0 mu + (a*v) * (diff / tv); velocity diff * ((b - a*v) / tv) - mu."""
+    total_var = (a * a * mixture.variances + b * b)[:, None]
+    if moment == "eps":
+        return diff * (1.0 / total_var)
+    if moment == "z0":
+        return mixture.means[:, None] + a * mixture.variances[:, None] * (diff / total_var)
+    return diff * ((b - a * mixture.variances)[:, None] / total_var) - mixture.means[:, None]
+
+
+def softmax_posterior(mixture, z, a, b, moment):
+    """One scalar-mixture moment by the package's softmax route, over freshly
     allocated (K, N) temporaries: the constants folded once per call,
     log_const = log w - log(tv) / 2 and 0.5 / tv, and shifted by their
     largest; exponentials exp(log_const - max log_const - diff^2 * (0.5 / tv))
-    without a per-cell shift, normalised by the reciprocal of their sum; eps =
-    (sum_k resp * pull) * b; every sum over k taken row by row and ended by
-    adding +0.0. A cell whose sum falls below UNDERFLOW_SUM takes
-    shifted_softmax_posterior instead, and so does every cell of a K = 1
-    mixture, whose responsibility is 1.0 exactly only after the max shift.
-    With want_z0 false (the eps-only calls) pull is diff * (1 / tv), else
-    diff / tv. The package's posterior must match it bit for bit."""
+    without a per-cell shift, normalised by the reciprocal of their sum; the
+    moment sum_k resp * moment_terms, every sum over k taken row by row and
+    ended by adding +0.0, times b for eps. A cell whose sum falls below
+    UNDERFLOW_SUM takes shifted_softmax_posterior instead, and so does every
+    cell of a K = 1 mixture, whose responsibility is 1.0 exactly only after
+    the max shift. The package's posterior must match it bit for bit."""
     z = np.asarray(z, dtype=np.float64)
     if mixture.num_components == 1:
-        return shifted_softmax_posterior(mixture, z, a, b, want_z0)
+        return shifted_softmax_posterior(mixture, z, a, b, moment)
     flat = z.reshape(1, -1)
-    total_var = (a * a * mixture.variances + b * b)[:, None]
     exps = unshifted_exponentials(mixture, z, a, b)
     sums = sum_rows(exps)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the low cells are replaced below
         diff = flat - (a * mixture.means)[:, None]
         resp = exps * (1.0 / sums)
-        pull = diff / total_var if want_z0 else diff * (1.0 / total_var)
-        eps_mean = (sum_rows(resp * pull) + 0.0) * b
-        z0_mean = sum_rows(resp * (mixture.means[:, None] + a * mixture.variances[:, None] * pull)) + 0.0
+        mean = sum_rows(resp * moment_terms(mixture, diff, a, b, moment)) + 0.0
+        if moment == "eps":
+            mean = mean * b
     low = np.flatnonzero(sums < UNDERFLOW_SUM)
     if low.size:
-        eps_mean[low], z0_mean[low] = shifted_softmax_posterior(mixture, flat[0, low], a, b, want_z0)
-    return eps_mean.reshape(z.shape), z0_mean.reshape(z.shape)
+        mean[low] = shifted_softmax_posterior(mixture, flat[0, low], a, b, moment)
+    return mean.reshape(z.shape)
 
 
-def shifted_softmax_posterior(mixture, z, a, b, want_z0=True):
-    """Scalar-mixture posterior by the max-shifted softmax: both moments over
-    freshly allocated (K, N) temporaries, with each component's constants
-    folded once: log responsibilities log w - log(tv) / 2 - diff^2 *
-    (0.5 / tv), shifted by their per-cell maximum, normalised by the
-    reciprocal of their sum, and eps = (sum_k resp * pull) * b, every sum over
-    k numpy's axis-0 sum. With want_z0 false (the eps-only calls) pull is
-    diff * (1 / tv), else diff / tv. The package's fallback route, which
+def shifted_softmax_posterior(mixture, z, a, b, moment):
+    """One scalar-mixture moment by the max-shifted softmax, over freshly
+    allocated (K, N) temporaries, with each component's constants folded
+    once: log responsibilities log w - log(tv) / 2 - diff^2 * (0.5 / tv),
+    shifted by their per-cell maximum, normalised by the reciprocal of their
+    sum, and the moment sum_k resp * moment_terms, numpy's axis-0 sum, times
+    b for eps. A K = 1 velocity is its one term: responsibility 1.0 and no
+    sum, so not even the sum's +0.0. The package's fallback route, which
     every cell takes when the threshold is +inf, must match it bit for bit."""
     z = np.asarray(z, dtype=np.float64)
     flat = z.reshape(1, -1)
-    centers = (a * mixture.means)[:, None]
+    diff = flat - (a * mixture.means)[:, None]
+    terms = moment_terms(mixture, diff, a, b, moment)
+    if mixture.num_components == 1 and moment == "velocity":
+        return terms[0].reshape(z.shape)
     total_var = (a * a * mixture.variances + b * b)[:, None]
     with np.errstate(divide="ignore"):
         log_const = np.log(mixture.weights)[:, None] - 0.5 * np.log(total_var)
-    diff = flat - centers
     log_resp = log_const - diff * diff * (0.5 / total_var)
     log_resp -= log_resp.max(axis=0, keepdims=True)
     resp = np.exp(log_resp)
     resp = resp * (1.0 / resp.sum(axis=0, keepdims=True))
-    pull = diff / total_var if want_z0 else diff * (1.0 / total_var)
-    eps_mean = ((resp * pull).sum(axis=0) * b).reshape(z.shape)
-    z0_mean = (resp * (mixture.means[:, None] + a * mixture.variances[:, None] * pull)).sum(axis=0).reshape(z.shape)
-    return eps_mean, z0_mean
+    mean = (resp * terms).sum(axis=0)
+    if moment == "eps":
+        mean = mean * b
+    return mean.reshape(z.shape)
 
 
 def assert_bitwise(actual, expected):
@@ -130,42 +144,21 @@ def assert_bitwise(actual, expected):
     assert np.array_equal(np.signbit(actual), np.signbit(expected))  # array_equal has -0.0 == 0.0
 
 
-def tweedie_velocity(mixture, z, t):
-    """The K = 1 velocity as the package forms it: (z - a*mu) * ((b - a*v) / tv) - mu, a = 1 - t, b = t."""
+# the velocity's deviation from eps - z0 formed with the same responsibilities,
+# as a fraction of the unfolded formula's velocity scale: at most 8.1e-16 over
+# 250,000 draws of one to three components, t and the latent scale (256 cells
+# each). At K = 1 every route's responsibility is 1.0, so it bounds the
+# deviation from the unfolded formula's eps - z0 too (6.5e-16 over 60,000 draws)
+VELOCITY_BOUND = 1e-15
+
+
+def assert_velocity(actual, mixture, z, t):
+    """The velocity of z at flow time t is its formula's mirror bit for bit,
+    and within VELOCITY_BOUND of eps - z0 formed with the same responsibilities."""
     a, b = 1.0 - t, t
-    mean, var = float(mixture.means[0]), float(mixture.variances[0])
-    return (z - a * mean) * ((b - a * var) / (a * a * var + b * b)) - mean
-
-
-def velocity_term_scale(mixture, z, t):
-    """|b * pull| + |mu| + |a*v * pull| for K = 1, pull = (z - a*mu) / tv: the magnitudes eps - z0 adds.
-
-    The moment scale of z0 taken term by term; |mu + a*v*pull| alone would
-    hide the cancellation inside z0, which the two routes round differently.
-    """
-    a, b = 1.0 - t, t
-    mean, var = float(mixture.means[0]), float(mixture.variances[0])
-    pull = (np.asarray(z) - a * mean) / (a * a * var + b * b)
-    return np.abs(b * pull) + abs(mean) + np.abs(a * var * pull)
-
-
-# the K = 1 velocity's deviation from eps - z0, as a fraction of
-# velocity_term_scale: at most 6.5e-16 over 60,000 draws of mu, v, t and the
-# latent scale (256 cells each), 2.6e-16 on the bitwise latents
-K1_VELOCITY_BOUND = 1e-15
-
-
-def assert_velocity(mixture, z, t):
-    """K > 1: the velocity is the softmax eps - z0 bit for bit. K = 1: it is
-    tweedie_velocity bit for bit, within K1_VELOCITY_BOUND of eps - z0."""
-    eps_mean, z0_mean = softmax_posterior(mixture, z, 1.0 - t, t)
-    actual = mixture.velocity_predict(z, t)
-    if mixture.num_components > 1:
-        assert_bitwise(actual, eps_mean - z0_mean)
-        return
-    assert_bitwise(actual, tweedie_velocity(mixture, z, t))
-    deviation = np.abs(actual - (eps_mean - z0_mean))
-    assert np.all(deviation <= K1_VELOCITY_BOUND * velocity_term_scale(mixture, z, t))
+    assert_bitwise(actual, softmax_posterior(mixture, z, a, b, "velocity"))
+    two_moments = softmax_posterior(mixture, z, a, b, "eps") - softmax_posterior(mixture, z, a, b, "z0")
+    assert np.all(np.abs(actual - two_moments) <= VELOCITY_BOUND * unfolded_posterior(mixture, z, a, b)[4])
 
 
 BITWISE_MIXTURES = {
@@ -203,30 +196,31 @@ class TestPosteriorBitwise:
         for alpha_bar in (0.001, 0.3, 0.97):
             a, b = math.sqrt(alpha_bar), math.sqrt(1.0 - alpha_bar)
             z = bitwise_latent(gm, a)
-            assert_bitwise(gm.epsilon_predict(z, alpha_bar=alpha_bar), softmax_posterior(gm, z, a, b, want_z0=False)[0])
+            assert_bitwise(gm.epsilon_predict(z, alpha_bar=alpha_bar), softmax_posterior(gm, z, a, b, "eps"))
 
     def test_epsilon_predict_sigma(self, name):
         gm = BITWISE_MIXTURES[name]
         for sigma in (0.01, 1.0, 80.0):
             z = bitwise_latent(gm, 1.0)
-            assert_bitwise(gm.epsilon_predict(z, sigma=sigma), softmax_posterior(gm, z, 1.0, sigma, want_z0=False)[0])
+            assert_bitwise(gm.epsilon_predict(z, sigma=sigma), softmax_posterior(gm, z, 1.0, sigma, "eps"))
 
     def test_posterior_z0(self, name):
         gm = BITWISE_MIXTURES[name]
         for a, b in ((0.6, 0.8), (1.0, 0.0), (0.0, 1.0)):
             z = bitwise_latent(gm, a)
-            assert_bitwise(gm.posterior_z0(z, a, b), softmax_posterior(gm, z, a, b)[1])
+            assert_bitwise(gm.posterior_z0(z, a, b), softmax_posterior(gm, z, a, b, "z0"))
 
     def test_velocity_predict(self, name):
         gm = BITWISE_MIXTURES[name]
         for t in (0.0, 0.3, 1.0):
-            assert_velocity(gm, bitwise_latent(gm, 1.0 - t), t)
+            z = bitwise_latent(gm, 1.0 - t)
+            assert_velocity(gm.velocity_predict(z, t), gm, z, t)
 
     def test_zero_dimensional_latent(self, name):
         gm = BITWISE_MIXTURES[name]
         z = np.array(-37.5)
-        assert_bitwise(gm.epsilon_given(z, 0.6, 0.8), softmax_posterior(gm, z, 0.6, 0.8, want_z0=False)[0])
-        assert_velocity(gm, z, 0.4)
+        assert_bitwise(gm.epsilon_given(z, 0.6, 0.8), softmax_posterior(gm, z, 0.6, 0.8, "eps"))
+        assert_velocity(gm.velocity_predict(z, 0.4), gm, z, 0.4)
 
     @pytest.mark.parametrize("size", sorted(BLOCK_SIZES))
     def test_latents_spanning_blocks(self, name, size):
@@ -236,21 +230,24 @@ class TestPosteriorBitwise:
         a, b = 0.6, 0.8
         flat = np.resize(bitwise_latent(gm, a).reshape(-1), size)
         for z in (flat, flat.reshape(BLOCK_SIZES[size])):
-            eps_ref, z0_ref = softmax_posterior(gm, z, a, b)
-            assert_bitwise(gm.epsilon_given(z, a, b), softmax_posterior(gm, z, a, b, want_z0=False)[0])
-            assert_bitwise(gm.posterior_z0(z, a, b), z0_ref)
-            for actual, reference in zip(gm._posterior(z, a, b), (eps_ref, z0_ref)):
-                assert_bitwise(actual, reference)
-            assert_velocity(gm, z, 0.3)
+            assert_bitwise(gm.epsilon_given(z, a, b), softmax_posterior(gm, z, a, b, "eps"))
+            assert_bitwise(gm.posterior_z0(z, a, b), softmax_posterior(gm, z, a, b, "z0"))
+            assert_bitwise(gm._posterior(z, a, b, "velocity"), softmax_posterior(gm, z, a, b, "velocity"))
+            assert_velocity(gm.velocity_predict(z, 0.3), gm, z, 0.3)
 
 
 def unfolded_posterior(mixture, z, a, b):
     """The posterior by the formula the constants were folded from, as a second route.
 
     Log responsibilities log w - (diff^2 / tv + log(2 pi tv)) / 2 and
-    eps = sum_k resp * (b * pull). Alongside each moment it returns its
-    per-cell scale, sum_k resp * |term_k|, against which rounding is measured.
+    eps = sum_k resp * (b * pull), pull = diff / tv. Alongside each moment it
+    returns its per-cell scale, sum_k resp * |term_k|, against which rounding
+    is measured, and last the velocity's: sum_k resp * (|b * pull_k| + |mu_k|
+    + |a*v_k * pull_k|), z0's terms taken term by term, since |mu + a*v*pull|
+    alone would hide the cancellation inside z0, which eps - z0 and the
+    velocity's one term round differently. Every array has z's shape.
     """
+    shape = np.shape(z)
     z = np.asarray(z, dtype=np.float64).reshape(1, -1)
     with np.errstate(divide="ignore"):
         log_weights = np.log(mixture.weights)[:, None]
@@ -262,12 +259,9 @@ def unfolded_posterior(mixture, z, a, b):
     pull = diff / total_var
     eps_terms = b * pull
     z0_terms = mixture.means[:, None] + a * mixture.variances[:, None] * pull
-    return (
-        (resp * eps_terms).sum(axis=0),
-        (resp * z0_terms).sum(axis=0),
-        (resp * np.abs(eps_terms)).sum(axis=0),
-        (resp * np.abs(z0_terms)).sum(axis=0),
-    )
+    velocity_terms = np.abs(eps_terms) + np.abs(mixture.means)[:, None] + np.abs(a * mixture.variances[:, None] * pull)
+    sums = (eps_terms, z0_terms, np.abs(eps_terms), np.abs(z0_terms), velocity_terms)
+    return tuple((resp * terms).sum(axis=0).reshape(shape) for terms in sums)
 
 
 # the bench workloads' K = 3 mixture beside every bitwise one
@@ -280,46 +274,62 @@ ROUTE_MIXTURES = {
 @pytest.mark.parametrize("name", sorted(ROUTE_MIXTURES))
 def test_folded_constants_within_rounding_of_the_unfolded_formula(name):
     # the folded route differs from the unfolded one only by rounding: within
-    # 1e-13 of each cell's moment scale, on the bitwise latents and on draws
-    # from the corrupted prior, across an alpha-bar grid, a sigma grid and flow times
+    # 1e-13 of each cell's moment scale, on the bitwise latents, on draws from
+    # the corrupted prior and on wide N(0, 3^2) draws, which hold cells where
+    # z0 cancels, across an alpha-bar grid, a sigma grid and flow times
     gm = ROUTE_MIXTURES[name]
     rng = np.random.default_rng(12)
     component = rng.choice(gm.num_components, 2000, p=gm.weights)
     clean = gm.means[component] + np.sqrt(gm.variances[component]) * rng.standard_normal(2000)
     noise = rng.standard_normal(2000)
+    wide = np.random.default_rng(1).normal(0.0, 3.0, 5000)
     cases = [("eps", math.sqrt(ab), math.sqrt(1.0 - ab)) for ab in (1e-4, 0.05, 0.3, 0.5, 0.8, 0.97, 0.9999)]
     cases += [("eps", 1.0, sigma) for sigma in (0.002, 0.3, 1.0, 5.0, 80.0)]
     cases += [("z0", a, b) for a, b in ((0.6, 0.8), (1.0, 0.0), (0.0, 1.0))]
-    cases += [("velocity", 1.0 - t, t) for t in (0.0, 0.02, 0.3, 0.5, 0.9, 1.0)]
+    cases += [("velocity", 1.0 - t, t) for t in (0.02, *(i / 10 for i in range(11)))]
     for moment, a, b in cases:
-        for z in (bitwise_latent(gm, a).reshape(-1), a * clean + b * noise):
-            eps_mean, z0_mean, eps_scale, z0_scale = unfolded_posterior(gm, z, a, b)
+        for z in (bitwise_latent(gm, a).reshape(-1), a * clean + b * noise, wide):
+            eps_mean, z0_mean, eps_scale, z0_scale, velocity_scale = unfolded_posterior(gm, z, a, b)
             if moment == "eps":
                 actual, expected, scale = gm.epsilon_given(z, a, b), eps_mean, eps_scale
             elif moment == "z0":
                 actual, expected, scale = gm.posterior_z0(z, a, b), z0_mean, z0_scale
             else:
-                actual, expected, scale = gm.velocity_predict(z, b), eps_mean - z0_mean, eps_scale + z0_scale
+                actual, expected, scale = gm.velocity_predict(z, b), eps_mean - z0_mean, velocity_scale
             assert np.all(np.abs(actual - expected) <= 1e-13 * scale), (moment, a, b)
 
 
 @given(
-    mean=st.just(0.0) | st.floats(-20.0, 20.0),
-    log_variance=st.floats(-6.0, 6.0),
+    components=st.lists(
+        st.tuples(st.just(0.0) | st.floats(1e-3, 1.0), st.just(0.0) | st.floats(-20.0, 20.0), st.floats(-6.0, 6.0)),
+        min_size=1,
+        max_size=3,
+    ).filter(lambda rows: any(weight > 0.0 for weight, _, _ in rows)),
     t=st.floats(0.0, 1.0, exclude_max=True),
     log_scale=st.floats(-6.0, 6.0),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(deadline=None, max_examples=100)
-def test_k1_velocity_within_rounding_of_unfolded_eps_minus_z0(mean, log_variance, t, log_scale, seed):
-    # the one-pass velocity and the unfolded formula's two moments share no
-    # operation after the diff: an independent check of the K = 1 route
-    gm = GaussianMixture(np.array([1.0]), np.array([mean]), np.array([10.0**log_variance]))
+@settings(deadline=None, max_examples=200)
+def test_k1_velocity_within_rounding_of_unfolded_eps_minus_z0(components, t, log_scale, seed):
+    # a mixture of one to three components with drawn weights, means and
+    # variances, and cells drawn around the components' centres. The
+    # velocity's one term per component shares no operation after the
+    # responsibilities with the two moments it replaced: within VELOCITY_BOUND
+    # of the package's own eps - z0. At K = 1, where every route's
+    # responsibility is 1.0, the unfolded formula's eps - z0 shares no
+    # operation after the diff and is within VELOCITY_BOUND too; at K > 1 the
+    # two routes' responsibilities round apart by about |exponent| ulps, which
+    # test_folded_constants_within_rounding_of_the_unfolded_formula bounds
+    weights, means, log_variances = (np.array(column) for column in zip(*components))
+    gm = GaussianMixture(weights / weights.sum(), means, 10.0**log_variances)
     a, b = 1.0 - t, t
-    z = a * mean + 10.0**log_scale * np.random.default_rng(seed).standard_normal(256)
-    eps_mean, z0_mean, _, _ = unfolded_posterior(gm, z, a, b)
-    deviation = np.abs(gm.velocity_predict(z, t) - (eps_mean - z0_mean))
-    assert np.all(deviation <= K1_VELOCITY_BOUND * velocity_term_scale(gm, z, t))
+    rng = np.random.default_rng(seed)
+    z = a * means[rng.choice(means.size, 256, p=gm.weights)] + 10.0**log_scale * rng.standard_normal(256)
+    eps_mean, z0_mean, _, _, scale = unfolded_posterior(gm, z, a, b)
+    velocity = gm.velocity_predict(z, t)
+    assert np.all(np.abs(velocity - (gm.epsilon_given(z, a, b) - gm.posterior_z0(z, a, b))) <= VELOCITY_BOUND * scale)
+    if gm.num_components == 1:
+        assert np.all(np.abs(velocity - (eps_mean - z0_mean)) <= VELOCITY_BOUND * scale)
 
 
 @pytest.mark.parametrize("variance", [1.0, 0.3])
@@ -333,15 +343,18 @@ def test_k1_velocity_at_zero_mean_keeps_the_full_formulas_bits(variance):
     for mean in (0.0, -0.0):
         gm = GaussianMixture(np.array([1.0]), np.array([mean]), np.array([variance]))
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert_bitwise(gm.velocity_predict(z, t), tweedie_velocity(gm, z, t))
-            assert_bitwise(gm.velocity_predict(z.reshape(2, 5), t), tweedie_velocity(gm, z, t).reshape(2, 5))
+            expected = softmax_posterior(gm, z, 1.0 - t, t, "velocity")
+            assert_bitwise(gm.velocity_predict(z, t), expected)
+            assert_bitwise(gm.velocity_predict(z.reshape(2, 5), t), expected.reshape(2, 5))
 
 
-@pytest.mark.parametrize("name", ["standard_normal", "k1_shifted"])
+@pytest.mark.parametrize("name", ["standard_normal", "k1_shifted", "bench_k3"])
 def test_k1_velocity_allocates_one_latent(name):
-    # numpy reports its buffers to tracemalloc: the 256x256 latent is 0.5 MiB,
-    # and the K = 1 velocity is formed in the one array it returns
-    gm = BITWISE_MIXTURES[name]
+    # numpy reports its buffers to tracemalloc: the 256x256 latent is 0.5 MiB.
+    # The K = 1 velocity is formed in the one array it returns; with K = 3 that
+    # array is summed into block by block, through the workspace the first
+    # call made, and no second moment is formed
+    gm = ROUTE_MIXTURES[name]
     z = np.random.default_rng(4).standard_normal((256, 256))
     gm.velocity_predict(z, 0.37)
     tracemalloc.start()
@@ -360,10 +373,9 @@ def test_eps_at_zero_noise_scale_keeps_the_general_routes_signed_zeros(name):
     # must add the sum's +0.0 before the b multiply, as the general route does
     gm = BITWISE_MIXTURES[name]
     z = bitwise_latent(gm, 1.0)
-    eps_ref, z0_ref = softmax_posterior(gm, z, 1.0, 0.0)
-    assert_bitwise(gm.epsilon_given(z, 1.0, 0.0), softmax_posterior(gm, z, 1.0, 0.0, want_z0=False)[0])
-    for actual, reference in zip(gm._posterior(z, 1.0, 0.0), (eps_ref, z0_ref)):
-        assert_bitwise(actual, reference)
+    assert_bitwise(gm.epsilon_given(z, 1.0, 0.0), softmax_posterior(gm, z, 1.0, 0.0, "eps"))
+    for moment in ("z0", "velocity"):
+        assert_bitwise(gm._posterior(z, 1.0, 0.0, moment), softmax_posterior(gm, z, 1.0, 0.0, moment))
 
 
 FAR_MIXTURES = {
@@ -393,18 +405,15 @@ def test_cells_far_from_every_centre(name, a, b):
     z = np.concatenate((FAR_CELLS, NEAR_CELLS))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        eps_mean = gm.epsilon_given(z, a, b)
-        z0_mean = gm.posterior_z0(z, a, b)
-        eps_both, z0_both = gm._posterior(z, a, b)
-    velocity = eps_both - z0_both
-    eps_ref, z0_ref = softmax_posterior(gm, NEAR_CELLS, a, b)
-    eps_alone_ref = softmax_posterior(gm, NEAR_CELLS, a, b, want_z0=False)[0]
-    for actual, reference in ((eps_mean, eps_alone_ref), (z0_mean, z0_ref), (eps_both, eps_ref), (z0_both, z0_ref)):
-        assert_bitwise(actual[FAR_CELLS.size :], reference)
-    for i, cell in enumerate(FAR_CELLS):
-        nearest = nearest_component(gm, cell, a, b)
-        want_eps, want_z0 = nearest._posterior(np.array([cell]), a, b)
-        for actual, want in ((eps_mean, want_eps), (z0_mean, want_z0), (velocity, want_eps - want_z0)):
+        moments = {
+            "eps": gm.epsilon_given(z, a, b),
+            "z0": gm.posterior_z0(z, a, b),
+            "velocity": gm._posterior(z, a, b, "velocity"),
+        }
+    for moment, actual in moments.items():
+        assert_bitwise(actual[FAR_CELLS.size :], softmax_posterior(gm, NEAR_CELLS, a, b, moment))
+        for i, cell in enumerate(FAR_CELLS):
+            want = nearest_component(gm, cell, a, b)._posterior(np.array([cell]), a, b, moment)
             assert np.isfinite(actual[i])
             assert actual[i] == pytest.approx(float(want[0]), rel=1e-12)
 
@@ -417,17 +426,16 @@ def test_far_cells_near_the_float_limit_and_velocity():
     z = np.array([1.2e308, -1.2e308, 1e155, 3.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        eps_mean, z0_mean = gm._posterior(z, a, b)
+        eps_mean, z0_mean = gm._posterior(z, a, b, "eps"), gm._posterior(z, a, b, "z0")
         velocity = gm.velocity_predict(z[2:], 0.3)
     for i, cell in enumerate(z[:3]):
-        want_eps, want_z0 = nearest_component(gm, cell, a, b)._posterior(z[i : i + 1], a, b)
-        assert eps_mean[i] == pytest.approx(float(want_eps[0]), rel=1e-12)
-        assert z0_mean[i] == pytest.approx(float(want_z0[0]), rel=1e-12)
+        nearest = nearest_component(gm, cell, a, b)
+        assert eps_mean[i] == pytest.approx(float(nearest._posterior(z[i : i + 1], a, b, "eps")[0]), rel=1e-12)
+        assert z0_mean[i] == pytest.approx(float(nearest._posterior(z[i : i + 1], a, b, "z0")[0]), rel=1e-12)
     nearest = nearest_component(gm, z[2], 0.7, 0.3)
     assert np.isfinite(velocity[0])
     assert velocity[0] == pytest.approx(float(nearest.velocity_predict(z[2:3], 0.3)[0]), rel=1e-12)
-    eps_ref, z0_ref = softmax_posterior(gm, z[3:], 0.7, 0.3)
-    assert_bitwise(velocity[1:], eps_ref - z0_ref)
+    assert_velocity(velocity[1:], gm, z[3:], 0.3)
 
 
 def test_eps_at_a_noise_scale_where_2_pi_tv_overflows():
@@ -455,16 +463,15 @@ def test_far_cells_in_later_blocks(name):
         near[index] = False
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        eps_mean = gm.epsilon_given(z, a, b)
-        z0_mean = gm.posterior_z0(z, a, b)
-        eps_both, z0_both = gm._posterior(z, a, b)
-    eps_ref, z0_ref = softmax_posterior(gm, z[near], a, b)
-    eps_alone_ref = softmax_posterior(gm, z[near], a, b, want_z0=False)[0]
-    for actual, reference in ((eps_mean, eps_alone_ref), (z0_mean, z0_ref), (eps_both, eps_ref), (z0_both, z0_ref)):
-        assert_bitwise(actual[near], reference)
-    for index, cell in far.items():
-        want_eps, want_z0 = nearest_component(gm, cell, a, b)._posterior(np.array([cell]), a, b)
-        for actual, want in ((eps_mean, want_eps), (z0_mean, want_z0), (eps_both, want_eps), (z0_both, want_z0)):
+        moments = {
+            "eps": gm.epsilon_given(z, a, b),
+            "z0": gm.posterior_z0(z, a, b),
+            "velocity": gm.velocity_predict(z, b),
+        }
+    for moment, actual in moments.items():
+        assert_bitwise(actual[near], softmax_posterior(gm, z[near], a, b, moment))
+        for index, cell in far.items():
+            want = nearest_component(gm, cell, a, b)._posterior(np.array([cell]), a, b, moment)
             assert actual[index] == pytest.approx(float(want[0]), rel=1e-12)
 
 
@@ -514,21 +521,21 @@ def test_cells_at_the_underflow_threshold(name):
     assert np.sum(sums < UNDERFLOW_SUM) >= 6 and np.sum(sums >= UNDERFLOW_SUM) >= 6
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        eps_mean = gm.epsilon_given(z, a, b)
-        z0_mean = gm.posterior_z0(z, a, b)
-        velocity = gm.velocity_predict(z, t)
-    eps_ref, z0_ref = softmax_posterior(gm, z[near], a, b)
-    assert_bitwise(eps_mean[near], softmax_posterior(gm, z[near], a, b, want_z0=False)[0])
-    assert_bitwise(z0_mean[near], z0_ref)
-    assert_bitwise(velocity[near], eps_ref - z0_ref)
-    eps_unfolded, z0_unfolded, eps_scale, z0_scale = unfolded_posterior(gm, z[near], a, b)
-    assert np.all(np.abs(eps_mean[near] - eps_unfolded) <= 1e-13 * eps_scale)
-    assert np.all(np.abs(z0_mean[near] - z0_unfolded) <= 1e-13 * z0_scale)
-    assert np.all(np.abs(velocity[near] - (eps_unfolded - z0_unfolded)) <= 1e-13 * (eps_scale + z0_scale))
-    for index, cell in far.items():
-        want_eps, want_z0 = nearest_component(gm, cell, a, b)._posterior(np.array([cell]), a, b)
-        for actual, want in ((eps_mean, want_eps), (z0_mean, want_z0), (velocity, want_eps - want_z0)):
+        moments = {
+            "eps": gm.epsilon_given(z, a, b),
+            "z0": gm.posterior_z0(z, a, b),
+            "velocity": gm.velocity_predict(z, t),
+        }
+    for moment, actual in moments.items():
+        assert_bitwise(actual[near], softmax_posterior(gm, z[near], a, b, moment))
+        for index, cell in far.items():
+            want = nearest_component(gm, cell, a, b)._posterior(np.array([cell]), a, b, moment)
             assert actual[index] == pytest.approx(float(want[0]), rel=1e-12)
+    eps_mean, z0_mean, velocity = (moments[moment][near] for moment in MOMENTS)
+    eps_unfolded, z0_unfolded, eps_scale, z0_scale, _ = unfolded_posterior(gm, z[near], a, b)
+    assert np.all(np.abs(eps_mean - eps_unfolded) <= 1e-13 * eps_scale)
+    assert np.all(np.abs(z0_mean - z0_unfolded) <= 1e-13 * z0_scale)
+    assert np.all(np.abs(velocity - (eps_unfolded - z0_unfolded)) <= 1e-13 * (eps_scale + z0_scale))
 
 
 @pytest.mark.parametrize("name", FALLBACK_MIXTURES)
@@ -538,11 +545,10 @@ def test_an_infinite_threshold_sends_every_cell_down_the_shifted_softmax(name, m
     gm = BITWISE_MIXTURES[name]
     z = np.resize(bitwise_latent(gm, 0.6).reshape(-1), 2 * BLOCK_CELLS + 3)
     for a, b in ((0.6, 0.8), (1.0, 0.0), (0.0, 1.0)):
-        assert_bitwise(gm.epsilon_given(z, a, b), shifted_softmax_posterior(gm, z, a, b, want_z0=False)[0])
-        assert_bitwise(gm.posterior_z0(z, a, b), shifted_softmax_posterior(gm, z, a, b)[1])
+        assert_bitwise(gm.epsilon_given(z, a, b), shifted_softmax_posterior(gm, z, a, b, "eps"))
+        assert_bitwise(gm.posterior_z0(z, a, b), shifted_softmax_posterior(gm, z, a, b, "z0"))
     for t in (0.0, 0.3, 1.0):
-        eps_ref, z0_ref = shifted_softmax_posterior(gm, z, 1.0 - t, t)
-        assert_bitwise(gm.velocity_predict(z, t), eps_ref - z0_ref)
+        assert_bitwise(gm.velocity_predict(z, t), shifted_softmax_posterior(gm, z, 1.0 - t, t, "velocity"))
 
 
 COMPLEX_STEP = 1e-200
@@ -606,15 +612,12 @@ def test_zero_weight_wider_component_leaves_far_cells_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scalar_eps = scalar.epsilon_predict(z, alpha_bar=0.5)
-        scalar_both = scalar._posterior(z, math.sqrt(0.5), math.sqrt(0.5))
-        expected = (
-            drop_massless(scalar).epsilon_predict(z, alpha_bar=0.5),
-            drop_massless(scalar)._posterior(z, math.sqrt(0.5), math.sqrt(0.5)),
-        )
+        expected_eps = drop_massless(scalar).epsilon_predict(z, alpha_bar=0.5)
+        for moment in ("z0", "velocity"):
+            actual = scalar._posterior(z, math.sqrt(0.5), math.sqrt(0.5), moment)
+            assert_bitwise(actual, drop_massless(scalar)._posterior(z, math.sqrt(0.5), math.sqrt(0.5), moment))
     assert np.all(np.isfinite(scalar_eps))
-    assert_bitwise(scalar_eps, expected[0])
-    for actual, reference in zip(scalar_both, expected[1]):
-        assert_bitwise(actual, reference)
+    assert_bitwise(scalar_eps, expected_eps)
 
 
 def test_results_never_alias_the_workspace():
@@ -625,8 +628,7 @@ def test_results_never_alias_the_workspace():
         lambda: gm.epsilon_given(z, 0.6, 0.8),
         lambda: gm.posterior_z0(z, 0.6, 0.8),
         lambda: gm.velocity_predict(z, 0.4),
-        lambda: gm._posterior(z, 0.6, 0.8)[0],
-        lambda: gm._posterior(z, 0.6, 0.8)[1],
+        lambda: gm._posterior(z, 0.6, 0.8, "velocity"),
     )
     for call in calls:
         first = call()
@@ -639,26 +641,6 @@ def test_results_never_alias_the_workspace():
         assert not np.shares_memory(first, second)
 
 
-def test_eps_term_buffer_only_for_two_moment_calls():
-    # a fresh thread starts with no workspace; only velocity needs the eps term
-    gm = BITWISE_MIXTURES["k3"]
-    z = np.random.default_rng(8).normal(0.0, 3.0, (128, 128))
-    seen = []
-
-    def calls():
-        gm.epsilon_given(z, 0.6, 0.8)
-        gm.posterior_z0(z, 0.6, 0.8)
-        seen.append(oracles._workspace.buffers[3])
-        gm.velocity_predict(z, 0.4)
-        seen.append(oracles._workspace.buffers[3])
-
-    thread = threading.Thread(target=calls)
-    thread.start()
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    assert seen[0] is None and seen[1].shape == (3, BLOCK_CELLS)
-
-
 @pytest.mark.parametrize("width", [1, 77, BLOCK_CELLS])
 def test_workspace_buffers_start_on_cache_lines(width):
     # the posterior's vector loops ran 10-15% slower over a workspace at a
@@ -668,7 +650,7 @@ def test_workspace_buffers_start_on_cache_lines(width):
     z = np.linspace(-4.0, 4.0, width)
     outputs = [gm.epsilon_given(z, 0.6, 0.8), gm.posterior_z0(z, 0.6, 0.8), gm.velocity_predict(z, 0.4)]
     buffers = oracles._workspace.buffers
-    assert [buffer.shape for buffer in buffers] == [(3, width), (3, width), (1, width), (3, width)]
+    assert [buffer.shape for buffer in buffers] == [(3, width), (3, width), (1, width)]
     assert all(array.ctypes.data % 64 == 0 and array.flags.c_contiguous for array in buffers + outputs)
 
 
@@ -682,7 +664,10 @@ def test_threads_with_different_mixtures_and_shapes_match_serial():
         (BITWISE_MIXTURES["k3"], rng.normal(0.0, 3.0, 77)),
         (BITWISE_MIXTURES["k3_zero_weight"], rng.normal(0.0, 3.0, (40, 500))),
     ]
-    serial = [gm._posterior(z, 0.6, 0.8) for gm, z in jobs]
+    def moments(gm, z):
+        return [gm._posterior(z, 0.6, 0.8, moment) for moment in MOMENTS]
+
+    serial = [moments(gm, z) for gm, z in jobs]
     orders = ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1])
     barrier = threading.Barrier(len(orders), timeout=30)
     results = {slot: [] for slot in range(len(orders))}
@@ -691,7 +676,7 @@ def test_threads_with_different_mixtures_and_shapes_match_serial():
         barrier.wait()
         for _ in range(3):
             for i in orders[slot]:
-                results[slot].append((i, jobs[i][0]._posterior(jobs[i][1], 0.6, 0.8)))
+                results[slot].append((i, moments(*jobs[i])))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -778,6 +763,10 @@ class TestEpsilonOracle:
             gm.epsilon_predict(z, alpha_bar=1.0)
         with pytest.raises(ValueError):
             gm.epsilon_predict(z, sigma=0.0)
+        for level in ("0.5", np.array([0.5])):  # a number or nothing, as for sigma and t
+            for name in ("alpha_bar", "sigma"):
+                with pytest.raises(ValueError):
+                    gm.epsilon_predict(z, **{name: level})
 
     def test_variance_exploding_form(self):
         # z = z0 + sigma * eps with a unit-normal prior: eps* = sigma / (1 + sigma^2) * z
@@ -800,11 +789,11 @@ class TestEpsilonOracle:
         z = np.array([0.5, -0.25])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for want in ({}, {"want_eps": False}, {"want_z0": False}):
+            for moment in MOMENTS:
                 with pytest.raises(ValueError, match="too small"):
-                    gm._posterior(z, 1e-160, 0.0, **want)
-            for moments in (gm._posterior(z, 1e-150, 0.0), gm._posterior(z, 1e-150, 1e-150)):
-                assert all(np.all(np.isfinite(moment)) for moment in moments)
+                    gm._posterior(z, 1e-160, 0.0, moment)
+                for b in (0.0, 1e-150):
+                    assert np.all(np.isfinite(gm._posterior(z, 1e-150, b, moment)))
 
     @pytest.mark.parametrize("name", ["standard_normal", "bench_k3"])
     def test_rejects_scales_whose_variance_overflows(self, name):
@@ -817,14 +806,14 @@ class TestEpsilonOracle:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="too large"):
                 gm.epsilon_predict(z, sigma=1e160)
-            # both moments, as velocity_predict asks for them, at either scale overflowing
-            for a, b in ((1.0, 1e160), (1e160, 1.0)):
-                for want in ({}, {"want_eps": False}, {"want_z0": False}):
+            # every moment, at either scale overflowing
+            for moment in MOMENTS:
+                for a, b in ((1.0, 1e160), (1e160, 1.0)):
                     with pytest.raises(ValueError, match="too large"):
-                        gm._posterior(z, a, b, **want)
+                        gm._posterior(z, a, b, moment)
+                assert np.all(np.isfinite(gm._posterior(z, 1.0, 1e150, moment)))
             eps = gm.epsilon_predict(z, sigma=1e150)
             assert eps[0] == pytest.approx(1.0, rel=1e-12)
-            assert all(np.all(np.isfinite(moment)) for moment in gm._posterior(z, 1.0, 1e150))
 
 
 class TestVelocityOracle:
