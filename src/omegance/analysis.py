@@ -167,13 +167,13 @@ def _radial_bins(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return bins, weights, counts
 
 
-def radial_spectrum(values, split_radius: float | None = None) -> SpectrumProfile:
+def radial_spectrum(values) -> SpectrumProfile:
     """Radial profile of |FFT|^2 / N with the DC term alone in bin 0.
 
     Frequencies are binned by rounding the integer-frequency radius
     sqrt(ky^2 + kx^2). The power is read off the real FFT's half plane, each
-    cell weighted for its mirrored twin (see ``_radial_bins``). The default
-    band split is half the Nyquist radius, min(H, W) / 4.
+    cell weighted for its mirrored twin (see ``_radial_bins``). The band
+    split is half the Nyquist radius, min(H, W) / 4.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
@@ -194,9 +194,7 @@ def radial_spectrum(values, split_radius: float | None = None) -> SpectrumProfil
     power *= weights
     sums = np.bincount(bins, weights=power.ravel())
     mean_power = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    if split_radius is None:
-        split_radius = min(height, width) / 4.0
-    return SpectrumProfile(mean_power, counts, split_radius)
+    return SpectrumProfile(mean_power, counts, min(height, width) / 4.0)
 
 
 def band_energy(profile: SpectrumProfile, band: str) -> float:

@@ -367,8 +367,8 @@ def cmd_snr(args, config: ExperimentConfig, written: list[str]) -> dict:
             raise abort from exc
         deviations = np.abs(analytic - propagated) / analytic
         max_deviation = max(max_deviation, float(deviations.max()))
-        for t, a_val, p_val, dev in zip(range(2, schedule.num_steps + 1), analytic, propagated, deviations):
-            rows.append([idx, omega, t, a_val, p_val, dev])
+        columns = zip(range(2, schedule.num_steps + 1), analytic.tolist(), propagated.tolist(), deviations.tolist())
+        rows.extend([idx, omega, t, a_val, p_val, dev] for t, a_val, p_val, dev in columns)
     write_csv(
         out / "snr.csv",
         ["omega_index", "omega", "t", "snr_analytic", "snr_propagated", "rel_deviation"],
@@ -488,15 +488,13 @@ def cmd_preview(args, config: ExperimentConfig, written: list[str]) -> dict:
         raise ConfigError(f"config has no omega {args.kind} to preview")
     out = _out_dir(config)
     if args.kind == "mask":
-        grid = control.mask.grid
-        rows = [[i, j, grid[i, j]] for i in range(grid.shape[0]) for j in range(grid.shape[1])]
+        rows = [[i, j, omega] for i, line in enumerate(control.mask.grid.tolist()) for j, omega in enumerate(line)]
         write_csv(out / "mask_omega.csv", ["row", "col", "omega"], rows)
         written.append("mask_omega.csv")
         write_pgm(out / "mask_preview.pgm", mask_to_grayscale(control.mask))
         written.append("mask_preview.pgm")
     else:
-        values = control.schedule.values
-        write_csv(out / "schedule.csv", ["step", "omega"], list(enumerate(values)))
+        write_csv(out / "schedule.csv", ["step", "omega"], list(enumerate(control.schedule.values.tolist())))
         written.append("schedule.csv")
     print(f"wrote {', '.join(written)} to {out}")
     return {}

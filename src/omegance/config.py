@@ -192,7 +192,7 @@ def parse_config(data: dict, base_dir=".") -> ExperimentConfig:
         sampler = SamplerConfig(kind, steps, schedule, control, snapshots=tuple(snapshots))
         if kind == "euler":  # the oracle's own scale check at the largest level; only its ValueError counts
             with np.errstate(all="ignore"):
-                oracle.epsilon_given(np.zeros(1), 1.0, schedule.sigma_hat(0))
+                oracle.epsilon_predict(np.zeros(1), sigma=schedule.sigma_hat(0))
     except ValueError as exc:
         raise ConfigError(f"bad sampler: {exc}") from exc
     if math.prod(latent_shape) * 8 * (len(sampler.snapshots) + 2) > MAX_LATENT_BYTES:

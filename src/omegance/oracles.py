@@ -1,8 +1,9 @@
 """Closed-form denoisers for known priors.
 
 A Gaussian-mixture prior pushed through any affine Gaussian corruption
-z = a * z0 + b * eps admits exact posterior means for both z0 and eps, so
-these oracles stand in for trained prediction networks wherever a sampler
+z = a * z0 + b * eps admits exact posterior means of eps and of the
+velocity eps - z0, the two predictions a sampler reads (samplers.Denoiser),
+so these oracles stand in for trained prediction networks wherever a sampler
 claim needs an exact reference. A mixture's components are scalar (means of
 shape (K,)), so it acts independently on every latent cell, as a per-cell omega
 mask needs, which makes it the substrate for locality checks.
@@ -19,9 +20,9 @@ cell's mass. Below it the largest term may itself have lost its digits, or
 every term may be 0. Only cells many standard deviations from every centre
 fall below, so the per-cell max pass runs for those alone.
 
-Every call forms one moment, eps for epsilon_predict, z0 for posterior_z0
-and the velocity eps - z0 for velocity_predict, as one responsibility-weighted
-sum over the components of a term affine in diff = z - a*mu.
+Every call forms one moment, eps for epsilon_predict and the velocity
+eps - z0 for velocity_predict, as one responsibility-weighted sum over the
+components of a term affine in diff = z - a*mu.
 The public methods refuse a latent with a non-finite cell; the sampling
 loop, which checks every latent after each step, calls their twins in
 _FINITE_LATENT_TWINS, which do not check it again. With K > 1
@@ -46,34 +47,29 @@ one reciprocal of their sum per cell, and forms eps as
 (sum_k resp * pull) * b, with b applied to the summed row. Every sum over k
 is taken row by row, ((r_0 + r_1) + r_2) + ..., and a moment sum ends by
 adding +0.0: the bits of numpy's axis-0 sum, which starts from +0.0. eps
-takes pull = diff * inv_var, a multiply where a divide costs about three;
-z0 keeps pull = diff / tv, because with the rounded reciprocal
-z0 = mu + (a*v) * pull no longer cancels to the cell's value at b = 0 (2.5e-13
-of the moment scale for one test mixture). The velocity's term is
-diff * ((b - a*v) / tv) - mu, its multiplier folded once per call. Scales
-so small that some 1 / tv overflows, or so large that some tv does, are
-rejected. Against the unfolded formula,
+takes pull = diff * inv_var, a multiply where a divide costs about three.
+The velocity's term is diff * ((b - a*v) / tv) - mu, its multiplier folded
+once per call. Scales so small that some 1 / tv overflows, or so large that
+some tv does, are rejected. Against the unfolded formula,
 log w - (diff^2 / tv + log(2 pi tv)) / 2 and eps = sum_k resp * (b * pull),
 K > 1 outputs differ only in their last digits: at most 6.4e-15 of a cell's
 moment scale (sum_k resp * |term_k|, the velocity's terms as
-|b * pull| + |mu| + |a*v * pull|, z0's taken term by term) over the test
-grids; for the bench mixture 1.0e-15 for eps and z0, 3.7e-15 for the
-velocity. A single component has responsibility exactly 1.0, so K = 1
-skips the softmax and takes the linear Tweedie form
-eps = (z - a*mu) * (1 / (a^2 v + b^2)) * b, z0 = mu + (a*v) * (z - a*mu) / (a^2 v + b^2);
-its eps lies within 4.3e-16 of the moment scale of the divided form, and
-its z0 is the divided form bit for bit. Both give every cell the
-operations of the max-shifted softmax route in the same order, so their
-outputs are bitwise identical to it, signed zeros included (an eps that is
-zero because b = 0 or b * pull underflows takes pull's sign), for every cell
+|b * pull| + |mu| + |a*v * pull|) over the test grids; for the bench
+mixture 1.0e-15 for eps, 3.7e-15 for the velocity. A single component has
+responsibility exactly 1.0, so K = 1 skips the softmax and takes the linear
+Tweedie form eps = (z - a*mu) * (1 / (a^2 v + b^2)) * b, within 4.3e-16 of
+the moment scale of the divided form. It gives every cell the operations
+of the max-shifted softmax route in the same order, so its output is
+bitwise identical to it, signed zeros included (an eps that is zero
+because b = 0 or b * pull underflows takes pull's sign), for every cell
 whose squared distance to some component centre is finite. The K = 1
 velocity is its one term, (z - a*mu) * ((b - a*v) / (a^2 v + b^2)) - mu, in
 one fresh array and without the sum's +0.0; at mu = +0.0 both subtractions
 are exact identities and are skipped, which leaves one multiply. At every K
 the velocity lies within 8.1e-16 of that velocity scale of eps - z0 formed
-with the same responsibilities, over 250,000 draws of one to three
-components, t and the latent scale; at K = 1, within 6.5e-16 of eps - z0 by
-the divided form.
+with the same responsibilities, z0 as sum_k resp * (mu + (a*v) * (diff / tv)),
+over 250,000 draws of one to three components, t and the latent scale; at
+K = 1, within 6.5e-16 of eps - z0 by the divided form.
 A cell farther than about 1.3e154 from every centre, where every exponential
 is 0 and the max-shifted route would give NaN, has its log responsibilities
 shifted by the nearest component's instead, which keeps them finite;
@@ -201,7 +197,7 @@ class GaussianMixture:
         return a, b, least_tv
 
     def _posterior(self, z, signal_scale: float, noise_scale: float, moment: str) -> np.ndarray:
-        """Cellwise posterior mean of one moment under z = a*z0 + b*eps: "eps", "z0" or "velocity" (eps - z0).
+        """Cellwise posterior mean of one moment under z = a*z0 + b*eps: "eps" or "velocity" (eps - z0).
 
         z must be finite: the public methods check it, and the sampling loop
         checks every latent it passes. Each moment is sum_k resp_k * term_k
@@ -209,15 +205,14 @@ class GaussianMixture:
         half_prec) from the per-call (K, 1) constants log_const = log w -
         log(tv) / 2 less its largest, half_prec = 0.5 / tv and inv_var =
         1 / tv, normalised before the moment sum by multiplying with
-        1 / sum_k resp; then eps = (sum_k resp * (diff * inv_var)) * b,
-        z0 = sum_k resp * (mu + (a*v) * (diff / tv)) and velocity =
-        sum_k resp * (diff * ((b - a*v) / tv) - mu), every sum over k row by
-        row and then + 0.0. A cell whose sum of exponentials is below
+        1 / sum_k resp; then eps = (sum_k resp * (diff * inv_var)) * b and
+        velocity = sum_k resp * (diff * ((b - a*v) / tv) - mu), every sum over
+        k row by row and then + 0.0. A cell whose sum of exponentials is below
         UNDERFLOW_SUM takes the max-shifted exponentials of
         _shifted_exponentials instead, before the same normalisation. For
         K = 1 the responsibility is exactly 1.0, as after the max shift, so
-        the softmax is skipped: eps and z0 keep the sum's + 0.0, which only
-        turns -0.0 into +0.0 (before eps's b multiply), and the velocity,
+        the softmax is skipped: eps keeps the sum's + 0.0, which only turns
+        -0.0 into +0.0 (before its b multiply), and the velocity,
         formed in the one array it returns, skips it and, at mu = +0.0, both
         subtractions, which are exact identities there.
         Raises ValueError when the scales break _corruption's rule.
@@ -234,14 +229,10 @@ class GaussianMixture:
             if moment == "velocity":
                 out *= (b - a * var) / least_tv
                 out -= mean
-            elif moment == "eps":
+            else:
                 out *= 1.0 / least_tv
                 out += 0.0
                 out *= b
-            else:  # z0 keeps the divide: a reciprocal leaves mu + a*v*pull 2.5e-13 off at b = 0
-                out /= least_tv
-                out *= a * var
-                out += mean + 0.0
             return out.reshape(shape)
         total_var = (a * a * self.variances + b * b)[:, None]
         inv_var = 1.0 / total_var
@@ -251,7 +242,6 @@ class GaussianMixture:
         half_prec = 0.5 / total_var
         centers = (a * self.means)[:, None]
         means = self.means[:, None]
-        z0_scale = (a * self.variances)[:, None]
         velocity_scale = (b - a * self.variances)[:, None] / total_var
         flat = z.reshape(1, -1)
         size = flat.shape[1]
@@ -277,12 +267,8 @@ class GaussianMixture:
             if moment == "velocity":
                 term *= velocity_scale
                 term -= means
-            elif moment == "eps":
+            else:
                 term *= inv_var
-            else:  # z0 keeps the divide: a reciprocal leaves mu + a*v*pull 2.5e-13 off at b = 0
-                term /= total_var
-                term *= z0_scale
-                term += means
             term *= resp
             row = _fold_rows(np.add, term, out[start:stop])
             row += 0.0  # the +0.0 start of a sum: an all -0.0 column sums to +0.0
@@ -333,14 +319,6 @@ class GaussianMixture:
             spread *= dist - nearest
         spread[~mass] = np.inf
         return log_const - spread
-
-    def epsilon_given(self, z, signal_scale: float, noise_scale: float) -> np.ndarray:
-        """Posterior-mean noise E[eps | a*z0 + b*eps = z]."""
-        return self._posterior(_finite_latent(z), signal_scale, noise_scale, "eps")
-
-    def posterior_z0(self, z, signal_scale: float, noise_scale: float) -> np.ndarray:
-        """Posterior-mean clean latent E[z0 | a*z0 + b*eps = z]."""
-        return self._posterior(_finite_latent(z), signal_scale, noise_scale, "z0")
 
     def epsilon_predict(self, z, *, alpha_bar: float | None = None, sigma: float | None = None):
         """Exact noise prediction for one of the two standard corruptions.

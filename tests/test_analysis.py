@@ -376,7 +376,8 @@ class TestRadialSpectrum:
 
     def test_custom_split_radius(self):
         image = np.random.default_rng(3).standard_normal((16, 16))
-        profile = radial_spectrum(image, split_radius=2.0)
+        base = radial_spectrum(image)
+        profile = SpectrumProfile(base.mean_power, base.counts, 2.0)
         assert profile.split_radius == 2.0
         low = band_energy(profile, "low")
         assert low == pytest.approx(
@@ -397,23 +398,25 @@ class TestSplitRadius:
         profile = radial_spectrum(np.random.default_rng(5).standard_normal((8, 8)))
         with pytest.raises(ValueError, match="split_radius must be a positive finite number"):
             SpectrumProfile(profile.mean_power, profile.counts, split)
-        with pytest.raises(ValueError, match="split_radius must be a positive finite number"):
-            radial_spectrum(np.ones((8, 8)), split_radius=split)
 
     def test_split_is_held_as_a_float(self):
-        profile = radial_spectrum(np.ones((8, 8)), split_radius=np.float32(1.5))
+        base = radial_spectrum(np.ones((8, 8)))
+        profile = SpectrumProfile(base.mean_power, base.counts, np.float32(1.5))
         assert type(profile.split_radius) is float and profile.split_radius == 1.5
-        assert type(radial_spectrum(np.ones((8, 8)), split_radius=3).split_radius) is float
+        assert type(SpectrumProfile(base.mean_power, base.counts, 3).split_radius) is float
+        # a spectrum splits at a quarter of its shorter side
+        assert radial_spectrum(np.ones((9, 7))).split_radius == 1.75
 
     @pytest.mark.parametrize("shape", [(16, 16), (9, 7), (256, 256)])
     def test_slice_equals_the_boolean_mask_bit_for_bit(self, shape):
         image = np.random.default_rng(sum(shape)).standard_normal(shape)
-        bins = radial_spectrum(image).mean_power.size
+        base = radial_spectrum(image)
+        bins = base.mean_power.size
         # integral, half-integral, below 1, at the last bin, beyond it, and near the edges
         splits = [1.0, 2.0, 3.5, 0.25, 0.5, 1e-300, float(bins - 1), bins - 0.5, float(bins), bins + 0.5, 1e300]
         splits += [np.nextafter(4.0, 0.0), np.nextafter(4.0, 5.0), 5e-324]
         for split in splits:
-            profile = radial_spectrum(image, split_radius=split)
+            profile = SpectrumProfile(base.mean_power, base.counts, split)
             for band in ("low", "high"):
                 got, want = band_energy(profile, band), mask_band_energy(profile, band)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), (split, band)

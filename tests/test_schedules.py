@@ -91,9 +91,9 @@ NUMBER_SITES = {
     "mask_from_grayscale.omega_high": lambda x: mask_from_grayscale(np.zeros((2, 2)), 1, 0.9, x),
     "omega_schedule.omega": lambda x: omega_schedule("constant", 4, omega=x),
     "omega_schedule.amplitude": lambda x: omega_schedule("exp", 4, amplitude=x, decay=1.0, offset=0.0),
-    "epsilon_given.signal_scale": lambda x: standard_normal().epsilon_given(np.ones(4), x, 1.0),
-    "epsilon_given.noise_scale": lambda x: standard_normal().epsilon_given(np.ones(4), 1.0, x),
-    "posterior_z0.noise_scale": lambda x: standard_normal().posterior_z0(np.ones(4), 1.0, x),
+    "_posterior.eps.signal_scale": lambda x: standard_normal()._posterior(np.ones(4), x, 1.0, "eps"),
+    "_posterior.eps.noise_scale": lambda x: standard_normal()._posterior(np.ones(4), 1.0, x, "eps"),
+    "_posterior.velocity.noise_scale": lambda x: standard_normal()._posterior(np.ones(4), 1.0, x, "velocity"),
     "velocity_predict.t": lambda x: standard_normal().velocity_predict(np.ones(4), x),
 }
 # the read-only arrays convert their cells to float64, in which True is 1.0
